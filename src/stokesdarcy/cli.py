@@ -13,7 +13,7 @@ from .solver import (INNER_KINDS, OUTER_KINDS, Problem, SolveConfig,
                      solve_coupled, solve_monolithic_oracle)
 
 ENV_OUTDIR = "STOKESDARCY_OUTDIR"
-DEFAULT_NS = (8, 16, 32, 64, 128)
+DEFAULT_NMIN, DEFAULT_NMAX = 8, 128  # default table: n = 8, 16, ..., 128
 DIRECT_CAP = 64  # memory guard for combos with direct factorizations
 
 
@@ -81,9 +81,9 @@ class ExperimentSpec:
 
         self.pair = canonical_pair(pick(args.pair, "pair", str,
                                         "mini-bdm1"))
-        self.nmin = pick(args.nmin, "nmin", int, DEFAULT_NS[0])
+        self.nmin = pick(args.nmin, "nmin", int, DEFAULT_NMIN)
         nmax_given = args.nmax is not None or "nmax" in cfg
-        self.nmax = pick(args.nmax, "nmax", int, DEFAULT_NS[-1])
+        self.nmax = pick(args.nmax, "nmax", int, DEFAULT_NMAX)
         self.nmax_explicit = nmax_given
         self.outer_rtol = pick(args.outer_rtol, "outer_rtol", float, 1e-6)
         self.inner_rtol = pick(args.inner_rtol, "inner_rtol", float, 1e-2)
@@ -97,11 +97,24 @@ class ExperimentSpec:
             combos = [combos]
         self.combos = [parse_combo(c) for c in combos]
 
-    def n_values(self):
-        ns = [n for n in DEFAULT_NS if self.nmin <= n <= self.nmax]
+    def mesh_sizes(self):
+        """The doublings nmin * 2^k <= nmax; raises on an empty range."""
+        if self.nmin < 1:
+            raise ValueError("--nmin must be positive, got %d" % self.nmin)
+        ns = []
+        n = self.nmin
+        while n <= self.nmax:
+            ns.append(n)
+            n *= 2
         if not ns:
             raise ValueError("empty mesh-size range [%d, %d]"
                              % (self.nmin, self.nmax))
+        return ns
+
+    def n_values(self):
+        """Mesh sizes of a table, capped for direct factorizations unless
+        --nmax was given."""
+        ns = self.mesh_sizes()
         has_direct = any("direct" in c or "pd0" in c or "hx" == c[1]
                          for c in self.combos)
         if has_direct and not self.nmax_explicit:
@@ -244,6 +257,12 @@ def run_oracle(spec):
 def main(argv=None):
     args = _parse_args(argv if argv is not None else sys.argv[1:])
     spec = ExperimentSpec(args)
+    if args.command in ("converge", "iterations"):
+        try:
+            spec.mesh_sizes()
+        except ValueError as exc:
+            sys.stderr.write("stokesdarcy: error: %s\n" % exc)
+            return 2
     if args.command == "converge":
         path, ok = run_convergence(spec)
         print("wrote", path)

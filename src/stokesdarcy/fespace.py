@@ -363,12 +363,6 @@ class FluxSpace:
         divs = np.einsum("tml,tmp->tlp", self.coeff, mdiv) / self.hscale[:, None, None]
         return vals, divs, det
 
-    def evaluate_at_points(self, coeffs, ref_pts):
-        """Field values and divergence per triangle at mapped points."""
-        vals, divs, _ = self.tabulate(ref_pts)
-        c = coeffs[self.cell_dofs]
-        return np.einsum("tl,tlpc->tpc", c, vals), np.einsum("tl,tlp->tp", c, divs)
-
     def evaluate_at(self, coeffs, tri_local, phys_pts):
         """Field values at physical points, one owning triangle per point.
 
@@ -440,11 +434,6 @@ class TraceSpace:
         blocks = [ln / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
                   for ln in self.lengths]
         return sp.block_diag(blocks, format="csr")
-
-    def evaluate(self, coeffs, s):
-        """Values on every edge at local coordinates s in [0,1] (left->right)."""
-        c = coeffs.reshape(-1, 2)
-        return c[:, [0]] * (1 - s)[None, :] + c[:, [1]] * s[None, :]
 
     def integral(self, coeffs):
         c = coeffs.reshape(-1, 2)
@@ -545,15 +534,11 @@ def nodal_prolongation(coarse, fine):
     J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
     invJ = np.linalg.inv(J)
     ref = np.einsum("nab,nb->na", invJ[loc], fine.nodes - p[loc, 0])
-    rows, cols, vals = [], [], []
-    for node in range(fine.ndof):
-        bvals, _ = ref_basis(coarse.family, ref[[node]])
-        for l, v in enumerate(bvals[:, 0]):
-            if abs(v) > 1e-13:
-                rows.append(node)
-                cols.append(coarse.cell_dofs[loc[node], l])
-                vals.append(v)
-    return sp.coo_matrix((vals, (rows, cols)),
+    bvals = ref_basis(coarse.family, ref)[0].T  # (fine.ndof, nloc)
+    keep = np.abs(bvals) > 1e-13
+    rows = np.nonzero(keep)[0]
+    cols = coarse.cell_dofs[loc][keep]
+    return sp.coo_matrix((bvals[keep], (rows, cols)),
                          shape=(fine.ndof, coarse.ndof)).tocsr()
 
 

@@ -73,6 +73,10 @@ class DarcySubsolver:
         self.npres = dpres.ndof
         self.Aii = A_D[np.ix_(self.free, self.free)].tocsr()
         self.Bi = B_D[:, self.free].tocsr()
+        # transposes applied inside the Krylov loops, built once
+        self.BiT = self.Bi.T.tocsr()
+        self.B_fullT = self.B_full.T.tocsr()
+        self.liftT = self.lift.T.tocsr()
         self.mvec = pressure_integral(dpres)
         self._mnorm2 = self.mvec @ self.mvec
 
@@ -117,7 +121,7 @@ class DarcySubsolver:
         def apply(x):
             u, p = x[:ni], x[ni:]
             out = np.empty_like(x)
-            out[:ni] = self.Aii @ u - self.Bi.T @ p
+            out[:ni] = self.Aii @ u - self.BiT @ p
             out[ni:] = -self._project(self.Bi @ u)
             return out
 
@@ -170,7 +174,8 @@ class DarcySubsolver:
     def functional(self, u, p):
         """Dual pairing of the fields against lifted interface test
         functions: the flux-to-pressure (or source residual) values."""
-        return np.asarray(self.lift.T @ (self.A_full @ u - self.B_full.T @ p)).ravel()
+        return np.asarray(self.liftT @ (self.A_full @ u
+                                        - self.B_fullT @ p)).ravel()
 
 
 def apply_ftp(subsolver, phi, rtol=None):
@@ -194,6 +199,7 @@ class CouplingOperator:
 
     def __init__(self, R_free, subsolver, rtol=None):
         self.R = R_free.tocsr()
+        self.RT = self.R.T.tocsr()
         self.subsolver = subsolver
         self.rtol = rtol
         self.n = self.R.shape[1]
@@ -201,4 +207,4 @@ class CouplingOperator:
     def __call__(self, u):
         phi = np.asarray(self.R @ u).ravel()
         res = apply_ftp(self.subsolver, phi, self.rtol)
-        return np.asarray(self.R.T @ res.functional).ravel()
+        return np.asarray(self.RT @ res.functional).ravel()

@@ -156,10 +156,10 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500,
         s_new = gamma_new / a1
 
         w_new = (zhat - a3 * w_old - a2 * w) / a1
-        x = x + (c_new * eta) * w_new
+        x += (c_new * eta) * w_new
         if track_vec:
             aw_new = (Az - a3 * aw_old - a2 * aw) / a1
-            r_vec = r_vec - (c_new * eta) * aw_new
+            r_vec -= (c_new * eta) * aw_new
             aw_old, aw = aw, aw_new
             residuals.append(np.linalg.norm(r_vec))
         eta = -s_new * eta

@@ -29,12 +29,6 @@ def direct_inverse(M):
     return LinOp(n, lu.solve)
 
 
-def factorized_solve(M):
-    """Cached sparse LU solve for a general nonsingular matrix."""
-    lu = spla.splu(sp.csc_matrix(M))
-    return LinOp(M.shape[0], lu.solve, symmetric=False)
-
-
 def diagonal_inverse(M):
     d = M.diagonal()
     if np.any(d <= 0):
@@ -121,7 +115,8 @@ def build_bpx(mats, prolongs):
     mats[0..L] are the level operators (coarsest first) restricted to free
     DOFs; prolongs[l] maps level l to level l+1.  The coarsest level is
     inverted directly, finer levels are diagonally (Jacobi) scaled.  With a
-    single level this is the direct coarse inverse.
+    single level this is the direct coarse inverse.  The returned operator
+    also applies column by column to an (n, k) block.
     """
     if len(mats) != len(prolongs) + 1:
         raise ValueError("need one prolongation between consecutive levels")
@@ -131,16 +126,17 @@ def build_bpx(mats, prolongs):
                              "shape %s" % (l, (P.shape,)))
     coarse = spla.splu(sp.csc_matrix(mats[0]))
     inv_diags = [1.0 / m.diagonal() for m in mats[1:]]
+    restricts = [P.T.tocsr() for P in prolongs]
     L = len(prolongs)
 
     def apply(r):
         res = [None] * (L + 1)
         res[L] = r
         for l in range(L, 0, -1):
-            res[l - 1] = prolongs[l - 1].T @ res[l]
+            res[l - 1] = restricts[l - 1] @ res[l]
         x = coarse.solve(res[0])
         for l in range(1, L + 1):
-            x = prolongs[l - 1] @ x + inv_diags[l - 1] * res[l]
+            x = prolongs[l - 1] @ x + (inv_diags[l - 1] * res[l].T).T
         return x
 
     return LinOp(mats[-1].shape[0], apply)
@@ -348,6 +344,7 @@ def build_hx_precond(transfer, mode="direct", hierarchy=None):
     """
     Sinv = 1.0 / transfer.Sdiv
     C, Idiv = transfer.C, transfer.Idiv
+    CT, IdivT = C.T.tocsr(), Idiv.T.tocsr()
     tau = transfer.tau
     if mode == "direct":
         Linv_sc = direct_inverse(transfer.L)
@@ -362,12 +359,10 @@ def build_hx_precond(transfer, mode="direct", hierarchy=None):
 
     def apply(r):
         x = Sinv * r
-        s = Idiv.T @ r
-        y = np.empty_like(s)
-        y[0::2] = Linv_sc(s[0::2])
-        y[1::2] = Linv_sc(s[1::2])
+        # the interleaved vector nodal solve is one two-column block solve
+        y = Linv_sc((IdivT @ r).reshape(-1, 2)).ravel()
         x = x + Idiv @ y
-        x = x + C @ Dinv(C.T @ r) / tau
+        x = x + C @ Dinv(CT @ r) / tau
         return x
 
     op = LinOp(len(Sinv), apply)

@@ -255,11 +255,12 @@ def _outer_operator(problem, coupling):
     nf = len(problem.free_vel)
     npres = problem.pres.ndof
     A_ff, B = problem.A_ff, problem.B_Sf
+    BT = B.T.tocsr()
 
     def apply(x):
         u, p = x[:nf], x[nf:]
         out = np.empty_like(x)
-        out[:nf] = A_ff @ u - B.T @ p
+        out[:nf] = A_ff @ u - BT @ p
         if coupling is not None:
             out[:nf] += coupling(u)
         out[nf:] = -(B @ u)

@@ -1,6 +1,6 @@
 import pytest
 
-from stokesdarcy.cli import main, read_config
+from stokesdarcy.cli import ExperimentSpec, _parse_args, main, read_config
 
 
 def test_converge_csv_contract(tmp_path):
@@ -108,3 +108,41 @@ def test_failure_marker_and_exit_code(tmp_path, monkeypatch):
                  "--nmax", "8", "--out", str(out)])
     assert code == 1
     assert "FAILED" in out.read_text()
+
+
+def _spec(argv):
+    return ExperimentSpec(_parse_args(argv))
+
+
+def test_mesh_sizes_are_doublings():
+    assert _spec(["converge", "--nmin", "64",
+                  "--nmax", "256"]).n_values() == [64, 128, 256]
+    assert _spec(["iterations", "--nmin", "48",
+                  "--nmax", "48"]).n_values() == [48]
+    assert _spec(["converge", "--nmin", "12",
+                  "--nmax", "100"]).n_values() == [12, 24, 48, 96]
+
+
+def test_default_mesh_sizes_and_direct_cap(capsys):
+    assert _spec(["iterations"]).n_values() == [8, 16, 32, 64]
+    assert "capping the mesh range at n=64" in capsys.readouterr().err
+    assert _spec(["iterations", "--combo",
+                  "bpx:hxbpx"]).n_values() == [8, 16, 32, 64, 128]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("flags", [["--nmin", "64", "--nmax", "8"],
+                                   ["--nmin", "0", "--nmax", "8"]])
+@pytest.mark.parametrize("verb", ["converge", "iterations"])
+def test_empty_mesh_range_is_usage_error(capsys, monkeypatch, verb, flags):
+    import stokesdarcy.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve was started")
+
+    monkeypatch.setattr(cli, "Problem", no_solve)
+    assert main([verb] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("stokesdarcy: error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from stokesdarcy import build_unit_square
 from stokesdarcy import quadrature as quad
@@ -207,3 +208,38 @@ def test_prolongation_reproduces_polynomials():
         fsp = Space(fine, fam, REGION_S)
         P = nodal_prolongation(cs, fsp)
         assert np.abs(P @ cs.interpolate(f) - fsp.interpolate(f)).max() < 1e-12
+
+
+def _prolongation_by_node(coarse, fine):
+    """Reference construction of nodal_prolongation, one fine node at a
+    time, emitting the entries in row-major order."""
+    tri_of = locate_triangles(coarse.mesh, fine.nodes, coarse.region)
+    gmap = -np.ones(coarse.mesh.num_triangles, dtype=int)
+    gmap[coarse.tris] = np.arange(len(coarse.tris))
+    loc = gmap[tri_of]
+    p = coarse.mesh.vertices[coarse.mesh.triangles[coarse.tris]]
+    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    ref = np.einsum("nab,nb->na", np.linalg.inv(J)[loc],
+                    fine.nodes - p[loc, 0])
+    rows, cols, vals = [], [], []
+    for node in range(fine.ndof):
+        bvals, _ = ref_basis(coarse.family, ref[[node]])
+        for l, v in enumerate(bvals[:, 0]):
+            if abs(v) > 1e-13:
+                rows.append(node)
+                cols.append(coarse.cell_dofs[loc[node], l])
+                vals.append(v)
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=(fine.ndof, coarse.ndof)).tocsr()
+
+
+@pytest.mark.parametrize("region", [REGION_S, REGION_D])
+@pytest.mark.parametrize("fam", ["p1", "p2"])
+def test_prolongation_matches_per_node_reference(fam, region):
+    cs = Space(build_unit_square(4), fam, region)
+    fsp = Space(build_unit_square(8), fam, region)
+    P = nodal_prolongation(cs, fsp)
+    ref = _prolongation_by_node(cs, fsp)
+    assert np.array_equal(P.indptr, ref.indptr)
+    assert np.array_equal(P.indices, ref.indices)
+    assert np.array_equal(P.data, ref.data)
