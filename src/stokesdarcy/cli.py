@@ -256,13 +256,13 @@ def run_oracle(spec):
 
 def main(argv=None):
     args = _parse_args(argv if argv is not None else sys.argv[1:])
-    spec = ExperimentSpec(args)
-    if args.command in ("converge", "iterations"):
-        try:
+    try:
+        spec = ExperimentSpec(args)
+        if args.command in ("converge", "iterations"):
             spec.mesh_sizes()
-        except ValueError as exc:
-            sys.stderr.write("stokesdarcy: error: %s\n" % exc)
-            return 2
+    except ValueError as exc:
+        sys.stderr.write("stokesdarcy: error: %s\n" % exc)
+        return 2
     if args.command == "converge":
         path, ok = run_convergence(spec)
         print("wrote", path)

@@ -13,14 +13,22 @@ from .mesh import mesh_hierarchy
 
 
 def direct_inverse(M):
-    """Exact inverse of an SPD sparse matrix via a cached factorization."""
+    """Exact inverse of an SPD sparse matrix via a cached factorization.
+
+    The factorization is Cholesky-like: a symmetric minimum-degree
+    ordering of M + M^T applied to rows and columns alike, with diagonal
+    pivots.  Dropping row pivoting is safe only for SPD matrices, which
+    the symmetry check and the positivity probes below enforce.  The
+    returned operator also solves an (n, k) block column by column.
+    """
     M = sp.csc_matrix(M)
     n = M.shape[0]
     asym = abs(M - M.T).max() if M.nnz else 0.0
     scale = max(abs(M).max(), 1e-300)
     if asym > 1e-10 * scale:
         raise ValueError("matrix is not symmetric (|M - M^T| = %.2e)" % asym)
-    lu = spla.splu(M)
+    lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
     rng = np.random.default_rng(12345)
     for _ in range(3):
         x = rng.standard_normal(n)
@@ -124,7 +132,7 @@ def build_bpx(mats, prolongs):
         if P.shape != (mats[l + 1].shape[0], mats[l].shape[0]):
             raise ValueError("hierarchy is not nested: prolongation %d has "
                              "shape %s" % (l, (P.shape,)))
-    coarse = spla.splu(sp.csc_matrix(mats[0]))
+    coarse = direct_inverse(mats[0])
     inv_diags = [1.0 / m.diagonal() for m in mats[1:]]
     restricts = [P.T.tocsr() for P in prolongs]
     L = len(prolongs)
@@ -134,7 +142,7 @@ def build_bpx(mats, prolongs):
         res[L] = r
         for l in range(L, 0, -1):
             res[l - 1] = restricts[l - 1] @ res[l]
-        x = coarse.solve(res[0])
+        x = coarse(res[0])
         for l in range(1, L + 1):
             x = prolongs[l - 1] @ x + (inv_diags[l - 1] * res[l].T).T
         return x

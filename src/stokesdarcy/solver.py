@@ -73,7 +73,6 @@ class Problem:
             self.B_S = assembly.divergence_matrix(self.vel, self.pres)
             self.M_S = assembly.scalar_mass(self.pres)
         else:
-            fine_p = Space(self.mesh, pfam, REGION_S)
             Bf = assembly.divergence_matrix(self.vel, fine_p)
             Mf = assembly.scalar_mass(fine_p)
             E = self.pres_embed

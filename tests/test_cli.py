@@ -131,18 +131,42 @@ def test_default_mesh_sizes_and_direct_cap(capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("flags", [["--nmin", "64", "--nmax", "8"],
-                                   ["--nmin", "0", "--nmax", "8"]])
-@pytest.mark.parametrize("verb", ["converge", "iterations"])
-def test_empty_mesh_range_is_usage_error(capsys, monkeypatch, verb, flags):
+def _assert_usage_error(capsys, monkeypatch, argv):
+    """main(argv) exits 2 with a one-line error before any solve; returns
+    the error text."""
     import stokesdarcy.cli as cli
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve was started")
 
     monkeypatch.setattr(cli, "Problem", no_solve)
-    assert main([verb] + flags) == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("stokesdarcy: error: ")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    return captured.err
+
+
+@pytest.mark.parametrize("flags", [["--nmin", "64", "--nmax", "8"],
+                                   ["--nmin", "0", "--nmax", "8"]])
+@pytest.mark.parametrize("verb", ["converge", "iterations"])
+def test_empty_mesh_range_is_usage_error(capsys, monkeypatch, verb, flags):
+    _assert_usage_error(capsys, monkeypatch, [verb] + flags)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,value", [("combo", "direct"),
+                                       ("combo", "direct:bogus"),
+                                       ("pair", "bogus")])
+def test_malformed_combo_or_pair_is_usage_error(tmp_path, capsys,
+                                                monkeypatch, key, value,
+                                                source):
+    if source == "flag":
+        argv = ["iterations", "--" + key, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("%s = %s\n" % (key, value))
+        argv = ["iterations", "--config", str(cfg)]
+    err = _assert_usage_error(capsys, monkeypatch, argv)
+    assert repr(value) in err
