@@ -4,6 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
+from .fespace import ref_basis
 
 # quadrature degree 2*(basis degree)+2 per family
 _QDEG = {"p1": 4, "p1dc": 4, "p0dc": 2, "p2": 6, "p1b": 8, "bdm1": 4, "rt1": 6}
@@ -36,16 +37,16 @@ def _scatter(rows, cols, vals, shape):
 
 def scalar_mass(space, qdeg=None):
     pts, w = quadrature.triangle_rule(qdeg or _QDEG[space.family])
-    vals, _, det = space.tabulate(pts)
-    loc = np.einsum("q,lq,mq,t->tlm", w, vals, vals, det)
+    vals = space.values(pts)
+    loc = np.einsum("q,lq,mq,t->tlm", w, vals, vals, space.geom.det)
     return _scatter(space.cell_dofs, space.cell_dofs, loc,
                     (space.ndof, space.ndof))
 
 
 def scalar_stiffness(space, qdeg=None):
     pts, w = quadrature.triangle_rule(qdeg or _QDEG[space.family])
-    _, grads, det = space.tabulate(pts)
-    loc = np.einsum("q,tlqa,tmqa,t->tlm", w, grads, grads, det)
+    grads = space.gradients(pts)
+    loc = np.einsum("q,tlqa,tmqa,t->tlm", w, grads, grads, space.geom.det)
     return _scatter(space.cell_dofs, space.cell_dofs, loc,
                     (space.ndof, space.ndof))
 
@@ -53,41 +54,27 @@ def scalar_stiffness(space, qdeg=None):
 def pressure_integral(space, qdeg=None):
     """Vector of integrals of the pressure basis functions."""
     pts, w = quadrature.triangle_rule(qdeg or _QDEG[space.family])
-    vals, _, det = space.tabulate(pts)
-    loc = np.einsum("q,lq,t->tl", w, vals, det)
+    loc = np.einsum("q,lq,t->tl", w, space.values(pts), space.geom.det)
     out = np.zeros(space.ndof)
     np.add.at(out, space.cell_dofs.ravel(), loc.ravel())
     return out
 
 
-def _sigma_edge_context(space):
-    """Per interface edge: owning triangle of the space and its vertices.
+def _interface_values(space, npts):
+    """A scalar space's basis on the interface, edges left to right.
 
-    Edges follow the left-to-right interface order; the edge is
-    parametrized from its left endpoint.
+    Returns (sig, rows, s, w, vals): the mesh's interface edge map, the
+    row of each edge's owning triangle in ``space.tris``, the segment rule
+    (parameter s from the left endpoint, weights w) and the local basis
+    values (ns, nloc, nq) at its points.
     """
-    mesh = space.mesh
-    out = []
-    gmap = -np.ones(mesh.num_triangles, dtype=int)
-    gmap[space.tris] = np.arange(len(space.tris))
-    tri_of_edge = {}
-    for tloc, tg in enumerate(space.tris):
-        for e in mesh.tri_edges[tg]:
-            tri_of_edge.setdefault(e, tloc)
-    for e in mesh.sigma_edges:
-        a, b = mesh.edges[e]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        if pa[0] > pb[0]:
-            pa, pb = pb, pa
-        out.append((tri_of_edge[e], pa, pb))
-    return out
-
-
-def _edge_ref_coords(space, tloc, phys):
-    mesh = space.mesh
-    p = mesh.vertices[mesh.triangles[space.tris[tloc]]]
-    J = np.stack([p[1] - p[0], p[2] - p[0]], axis=-1)
-    return np.linalg.solve(J, (phys - p[0]).T).T
+    sig = space.mesh.interface_edges()
+    s, w = quadrature.segment_rule(npts)
+    ref = sig.ref_points(space.region, s)
+    ns, nq = ref.shape[:2]
+    vals = ref_basis(space.family, ref.reshape(-1, 2))[0]
+    return (sig, sig.row[:, space.region], s, w,
+            vals.reshape(-1, ns, nq).transpose(1, 0, 2))
 
 
 def stokes_velocity_matrix(vel, params, qdeg=None):
@@ -95,40 +82,25 @@ def stokes_velocity_matrix(vel, params, qdeg=None):
     term kappa <u_x, v_x> on y = 1/2, over all (unconstrained) DOFs."""
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(qdeg or _QDEG[sc.family])
-    _, grads, det = sc.tabulate(pts)
+    grads = sc.gradients(pts)
+    det = sc.geom.det
     nt, nloc = grads.shape[0], grads.shape[1]
 
     kgrad = np.einsum("q,tlqa,tmqa,t->tlm", w, grads, grads, det)
     cross = np.einsum("q,tlqa,tmqb,t->tlmab", w, grads, grads, det)
     # entry (2l+a, 2m+b) of the viscous block:
     #   nu * [ delta_ab (grad phi_l, grad phi_m) + (d_b phi_l, d_a phi_m) ]
-    locA = np.zeros((nt, 2 * nloc, 2 * nloc))
-    for a in range(2):
-        for b in range(2):
-            blk = params.nu * cross[:, :, :, b, a]
-            if a == b:
-                blk = blk + params.nu * kgrad
-            locA[:, a::2, b::2] = blk
-    A = _scatter(vel.cell_dofs, vel.cell_dofs, locA, (vel.ndof, vel.ndof))
+    locA = params.nu * cross.transpose(0, 1, 4, 2, 3) + params.nu \
+        * kgrad[:, :, None, :, None] * np.eye(2)[:, None, :]
+    A = _scatter(vel.cell_dofs, vel.cell_dofs,
+                 locA.reshape(nt, 2 * nloc, 2 * nloc), (vel.ndof, vel.ndof))
 
     # interface friction: the tangential trace is just the x component here
-    sq, swq = quadrature.segment_rule(4)
-    rows, cols, data = [], [], []
-    for tloc, pa, pb in _sigma_edge_context(sc):
-        length = np.linalg.norm(pb - pa)
-        phys = pa[None, :] + sq[:, None] * (pb - pa)[None, :]
-        ref = _edge_ref_coords(sc, tloc, phys)
-        bv, _ = _ref_vals(sc.family, ref)
-        loc = params.kappa * length * np.einsum("q,lq,mq->lm", swq, bv, bv)
-        dofs = 2 * sc.cell_dofs[tloc]
-        rows.append(np.repeat(dofs, len(dofs)))
-        cols.append(np.tile(dofs, len(dofs)))
-        data.append(loc.ravel())
-    if rows:
-        A = A + sp.coo_matrix((np.concatenate(data),
-                               (np.concatenate(rows), np.concatenate(cols))),
-                              shape=(vel.ndof, vel.ndof)).tocsr()
-    return A
+    sig, rows, _, sw, bv = _interface_values(sc, 4)
+    loc = (params.kappa * sig.length)[:, None, None] \
+        * np.einsum("q,elq,emq->elm", sw, bv, bv)
+    dofs = 2 * sc.cell_dofs[rows]
+    return A + _scatter(dofs, dofs, loc, (vel.ndof, vel.ndof))
 
 
 def divergence_matrix(vel, pres, qdeg=None):
@@ -136,34 +108,17 @@ def divergence_matrix(vel, pres, qdeg=None):
     sc = vel.scalar
     deg = qdeg or max(_QDEG[sc.family], _QDEG[pres.family])
     pts, w = quadrature.triangle_rule(deg)
-    _, grads, det = sc.tabulate(pts)
-    pvals, _, _ = pres.tabulate(pts)
-    nt, nloc = grads.shape[0], grads.shape[1]
-    locB = np.zeros((nt, pvals.shape[0], 2 * nloc))
-    for b in range(2):
-        locB[:, :, b::2] = np.einsum("q,jq,tmq,t->tjm", w, pvals,
-                                     grads[:, :, :, b], det)
-    return _scatter(pres.cell_dofs, vel.cell_dofs, locB,
+    pvals = pres.values(pts)
+    # entry (j, 2m+b): (d_b phi_m, psi_j)
+    locB = np.einsum("q,jq,tmqb,t->tjmb", w, pvals, sc.gradients(pts),
+                     sc.geom.det)
+    return _scatter(pres.cell_dofs, vel.cell_dofs,
+                    locB.reshape(len(sc.tris), len(pvals), vel.nloc),
                     (pres.ndof, vel.ndof))
 
 
-def assemble_stokes(vel, pres, params, qdeg=None):
-    """Stokes blocks: velocity form, divergence coupling, pressure mass."""
-    A = stokes_velocity_matrix(vel, params, qdeg)
-    B = divergence_matrix(vel, pres, qdeg)
-    M = scalar_mass(pres)
-    return A, B, M
-
-
-def _ref_vals(family, ref_pts):
-    from .fespace import ref_basis
-    return ref_basis(family, ref_pts)
-
-
-def flux_operator_matrices(flux, tau, qdeg=None):
-    """Weighted flux mass tau (u, v) and the div-div form (div u, div v)."""
-    pts, w = quadrature.triangle_rule(qdeg or _QDEG[flux.family])
-    vals, divs, det = flux.tabulate(pts)
+def _flux_blocks(flux, tau, w, vals, divs):
+    det = flux.geom.det
     locA = tau * np.einsum("q,tlqc,tmqc,t->tlm", w, vals, vals, det)
     locD = np.einsum("q,tlq,tmq,t->tlm", w, divs, divs, det)
     A = _scatter(flux.cell_dofs, flux.cell_dofs, locA, (flux.ndof, flux.ndof))
@@ -171,15 +126,21 @@ def flux_operator_matrices(flux, tau, qdeg=None):
     return A, D
 
 
+def flux_operator_matrices(flux, tau, qdeg=None):
+    """Weighted flux mass tau (u, v) and the div-div form (div u, div v)."""
+    pts, w = quadrature.triangle_rule(qdeg or _QDEG[flux.family])
+    return _flux_blocks(flux, tau, w, *flux.tabulate(pts))
+
+
 def assemble_darcy(flux, dpres, params, qdeg=None):
     """Darcy blocks: weighted flux mass, divergence coupling, div-div form,
     and the pressure mass matrix."""
     deg = qdeg or max(_QDEG[flux.family], _QDEG[dpres.family])
-    A, D = flux_operator_matrices(flux, params.tau, deg)
     pts, w = quadrature.triangle_rule(deg)
-    _, divs, det = flux.tabulate(pts)
-    pvals, _, _ = dpres.tabulate(pts)
-    locB = np.einsum("q,jq,tmq,t->tjm", w, pvals, divs, det)
+    vals, divs = flux.tabulate(pts)
+    A, D = _flux_blocks(flux, params.tau, w, vals, divs)
+    locB = np.einsum("q,jq,tmq,t->tjm", w, dpres.values(pts), divs,
+                     flux.geom.det)
     B = _scatter(dpres.cell_dofs, flux.cell_dofs, locB, (dpres.ndof, flux.ndof))
     M = scalar_mass(dpres)
     return A, B, D, M
@@ -194,26 +155,15 @@ def assemble_interface(vel, flux, trace):
     """
     sc = vel.scalar
     Q = trace.mass_matrix()
-    sq, swq = quadrature.segment_rule(4)
-    rows, cols, data = [], [], []
-    for k, (tloc, pa, pb) in enumerate(_sigma_edge_context(sc)):
-        length = np.linalg.norm(pb - pa)
-        phys = pa[None, :] + sq[:, None] * (pb - pa)[None, :]
-        ref = _edge_ref_coords(sc, tloc, phys)
-        bv, _ = _ref_vals(sc.family, ref)
-        # v.n = -v_y for the fixed interface normal (0, -1)
-        mu = np.stack([1 - sq, sq])
-        loc = -length * np.einsum("q,iq,lq->il", swq, mu, bv)
-        dofs = 2 * sc.cell_dofs[tloc] + 1
-        rows.append(np.repeat([2 * k, 2 * k + 1], len(dofs)))
-        cols.append(np.tile(dofs, 2))
-        data.append(loc.ravel())
-    T = sp.coo_matrix((np.concatenate(data),
-                       (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(trace.ndim, vel.ndof)).tocsr()
-    Qinv_blocks = [np.linalg.inv(ln / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]]))
-                   for ln in trace.lengths]
-    Qinv = sp.block_diag(Qinv_blocks, format="csr")
+    sig, rows, s, sw, bv = _interface_values(sc, 4)
+    # v.n = -v_y for the fixed interface normal (0, -1); trace basis
+    # functions (1 - s, s) from the left endpoint
+    mu = np.stack([1 - s, s])
+    loc = -sig.length[:, None, None] * np.einsum("q,iq,elq->eil", sw, mu, bv)
+    k = 2 * np.arange(len(rows))
+    T = _scatter(np.column_stack([k, k + 1]), 2 * sc.cell_dofs[rows] + 1,
+                 loc, (trace.ndim, vel.ndof))
+    Qinv = sp.block_diag(np.linalg.inv(trace.mass_blocks()), format="csr")
     R = (Qinv @ T).tocsr()
     return Q, T, R
 
@@ -224,53 +174,28 @@ def stokes_load(vel, case, params, qdeg=10):
         raise InvalidCaseError("manufactured data assumes unit parameters")
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(qdeg)
-    vals, _, det = sc.tabulate(pts)
-    p = sc.mesh.vertices[sc.mesh.triangles[sc.tris]]
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+    f = sc.geom.evaluate(case.f_S, pts)
+    loc = np.einsum("q,t,tqc,lq->tlc", w, sc.geom.det, f, sc.values(pts))
     F = np.zeros(vel.ndof)
-    for iq, wq in enumerate(w):
-        phys = p[:, 0] + J[:, :, 0] * pts[iq, 0] + J[:, :, 1] * pts[iq, 1]
-        f = case.f_S(phys)
-        for c in range(2):
-            contrib = wq * (det * f[:, c])[:, None] * vals[None, :, iq]
-            np.add.at(F, 2 * sc.cell_dofs + c, contrib)
+    np.add.at(F, 2 * sc.cell_dofs[:, :, None] + np.arange(2), loc)
 
-    sq, swq = quadrature.segment_rule(6)
-    for tloc, pa, pb in _sigma_edge_context(sc):
-        length = np.linalg.norm(pb - pa)
-        phys = pa[None, :] + sq[:, None] * (pb - pa)[None, :]
-        g = case.g_sigma(phys[:, 0])
-        ref = _edge_ref_coords(sc, tloc, phys)
-        bv, _ = _ref_vals(sc.family, ref)
-        for c in range(2):
-            contrib = length * np.einsum("q,q,lq->l", swq, g[:, c], bv)
-            np.add.at(F, 2 * sc.cell_dofs[tloc] + c, contrib)
+    sig, rows, s, sw, bv = _interface_values(sc, 6)
+    x = sig.points(s)[..., 0]
+    g = case.g_sigma(x.ravel()).reshape(x.shape + (2,))
+    loc = sig.length[:, None, None] * np.einsum("q,eqc,elq->elc", sw, g, bv)
+    np.add.at(F, 2 * sc.cell_dofs[rows][:, :, None] + np.arange(2), loc)
     return F
 
 
 def darcy_load(dpres, case, qdeg=10, compat_tol=1e-10):
     """Source load (f_D, q); rejects incompatible sources."""
     pts, w = quadrature.triangle_rule(qdeg)
-    vals, _, det = dpres.tabulate(pts)
-    p = dpres.mesh.vertices[dpres.mesh.triangles[dpres.tris]]
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-    G = np.zeros(dpres.ndof)
-    total = 0.0
-    for iq, wq in enumerate(w):
-        phys = p[:, 0] + J[:, :, 0] * pts[iq, 0] + J[:, :, 1] * pts[iq, 1]
-        f = case.f_D(phys)
-        total += wq * np.sum(det * f)
-        np.add.at(G, dpres.cell_dofs,
-                  wq * (det * f)[:, None] * vals[None, :, iq])
+    fdet = dpres.geom.det[:, None] * dpres.geom.evaluate(case.f_D, pts)
+    total = np.sum(w * fdet)
     if abs(total) > compat_tol:
         raise InvalidCaseError("source must integrate to zero over the "
                                "porous region, got %.3e" % total)
+    G = np.zeros(dpres.ndof)
+    np.add.at(G, dpres.cell_dofs,
+              np.einsum("q,tq,lq->tl", w, fdet, dpres.values(pts)))
     return G
-
-
-def dump_matrix(M, path):
-    """Coordinate-format text dump 'i j value' for external comparison."""
-    coo = sp.coo_matrix(M)
-    with open(path, "w") as f:
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write("%d %d %.17g\n" % (i, j, v))

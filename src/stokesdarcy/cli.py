@@ -8,9 +8,11 @@ import sys
 import numpy as np
 
 from . import verify
+from .ftp import SolverFailure
+from .krylov import IndefinitePreconditioner
 from .solver import (INNER_KINDS, OUTER_KINDS, Problem, SolveConfig,
-                     canonical_pair, combo_label, parse_combo,
-                     solve_coupled, solve_monolithic_oracle)
+                     canonical_pair, check_mesh_size, combo_label,
+                     parse_combo, solve_coupled, solve_monolithic_oracle)
 
 ENV_OUTDIR = "STOKESDARCY_OUTDIR"
 DEFAULT_NMIN, DEFAULT_NMAX = 8, 128  # default table: n = 8, 16, ..., 128
@@ -98,18 +100,26 @@ class ExperimentSpec:
         self.combos = [parse_combo(c) for c in combos]
 
     def mesh_sizes(self):
-        """The doublings nmin * 2^k <= nmax; raises on an empty range."""
+        """The doublings nmin * 2^k <= nmax; raises on an empty range or
+        on a size the pair cannot be built at."""
         if self.nmin < 1:
             raise ValueError("--nmin must be positive, got %d" % self.nmin)
         ns = []
         n = self.nmin
         while n <= self.nmax:
+            check_mesh_size(self.pair, n)
             ns.append(n)
             n *= 2
         if not ns:
             raise ValueError("empty mesh-size range [%d, %d]"
                              % (self.nmin, self.nmax))
         return ns
+
+    def oracle_size(self):
+        """Mesh size of the oracle comparison: nmin, at least 8."""
+        n = max(self.nmin, 8)
+        check_mesh_size(self.pair, n)
+        return n
 
     def n_values(self):
         """Mesh sizes of a table, capped for direct factorizations unless
@@ -157,6 +167,17 @@ def write_table(path, header, rows, fmt):
                 f.write("| " + " | ".join(row) + " |\n")
 
 
+def _solve_cell(problem, config):
+    """The report of one table cell, or None when an inner solve failed
+    (the reason goes to stderr)."""
+    try:
+        return solve_coupled(problem, config)
+    except (SolverFailure, IndefinitePreconditioner) as exc:
+        sys.stderr.write("stokesdarcy: n=%d %s failed: %s\n"
+                         % (config.n, combo_label(config.combo), exc))
+        return None
+
+
 def run_convergence(spec):
     """Error/rate table over the mesh family; returns (path, all_converged)."""
     header = ["DOF", "h", "e(u_S)", "r(u_S)", "e(p_S)", "r(p_S)",
@@ -168,9 +189,9 @@ def run_convergence(spec):
         problem = Problem(spec.pair, n)
         config = SolveConfig(spec.pair, n, outer_rtol=spec.outer_rtol,
                              inner_rtol=spec.inner_rtol,
-                             combo=spec.combos[0], seed=spec.seed)
-        report = solve_coupled(problem, config)
-        if not report.converged:
+                             combo=spec.combos[0])
+        report = _solve_cell(problem, config)
+        if report is None or not report.converged:
             ok = False
             rows.append([str(problem.dof_total), "1/%d" % n, "FAILED"]
                         + [""] * 7)
@@ -201,10 +222,9 @@ def run_iterations(spec):
         cells = []
         for combo in spec.combos:
             config = SolveConfig(spec.pair, n, outer_rtol=spec.outer_rtol,
-                                 inner_rtol=spec.inner_rtol, combo=combo,
-                                 seed=spec.seed)
-            report = solve_coupled(problem, config)
-            if not report.converged:
+                                 inner_rtol=spec.inner_rtol, combo=combo)
+            report = _solve_cell(problem, config)
+            if report is None or not report.converged:
                 ok = False
                 cells.append('"FAILED"')
             else:
@@ -231,7 +251,7 @@ def run_check(spec):
 def run_oracle(spec):
     """Nested solve with tightened tolerances against the factorized
     monolithic solve, per element pair."""
-    n = max(spec.nmin, 8)
+    n = spec.oracle_size()
     problem = Problem(spec.pair, n)
     config = SolveConfig(spec.pair, n, outer_rtol=1e-10, inner_rtol=1e-12,
                          recovery_rtol=1e-12, combo=spec.combos[0],
@@ -260,6 +280,8 @@ def main(argv=None):
         spec = ExperimentSpec(args)
         if args.command in ("converge", "iterations"):
             spec.mesh_sizes()
+        elif args.command == "oracle":
+            spec.oracle_size()
     except ValueError as exc:
         sys.stderr.write("stokesdarcy: error: %s\n" % exc)
         return 2

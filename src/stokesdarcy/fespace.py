@@ -21,21 +21,6 @@ REGION_S = 0
 REGION_D = 1
 
 
-def ref_nodes(family):
-    """Reference coordinates of the nodal points."""
-    v = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mid = np.array([[0.5, 0.5], [0.0, 0.5], [0.5, 0.0]])  # midpoint of edge k
-    if family in ("p1", "p1dc"):
-        return v
-    if family == "p2":
-        return np.vstack([v, mid])
-    if family == "p1b":
-        return np.vstack([v, [[1 / 3, 1 / 3]]])
-    if family == "p0dc":
-        return np.array([[1 / 3, 1 / 3]])
-    raise ValueError("unknown nodal family %r" % (family,))
-
-
 def ref_basis(family, pts):
     """Values and reference gradients of the local shape functions.
 
@@ -99,6 +84,8 @@ class Space:
 
     Attributes
     ----------
+    geom : the mesh's AffineGeometry of the subdomain, rows follow
+        ``self.tris``
     ndof : int
     cell_dofs : (nt, nloc) int array, rows follow ``self.tris``
     nodes : (ndof, 2) nodal coordinates
@@ -112,9 +99,11 @@ class Space:
         self.mesh = mesh
         self.family = family
         self.region = region
-        self.tris, vids, _ = _region_entities(mesh, region)
+        self.tris, vids, eids = _region_entities(mesh, region)
+        self.geom = mesh.geometry(region)
         nt = len(self.tris)
         tv = mesh.triangles[self.tris]
+        corners = self.geom.corners
 
         vmap = -np.ones(mesh.num_vertices, dtype=int)
         vmap[vids] = np.arange(len(vids))
@@ -124,7 +113,6 @@ class Space:
             ndof = len(vids)
             if family == "p2":
                 emap = -np.ones(len(mesh.edges), dtype=int)
-                eids = np.unique(mesh.tri_edges[self.tris])
                 emap[eids] = np.arange(len(eids))
                 cell = np.hstack([cell, ndof + emap[mesh.tri_edges[self.tris]]])
                 nodes.append(0.5 * (mesh.vertices[mesh.edges[eids, 0]] +
@@ -132,18 +120,18 @@ class Space:
                 ndof += len(eids)
             elif family == "p1b":
                 cell = np.hstack([cell, ndof + np.arange(nt)[:, None]])
-                nodes.append(mesh.vertices[tv].mean(axis=1))
+                nodes.append(corners.mean(axis=1))
                 ndof += nt
             self.cell_dofs = cell
             self.nodes = np.vstack(nodes)
             self.ndof = ndof
         elif family == "p1dc":
             self.cell_dofs = np.arange(3 * nt).reshape(nt, 3)
-            self.nodes = mesh.vertices[tv].reshape(-1, 2)
+            self.nodes = corners.reshape(-1, 2)
             self.ndof = 3 * nt
         elif family == "p0dc":
             self.cell_dofs = np.arange(nt).reshape(nt, 1)
-            self.nodes = mesh.vertices[tv].mean(axis=1)
+            self.nodes = corners.mean(axis=1)
             self.ndof = nt
         else:
             raise ValueError("unknown nodal family %r" % (family,))
@@ -158,28 +146,16 @@ class Space:
         self.on_gamma = self.on_boundary & ~self.on_sigma
         self.nloc = self.cell_dofs.shape[1]
 
-    def geometry(self):
-        """Affine data per triangle: (J, detJ, invJT, origin)."""
-        p = self.mesh.vertices[self.mesh.triangles[self.tris]]
-        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        invJT = np.empty_like(J)
-        invJT[:, 0, 0] = J[:, 1, 1]
-        invJT[:, 0, 1] = -J[:, 1, 0]
-        invJT[:, 1, 0] = -J[:, 0, 1]
-        invJT[:, 1, 1] = J[:, 0, 0]
-        invJT /= det[:, None, None]
-        return J, det, invJT, p[:, 0]
+    def values(self, ref_pts):
+        """Basis values (nloc, np) at reference points; an affine map
+        leaves them unchanged."""
+        return ref_basis(self.family, ref_pts)[0]
 
-    def tabulate(self, ref_pts):
-        """Basis values and physical gradients at mapped quadrature points.
-
-        Returns (vals, grads, detJ): vals (nloc, np), grads (nt, nloc, np, 2).
-        """
-        vals, rgrads = ref_basis(self.family, ref_pts)
-        _, det, invJT, _ = self.geometry()
-        grads = np.einsum("tab,lpb->tlpa", invJT, rgrads)
-        return vals, grads, det
+    def gradients(self, ref_pts):
+        """Physical basis gradients (nt, nloc, np, 2) at the mapped
+        reference points."""
+        return np.einsum("tab,lpb->tlpa", self.geom.invJT,
+                         ref_basis(self.family, ref_pts)[1])
 
     def interpolate(self, f):
         """Nodal interpolation of a callable f(x) -> values.
@@ -205,22 +181,14 @@ class VectorSpace:
         self.tris = scalar.tris
         self.ndof = 2 * scalar.ndof
         base = scalar.cell_dofs
-        nt, nloc = base.shape
-        cell = np.empty((nt, 2 * nloc), dtype=int)
-        cell[:, 0::2] = 2 * base
-        cell[:, 1::2] = 2 * base + 1
-        self.cell_dofs = cell
-        self.nloc = 2 * nloc
+        self.cell_dofs = (2 * base[:, :, None] + [0, 1]).reshape(len(base), -1)
+        self.nloc = 2 * scalar.nloc
         self.on_sigma = np.repeat(scalar.on_sigma, 2)
         self.on_boundary = np.repeat(scalar.on_boundary, 2)
         self.on_gamma = np.repeat(scalar.on_gamma, 2)
 
     def interpolate(self, f):
-        vals = np.asarray(f(self.scalar.nodes), dtype=float)
-        if self.scalar.family == "p1b":
-            bub = self.scalar.cell_dofs[:, 3]
-            vals[bub] = vals[bub] - vals[self.scalar.cell_dofs[:, :3]].mean(axis=1)
-        return vals.reshape(-1)
+        return self.scalar.interpolate(f).reshape(-1)
 
 
 _BDM_NMONO = 6
@@ -255,13 +223,14 @@ class FluxSpace:
     against the coordinate unit vectors.
     """
 
-    def __init__(self, mesh, family, region=REGION_D):
+    def __init__(self, mesh, family):
         if family not in ("bdm1", "rt1"):
             raise ValueError("unknown flux family %r" % (family,))
         self.mesh = mesh
         self.family = family
-        self.region = region
-        self.tris, _, eids = _region_entities(mesh, region)
+        self.region = REGION_D
+        self.tris, _, eids = _region_entities(mesh, REGION_D)
+        self.geom = mesh.geometry(REGION_D)
         self.edge_ids = eids
         emap = -np.ones(len(mesh.edges), dtype=int)
         emap[eids] = np.arange(len(eids))
@@ -270,14 +239,12 @@ class FluxSpace:
         self.nloc = 6 if family == "bdm1" else 8
         self.ndof = 2 * ne + (2 * nt if family == "rt1" else 0)
 
-        cell = np.empty((nt, self.nloc), dtype=int)
+        # two DOFs per local edge, then (rt1) two interior DOFs
         loc_edges = emap[mesh.tri_edges[self.tris]]
-        for k in range(3):
-            cell[:, 2 * k] = 2 * loc_edges[:, k]
-            cell[:, 2 * k + 1] = 2 * loc_edges[:, k] + 1
+        cell = (2 * loc_edges[:, :, None] + [0, 1]).reshape(nt, 6)
         if family == "rt1":
-            cell[:, 6] = 2 * ne + 2 * np.arange(nt)
-            cell[:, 7] = 2 * ne + 2 * np.arange(nt) + 1
+            interior = 2 * ne + 2 * np.arange(nt)[:, None] + [0, 1]
+            cell = np.hstack([cell, interior])
         self.cell_dofs = cell
 
         tag = mesh.edge_tag[eids]
@@ -290,29 +257,18 @@ class FluxSpace:
         self.edge_sign = mesh.edge_signs()[self.tris]
         self._build_local_bases()
 
-    def _edge_geometry(self, eids):
-        a = self.mesh.vertices[self.mesh.edges[eids, 0]]
-        b = self.mesh.vertices[self.mesh.edges[eids, 1]]
-        length = np.linalg.norm(b - a, axis=1)
-        tang = (b - a) / length[:, None]
-        normal = np.column_stack([tang[:, 1], -tang[:, 0]])
-        return a, b, length, tang, normal
-
     def _build_local_bases(self):
         mesh = self.mesh
         nt = len(self.tris)
-        p = mesh.vertices[mesh.triangles[self.tris]]
-        self.centers = p.mean(axis=1)
-        self.hscale = np.sqrt(np.abs(
-            0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                   - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))))
+        self.centers = self.geom.corners.mean(axis=1)
+        self.hscale = np.sqrt(np.abs(0.5 * self.geom.det))
         sq, wq = quadrature.segment_rule(3)
 
         M = np.zeros((nt, self.nloc, self.nloc))
-        tri_eids = self.mesh.tri_edges[self.tris]
+        tri_eids = mesh.tri_edges[self.tris]
         for k in range(3):
             ek = tri_eids[:, k]
-            a, b, length, _, normal = self._edge_geometry(ek)
+            a, b, normal = mesh.edge_geometry(ek)
             for s, w in zip(sq, wq):
                 pts = a + s * (b - a)
                 X = (pts[:, 0] - self.centers[:, 0]) / self.hscale
@@ -325,11 +281,10 @@ class FluxSpace:
                 M[:, 2 * k + 1, :] += (w * s) * mn.T
         if self.family == "rt1":
             tq, twq = quadrature.triangle_rule(3)
-            J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-            for (rx, ry), w in zip(tq, twq):
-                pts = p[:, 0] + J[:, :, 0] * rx + J[:, :, 1] * ry
-                X = (pts[:, 0] - self.centers[:, 0]) / self.hscale
-                Y = (pts[:, 1] - self.centers[:, 1]) / self.hscale
+            phys = self.geom.map_points(tq)
+            for iq, w in enumerate(twq):
+                X = (phys[:, iq, 0] - self.centers[:, 0]) / self.hscale
+                Y = (phys[:, iq, 1] - self.centers[:, 1]) / self.hscale
                 mono, _ = _monomials(self.family, X, Y)
                 # (1/|T|) int u.e_c; weights of the reference rule sum to 1/2
                 M[:, 6, :] += 2 * w * mono[:, :, 0].T
@@ -339,14 +294,9 @@ class FluxSpace:
     def tabulate(self, ref_pts):
         """Physical basis values and divergences at mapped points.
 
-        Returns vals (nt, nloc, np, 2), divs (nt, nloc, np), detJ (nt,).
+        Returns vals (nt, nloc, np, 2) and divs (nt, nloc, np).
         """
-        mesh = self.mesh
-        p = mesh.vertices[mesh.triangles[self.tris]]
-        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        ref_pts = np.asarray(ref_pts)
-        pts = p[:, None, 0, :] + np.einsum("tab,pb->tpa", J, ref_pts)
+        pts = self.geom.map_points(ref_pts)
         X = (pts[..., 0] - self.centers[:, None, 0]) / self.hscale[:, None]
         Y = (pts[..., 1] - self.centers[:, None, 1]) / self.hscale[:, None]
         nm = _BDM_NMONO if self.family == "bdm1" else _RT_NMONO
@@ -361,7 +311,7 @@ class FluxSpace:
             mdiv[sl] = md.reshape(nm, span, npts).transpose(1, 0, 2)
         vals = np.einsum("tml,tmpc->tlpc", self.coeff, mono)
         divs = np.einsum("tml,tmp->tlp", self.coeff, mdiv) / self.hscale[:, None, None]
-        return vals, divs, det
+        return vals, divs
 
     def evaluate_at(self, coeffs, tri_local, phys_pts):
         """Field values at physical points, one owning triangle per point.
@@ -386,7 +336,7 @@ class FluxSpace:
         """
         coeffs = np.zeros(self.ndof)
         sq, wq = quadrature.segment_rule(5)
-        a, b, length, _, normal = self._edge_geometry(self.edge_ids)
+        a, b, normal = self.mesh.edge_geometry(self.edge_ids)
         m1 = np.zeros(len(self.edge_ids))
         m2 = np.zeros(len(self.edge_ids))
         for s, w in zip(sq, wq):
@@ -398,12 +348,8 @@ class FluxSpace:
         coeffs[1:2 * len(self.edge_ids):2] = m2
         if self.family == "rt1":
             tq, twq = quadrature.triangle_rule(6)
-            p = self.mesh.vertices[self.mesh.triangles[self.tris]]
-            J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-            acc = np.zeros((len(self.tris), 2))
-            for (rx, ry), w in zip(tq, twq):
-                pts = p[:, 0] + J[:, :, 0] * rx + J[:, :, 1] * ry
-                acc += 2 * w * np.asarray(f(pts), dtype=float)
+            # (1/|T|) int f; weights of the reference rule sum to 1/2
+            acc = 2 * np.einsum("q,tqc->tc", twq, self.geom.evaluate(f, tq))
             base = 2 * len(self.edge_ids)
             coeffs[base::2] = acc[:, 0]
             coeffs[base + 1::2] = acc[:, 1]
@@ -419,21 +365,23 @@ class TraceSpace:
     """
 
     def __init__(self, mesh):
+        sig = mesh.interface_edges()
         self.mesh = mesh
-        self.sigma = mesh.sigma_edges
+        self.sigma = sig.edges
         self.nedges = len(self.sigma)
         self.ndim = 2 * self.nedges
-        a = mesh.vertices[mesh.edges[self.sigma, 0]]
-        b = mesh.vertices[mesh.edges[self.sigma, 1]]
-        self.lengths = np.linalg.norm(b - a, axis=1)
+        self.lengths = sig.length
         # +1 when ascending-index orientation already gives normal (0,-1)
-        self.sign = np.where(a[:, 0] < b[:, 0], 1.0, -1.0)
-        self.left_x = np.minimum(a[:, 0], b[:, 0])
+        self.sign = np.where(mesh.edges[self.sigma, 0] == sig.left, 1.0, -1.0)
+        self.left_x = mesh.vertices[sig.left, 0]
+
+    def mass_blocks(self):
+        """The (nedges, 2, 2) diagonal blocks of the trace-space mass."""
+        return self.lengths[:, None, None] / 6.0 * np.array([[2.0, 1.0],
+                                                             [1.0, 2.0]])
 
     def mass_matrix(self):
-        blocks = [ln / 6.0 * np.array([[2.0, 1.0], [1.0, 2.0]])
-                  for ln in self.lengths]
-        return sp.block_diag(blocks, format="csr")
+        return sp.block_diag(self.mass_blocks(), format="csr")
 
     def integral(self, coeffs):
         c = coeffs.reshape(-1, 2)
@@ -448,57 +396,23 @@ def sigma_flux_maps(flux, trace):
     interface normal) equals the given left/right endpoint values;
     ``ntrace`` (2*nedges x ndof) recovers those values, ntrace @ lift = I.
     """
-    mesh = flux.mesh
-    rows, cols, lvals, tvals = [], [], [], []
+    sign = trace.sign[:, None, None]
+    k = 2 * np.arange(trace.nedges)[:, None]
+    # per edge: its two moment DOFs, at the lower- and the higher-index
+    # endpoint, and the trace values at those same endpoints, which are
+    # (left, right) where the ascending orientation runs left to right and
+    # (right, left) otherwise; the flipped orientation also flips the sign
+    dofs = 2 * flux.edge_index[trace.sigma][:, None] + [0, 1]
+    vals = np.where(sign[:, 0] > 0, k + [0, 1], k + [1, 0])
+    rows = np.repeat(dofs.ravel(), 2)
+    cols = np.repeat(vals, 2, axis=0).ravel()
     mloc = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
-    minv = np.linalg.inv(mloc)
-    for k, e in enumerate(trace.sigma):
-        le = flux.edge_index[e]
-        d0, d1 = 2 * le, 2 * le + 1
-        s = trace.sign[k]
-        # global dof order is (endpoint g0, endpoint g1); map to left/right
-        perm = np.eye(2) if s > 0 else np.array([[0.0, 1.0], [1.0, 0.0]])
-        L = s * (mloc @ perm)      # dofs = L @ (vL, vR)
-        T = s * (perm @ minv)      # (vL, vR) = T @ dofs
-        for i, d in enumerate((d0, d1)):
-            for j in range(2):
-                rows.append(d)
-                cols.append(2 * k + j)
-                lvals.append(L[i, j])
-                tvals.append(T[j, i])
-    lift = sp.coo_matrix((lvals, (rows, cols)),
+    lift = sp.coo_matrix(((sign * mloc).ravel(), (rows, cols)),
                          shape=(flux.ndof, trace.ndim)).tocsr()
-    ntrace = sp.coo_matrix((tvals, (cols, rows)),
+    ntrace = sp.coo_matrix(((sign * np.linalg.inv(mloc).T).ravel(),
+                            (cols, rows)),
                            shape=(trace.ndim, flux.ndof)).tocsr()
     return lift, ntrace
-
-
-VELOCITY_FAMILIES = {"mini": "p1b", "p2isop1": "p1", "taylorhood": "p2"}
-SCALAR_FAMILIES = ("p1", "p2", "p1b", "p0dc", "p1dc")
-FLUX_FAMILIES = ("bdm1", "rt1")
-
-
-def build_space(mesh, family, region):
-    """Factory with family/subdomain validation.
-
-    Velocity families (mini, p2isop1, taylorhood) build vector spaces and
-    live on the free-flow half; flux families on the porous half; scalar
-    families anywhere.
-    """
-    family = family.lower()
-    if family in VELOCITY_FAMILIES:
-        if region != REGION_S:
-            raise ValueError("velocity family %r lives on the free-flow "
-                             "subdomain" % (family,))
-        return VectorSpace(Space(mesh, VELOCITY_FAMILIES[family], region))
-    if family in FLUX_FAMILIES:
-        if region != REGION_D:
-            raise ValueError("flux family %r lives on the porous "
-                             "subdomain" % (family,))
-        return FluxSpace(mesh, family, region)
-    if family in SCALAR_FAMILIES:
-        return Space(mesh, family, region)
-    raise ValueError("unknown family %r" % (family,))
 
 
 def locate_triangles(mesh, pts, region=None):
@@ -530,10 +444,7 @@ def nodal_prolongation(coarse, fine):
     loc = gmap[tri_of]
     if np.any(loc < 0):
         raise ValueError("fine node outside the coarse subdomain")
-    p = coarse.mesh.vertices[coarse.mesh.triangles[coarse.tris]]
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-    invJ = np.linalg.inv(J)
-    ref = np.einsum("nab,nb->na", invJ[loc], fine.nodes - p[loc, 0])
+    ref = coarse.geom.pull_back(loc, fine.nodes)
     bvals = ref_basis(coarse.family, ref)[0].T  # (fine.ndof, nloc)
     keep = np.abs(bvals) > 1e-13
     rows = np.nonzero(keep)[0]

@@ -54,7 +54,7 @@ class DarcySubsolver:
 
     def __init__(self, A_D, B_D, D_D, M_D, flux, dpres, lift, params,
                  precond_kind="pd0", rtol=1e-2, maxit=2000, mode="iter",
-                 mass_mode="auto", stop_norm="pinv", stop_ref="r0"):
+                 mass_mode="auto"):
         self.A_full = A_D.tocsr()
         self.B_full = B_D.tocsr()
         self.lift = lift.tocsr()
@@ -65,8 +65,6 @@ class DarcySubsolver:
         self.maxit = maxit
         self.mode = mode
         self.precond_kind = precond_kind
-        self.stop_norm = stop_norm
-        self.stop_ref = stop_ref
 
         self.free = np.where(~flux.on_boundary)[0]
         self.ni = len(self.free)
@@ -138,8 +136,7 @@ class DarcySubsolver:
             return x[:self.ni], self._project(x[self.ni:-1]), stats
         rhs = np.concatenate([F, -self._project(G)])
         x, stats = minres(self.operator(), rhs, Pinv=self.precond_op,
-                          rtol=rtol or self.rtol, maxit=self.maxit,
-                          stop_norm=self.stop_norm, stop_ref=self.stop_ref)
+                          rtol=rtol or self.rtol, maxit=self.maxit)
         self.iteration_log.append(stats.iterations)
         if not stats.converged:
             raise SolverFailure(

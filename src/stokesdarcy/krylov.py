@@ -21,9 +21,6 @@ class LinOp:
     def __call__(self, x):
         return self._apply(x)
 
-    def matvec(self, x):
-        return self._apply(x)
-
     def check_symmetry(self, rng=None, probes=3, tol=1e-10):
         """Probe |<Ax,y> - <x,Ay>| on random vectors (debug aid)."""
         rng = rng or np.random.default_rng(0)
@@ -179,14 +176,13 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500,
     return x, SolveStats(it, residuals, converged, time.perf_counter() - t0)
 
 
-def _plancos(apply_dual, start, Pinv, k, rng):
+def _plancos(apply_dual, start, Pinv, k):
     """Lanczos in the Pinv-induced inner product on the preconditioned
     operator; returns the tridiagonal recurrence coefficients.
 
     apply_dual maps a primal vector q to the dual vector A q (or a
     composition); primal iterates are q = Pinv(dual).
     """
-    n = len(start)
     alphas, betas = [], []
     V = []  # dual-side vectors, so <q_i, q_j>_P = q_i . v_j
     Q = []
@@ -236,7 +232,7 @@ def lanczos_extremes(A, Pinv=None, k=80, seed=0, squared=False):
         apply_dual = lambda q: A(Pinv(A(q)))
     else:
         apply_dual = lambda q: A(q)
-    alphas, betas = _plancos(apply_dual, start, Pinv, k, rng)
+    alphas, betas = _plancos(apply_dual, start, Pinv, k)
     if len(alphas) == 1:
         return float(alphas[0]), float(alphas[0])
     evals = eigh_tridiagonal(alphas, betas, eigvals_only=True)

@@ -16,6 +16,113 @@ GAMMA_S = 2
 GAMMA_D = 3
 SIGMA = 4
 
+REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+class AffineGeometry:
+    """Affine maps x = origin + J xi from the reference triangle onto
+    triangles, one row per triangle in the order of ``tris``.
+
+    Attributes
+    ----------
+    tris : (nt,) int array of global triangle indices
+    corners : (nt, 3, 2) vertex coordinates
+    origin : (nt, 2) image of the reference origin (corner 0)
+    J : (nt, 2, 2) Jacobians with columns p1 - p0 and p2 - p0
+    det : (nt,) Jacobian determinants, twice the triangle areas
+    invJT : (nt, 2, 2) inverse transposed Jacobians, which map reference
+        gradients to physical ones
+    """
+
+    def __init__(self, vertices, triangles, tris):
+        p = vertices[triangles[tris]]
+        self.tris = tris
+        self.corners = p
+        self.origin = p[:, 0]
+        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        invJT = np.empty_like(J)
+        invJT[:, 0, 0] = J[:, 1, 1]
+        invJT[:, 0, 1] = -J[:, 1, 0]
+        invJT[:, 1, 0] = -J[:, 0, 1]
+        invJT[:, 1, 1] = J[:, 0, 0]
+        invJT /= det[:, None, None]
+        self.J, self.det, self.invJT = J, det, invJT
+
+    def map_points(self, ref_pts):
+        """Physical images (nt, np, 2) of reference points (np, 2)."""
+        ref = np.asarray(ref_pts, dtype=float)
+        cols = self.J[:, None]
+        return (self.origin[:, None, :] + cols[..., 0] * ref[None, :, 0, None]
+                + cols[..., 1] * ref[None, :, 1, None])
+
+    def evaluate(self, f, ref_pts):
+        """A pointwise function f((N, 2) points) at the images of reference
+        points, as an (nt, np, ...) array."""
+        X = self.map_points(ref_pts)
+        vals = np.asarray(f(X.reshape(-1, 2)), dtype=float)
+        return vals.reshape(X.shape[:2] + vals.shape[1:])
+
+    def pull_back(self, rows, phys_pts):
+        """Reference coordinates of physical points (np, 2), point i taken
+        in the triangle of row ``rows[i]``."""
+        return np.einsum("nba,nb->na", self.invJT[rows],
+                         phys_pts - self.origin[rows])
+
+
+def segment_points(a, b, s):
+    """Points a + s (b - a), shape (ns, nq, 2), of segments a, b (ns, 2)."""
+    return a[:, None, :] + s[:, None] * (b - a)[:, None, :]
+
+
+class InterfaceEdges:
+    """The interface edges ordered left to right, with their owners.
+
+    Attributes
+    ----------
+    edges : (ns,) edge indices (``mesh.sigma_edges``)
+    left, right : (ns,) vertex indices of the left and right endpoint
+    length : (ns,) edge lengths
+    tri : (ns, 2) owning triangle in region 0 (Stokes) and in region 1
+        (Darcy), global indices
+    row : (ns, 2) position of that triangle in ``region_triangles``
+    """
+
+    def __init__(self, mesh):
+        e = mesh.sigma_edges
+        a, b = mesh.edges[e, 0], mesh.edges[e, 1]
+        swap = mesh.vertices[a, 0] > mesh.vertices[b, 0]
+        self.edges = e
+        self.left = np.where(swap, b, a)
+        self.right = np.where(swap, a, b)
+        self._ends = mesh.vertices[self.left], mesh.vertices[self.right]
+        self.length = np.linalg.norm(self._ends[1] - self._ends[0], axis=1)
+
+        position = -np.ones(len(mesh.edges), dtype=int)
+        position[e] = np.arange(len(e))
+        k = position[mesh.tri_edges]
+        t = np.nonzero(np.any(k >= 0, axis=1))[0]
+        self.tri = np.empty((len(e), 2), dtype=int)
+        self.tri[k[t].max(axis=1), mesh.tri_region[t]] = t
+        self.row = np.column_stack([
+            np.searchsorted(mesh.region_triangles(r), self.tri[:, r])
+            for r in (0, 1)])
+        # reference coordinates of both endpoints in each owner
+        verts = mesh.triangles[self.tri]
+        self._ref_ends = [REF_VERTICES[np.argmax(verts == v[:, None, None],
+                                                 axis=2)]
+                          for v in (self.left, self.right)]
+
+    def points(self, s):
+        """Physical points (ns, nq, 2) at parameters s from the left end."""
+        return segment_points(*self._ends, s)
+
+    def ref_points(self, region, s):
+        """Reference coordinates (ns, nq, 2) of ``points(s)`` in the owning
+        triangle of the region (exact: affine maps keep parameters)."""
+        return segment_points(self._ref_ends[0][:, region],
+                              self._ref_ends[1][:, region], s)
+
 
 class CoupledMesh:
     """Triangulation of (0,1)^2 with subdomain, boundary and interface tags.
@@ -43,6 +150,8 @@ class CoupledMesh:
         self.parent = parent
         self._build_edges()
         self._classify()
+        self._geometry = {}
+        self._interface = None
 
     def _build_edges(self):
         t = self.triangles
@@ -80,11 +189,32 @@ class CoupledMesh:
         """Indices of triangles in region 0 (Stokes) or 1 (Darcy)."""
         return np.where(self.tri_region == region)[0]
 
+    def geometry(self, region=None):
+        """Cached affine geometry of the triangles of region 0 (Stokes) or
+        1 (Darcy), or of the whole mesh for region None."""
+        if region not in self._geometry:
+            tris = (np.arange(self.num_triangles) if region is None
+                    else self.region_triangles(region))
+            self._geometry[region] = AffineGeometry(self.vertices,
+                                                    self.triangles, tris)
+        return self._geometry[region]
+
+    def interface_edges(self):
+        """Cached left-to-right interface edge map (see InterfaceEdges)."""
+        if self._interface is None:
+            self._interface = InterfaceEdges(self)
+        return self._interface
+
     def triangle_areas(self):
-        p = self.vertices[self.triangles]
-        d1 = p[:, 1] - p[:, 0]
-        d2 = p[:, 2] - p[:, 0]
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+        return 0.5 * self.geometry().det
+
+    def edge_geometry(self, eids):
+        """Endpoints a, b (ascending vertex index) and unit normals (the
+        ascending tangent rotated clockwise) of edges."""
+        a = self.vertices[self.edges[eids, 0]]
+        b = self.vertices[self.edges[eids, 1]]
+        tang = (b - a) / np.linalg.norm(b - a, axis=1)[:, None]
+        return a, b, np.column_stack([tang[:, 1], -tang[:, 0]])
 
     def edge_signs(self):
         """Per-triangle, per-local-edge orientation signs.
@@ -100,19 +230,6 @@ class CoupledMesh:
         s[:, 2] = np.where(t[:, 0] < t[:, 1], 1, -1)
         return s
 
-    def dump(self, path):
-        """Plain-text dump: vertices, triangles with region, tagged edges."""
-        with open(path, "w") as f:
-            for x, y in self.vertices:
-                f.write("v %.17g %.17g\n" % (x, y))
-            for tri, reg in zip(self.triangles, self.tri_region):
-                f.write("t %d %d %d %s\n" % (tri[0], tri[1], tri[2],
-                                             "D" if reg else "S"))
-            names = {INTERIOR_S: "interior-S", INTERIOR_D: "interior-D",
-                     GAMMA_S: "GammaS", GAMMA_D: "GammaD", SIGMA: "Sigma"}
-            for (a, b), tag in zip(self.edges, self.edge_tag):
-                f.write("e %d %d %s\n" % (a, b, names[tag]))
-
 
 def build_unit_square(n):
     """Uniform n x n mesh of (0,1)^2, every cell split bottom-left to top-right.
@@ -126,20 +243,13 @@ def build_unit_square(n):
     xs = np.arange(n + 1) / n
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    tris = []
-    region = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            tris.append((a, b, c))
-            tris.append((a, c, d))
-            region += [0 if (j + 0.5) / n > 0.5 else 1] * 2
-    return CoupledMesh(n, vertices, np.array(tris), np.array(region))
+    # cell (i, j), row by row: corners a, b, c, d counterclockwise from
+    # the bottom left, split into (a, b, c) and (a, c, d)
+    j, i = np.divmod(np.arange(n * n), n)
+    a = j * (n + 1) + i
+    tris = np.column_stack([a, a + 1, a + n + 2, a, a + n + 2, a + n + 1])
+    region = np.where((j + 0.5) / n > 0.5, 0, 1)
+    return CoupledMesh(n, vertices, tris.reshape(-1, 3), np.repeat(region, 2))
 
 
 def refine_uniform(mesh):
@@ -193,10 +303,5 @@ def interface_trace(mesh):
     edges : (ns, 2) int array of vertex pairs, left endpoint first
     normal : (2,) array, the same for every interface edge
     """
-    out = []
-    for e in mesh.sigma_edges:
-        a, b = mesh.edges[e]
-        if mesh.vertices[a, 0] > mesh.vertices[b, 0]:
-            a, b = b, a
-        out.append((a, b))
-    return np.array(out, dtype=int), np.array([0.0, -1.0])
+    sig = mesh.interface_edges()
+    return np.column_stack([sig.left, sig.right]), np.array([0.0, -1.0])

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from . import assembly, quadrature
 from .fespace import REGION_D, Space, nodal_prolongation
 from .krylov import LinOp
-from .mesh import mesh_hierarchy
+from .mesh import REF_VERTICES, mesh_hierarchy, segment_points
 
 
 def direct_inverse(M):
@@ -195,16 +195,13 @@ def _hx_transfer_matrices(flux, scalar):
         raise ValueError("flux and nodal spaces must share the subdomain")
     sq, wq = quadrature.segment_rule(4)
     nq = len(sq)
-    rverts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-    # reference points for each local edge in both traversal directions
-    ref_blocks = []
-    for k in range(3):
-        a, b = rverts[(k + 1) % 3], rverts[(k + 2) % 3]
-        ref_blocks.append(a + sq[:, None] * (b - a))
-        ref_blocks.append(b + sq[:, None] * (a - b))
-    ref_pts = np.vstack(ref_blocks)
-    vals, grads, _ = scalar.tabulate(ref_pts)  # (nloc, np), (nt, nloc, np, 2)
+    # reference points on local edge k (opposite vertex k), traversed in
+    # both directions: blocks 2k and 2k + 1
+    ref_pts = segment_points(REF_VERTICES[[1, 2, 2, 0, 0, 1]],
+                             REF_VERTICES[[2, 1, 0, 2, 1, 0]],
+                             sq).reshape(-1, 2)
+    vals = scalar.values(ref_pts)  # (nloc, np)
+    grads = scalar.gradients(ref_pts)  # (nt, nloc, np, 2)
 
     signs = flux.edge_sign
     tri_eids = mesh.tri_edges[flux.tris]
@@ -219,11 +216,7 @@ def _hx_transfer_matrices(flux, scalar):
     for k in range(3):
         le = flux.edge_index[tri_eids[:, k]]
         ek = tri_eids[:, k]
-        a = mesh.vertices[mesh.edges[ek, 0]]
-        b = mesh.vertices[mesh.edges[ek, 1]]
-        length = np.linalg.norm(b - a, axis=1)
-        tang = (b - a) / length[:, None]
-        normal = np.column_stack([tang[:, 1], -tang[:, 0]])
+        normal = mesh.edge_geometry(ek)[2]
         # per-triangle selection of the matching traversal direction
         pos = slice(2 * k * nq, (2 * k + 1) * nq)
         neg = slice((2 * k + 1) * nq, (2 * k + 2) * nq)
@@ -248,7 +241,7 @@ def _hx_transfer_matrices(flux, scalar):
                 valsI.append(momI.ravel())
     if flux.family == "rt1":
         tq, twq = quadrature.triangle_rule(4)
-        ivals, igrads, _ = scalar.tabulate(tq)
+        ivals, igrads = scalar.values(tq), scalar.gradients(tq)
         base = 2 * len(flux.edge_ids)
         ids = base + 2 * np.arange(nt)
         # (1/|T|) int over T equals twice the reference-rule sum
@@ -271,8 +264,7 @@ def _hx_transfer_matrices(flux, scalar):
     return C, Idiv
 
 
-def build_hx_transfers(flux, params, free_flux=None, order=None,
-                       operator_matrices=None):
+def build_hx_transfers(flux, params, free_flux=None, operator_matrices=None):
     """Assemble the auxiliary-space transfer data for a flux space.
 
     The vector nodal space has the order of the flux family (linears for
@@ -283,8 +275,8 @@ def build_hx_transfers(flux, params, free_flux=None, order=None,
     of the inner problem.  Raises if the rotated-gradient image is not
     represented exactly.
     """
-    order = order or (1 if flux.family == "bdm1" else 2)
-    nodal = Space(flux.mesh, "p1" if order == 1 else "p2", flux.region)
+    nodal = Space(flux.mesh, "p1" if flux.family == "bdm1" else "p2",
+                  flux.region)
     potential = Space(flux.mesh, "p2", flux.region)
     _, Idiv = _hx_transfer_matrices(flux, nodal)
     C, _ = _hx_transfer_matrices(flux, potential)
@@ -328,8 +320,8 @@ def curl_representation_residual(flux, scalar, C, nprobe=3, seed=7):
     roundoff flags a construction bug.
     """
     pts, w = quadrature.triangle_rule(3)
-    _, grads, _ = scalar.tabulate(pts)
-    fvals, _, _ = flux.tabulate(pts)
+    grads = scalar.gradients(pts)
+    fvals, _ = flux.tabulate(pts)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(nprobe):
@@ -378,8 +370,8 @@ def build_hx_precond(transfer, mode="direct", hierarchy=None):
     return op
 
 
-def _scalar_hierarchy(meshes, family, region, matrix):
-    spaces = [Space(m, family, region) for m in meshes]
+def _scalar_hierarchy(meshes, family, matrix):
+    spaces = [Space(m, family, REGION_D) for m in meshes]
     frees = [np.where(~s.on_boundary)[0] for s in spaces]
     mats = [matrix(s)[np.ix_(fr, fr)].tocsr()
             for s, fr in zip(spaces, frees)]
@@ -389,7 +381,7 @@ def _scalar_hierarchy(meshes, family, region, matrix):
     return mats, prolongs
 
 
-def hx_nodal_hierarchy(n, family, tau, region=REGION_D, n_coarsest=None):
+def hx_nodal_hierarchy(n, family, tau):
     """Zero-boundary nodal hierarchies for the auxiliary-space BPX solves:
     the vector block on the family of the flux order, the stream-function
     Laplacian on quadratics.
@@ -398,13 +390,11 @@ def hx_nodal_hierarchy(n, family, tau, region=REGION_D, n_coarsest=None):
     single directly solved level, so the nodal solves coincide with the
     direct variant there.
     """
-    if n_coarsest is None:
-        n_coarsest = min(8, n)
-    meshes = mesh_hierarchy(n, n_coarsest)
+    meshes = mesh_hierarchy(n, min(8, n))
     L_mats, L_prolongs = _scalar_hierarchy(
-        meshes, family, region,
+        meshes, family,
         lambda s: assembly.scalar_stiffness(s) + tau * assembly.scalar_mass(s))
     D_mats, D_prolongs = _scalar_hierarchy(
-        meshes, "p2", region, assembly.scalar_stiffness)
+        meshes, "p2", assembly.scalar_stiffness)
     return {"L_mats": L_mats, "L_prolongs": L_prolongs,
             "D_mats": D_mats, "D_prolongs": D_prolongs}

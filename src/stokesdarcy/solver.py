@@ -34,17 +34,23 @@ def canonical_pair(name):
     return key
 
 
+def check_mesh_size(pair, n):
+    """Raise ValueError unless n subdivisions suit the pair: n even and
+    >= 2, and divisible by 4 for the iso pair."""
+    if n < 2 or n % 2:
+        raise ValueError("n must be even and >= 2, got %d" % n)
+    if canonical_pair(pair) == "p2isop1-bdm1" and n % 4:
+        raise ValueError("the iso pair needs n divisible by 4 (the "
+                         "pressure lives on the n/2 mesh), got %d" % n)
+
+
 class Problem:
     """Assembled discrete problem for one element pair and mesh size."""
 
     def __init__(self, pair, n, params=None, case=None):
         pair = canonical_pair(pair)
         vfam, pfam, ffam, qfam = PAIRS[pair]
-        if n < 2 or n % 2:
-            raise ValueError("n must be even and >= 2")
-        if pair == "p2isop1-bdm1" and n % 4:
-            raise ValueError("the iso pair needs n divisible by 4 (the "
-                             "pressure lives on the n/2 mesh)")
+        check_mesh_size(pair, n)
         self.pair = pair
         self.n = n
         self.h = 1.0 / n
@@ -100,14 +106,12 @@ class Problem:
                 + self.flux.ndof + self.dpres.ndof)
 
     def make_subsolver(self, precond_kind="pd0", rtol=1e-2, maxit=2000,
-                       mode="iter", mass_mode="auto", stop_norm="pinv",
-                       stop_ref="r0"):
+                       mode="iter", mass_mode="auto"):
         return ftp.DarcySubsolver(self.A_D, self.B_D, self.D_D, self.M_D,
                                   self.flux, self.dpres, self.lift,
                                   self.params, precond_kind=precond_kind,
                                   rtol=rtol, maxit=maxit, mode=mode,
-                                  mass_mode=mass_mode, stop_norm=stop_norm,
-                                  stop_ref=stop_ref)
+                                  mass_mode=mass_mode)
 
 
 class SolveConfig:
@@ -115,9 +119,7 @@ class SolveConfig:
 
     def __init__(self, pair, n, outer_rtol=1e-6, inner_rtol=1e-2,
                  combo=("direct", "pd0"), mass_mode="auto",
-                 maxit_outer=None, maxit_inner=2000, recovery_rtol=1e-8,
-                 inner_mode="iter", seed=0, stop_norm="pinv",
-                 stop_ref="r0"):
+                 maxit_outer=None, maxit_inner=2000, recovery_rtol=1e-8):
         self.pair = canonical_pair(pair)
         self.n = n
         self.outer_rtol = outer_rtol
@@ -127,13 +129,6 @@ class SolveConfig:
         self.maxit_outer = maxit_outer or 1600
         self.maxit_inner = maxit_inner
         self.recovery_rtol = min(recovery_rtol, inner_rtol)
-        self.inner_mode = inner_mode
-        self.seed = seed
-        # default: preconditioned residual norm against the initial
-        # residual; 'euclidean' and ref 'b'/'b2' reproduce other common
-        # stopping conventions (see krylov.minres)
-        self.stop_norm = stop_norm
-        self.stop_ref = stop_ref
 
 
 OUTER_KINDS = ("direct", "bpx")
@@ -216,27 +211,21 @@ def stokes_velocity_bpx(problem, n_coarsest=None):
     fam = {"mini-bdm1": "p1", "p2isop1-bdm1": "p1",
            "taylorhood-rt1": "p2"}[pair]
     spaces = [VectorSpace(Space(m, fam, REGION_S)) for m in meshes]
-    mats, frees = [], []
-    for v in spaces:
-        free = np.where(~v.on_gamma)[0]
-        A = assembly.stokes_velocity_matrix(v, params)
-        mats.append(A[np.ix_(free, free)].tocsr())
-        frees.append(free)
-    prolongs = []
-    for i in range(len(spaces) - 1):
-        P = vector_expand(nodal_prolongation(spaces[i].scalar,
-                                             spaces[i + 1].scalar))
-        prolongs.append(P[frees[i + 1]][:, frees[i]].tocsr())
+    frees = [np.where(~v.on_gamma)[0] for v in spaces]
+    # the top level is the problem's own block: of the bubble-enriched
+    # pair on top of all nodal levels, of a nodal pair in place of the
+    # finest one
+    nodal = spaces if pair == "mini-bdm1" else spaces[:-1]
+    mats = [assembly.stokes_velocity_matrix(v, params)[np.ix_(f, f)].tocsr()
+            for v, f in zip(nodal, frees)] + [problem.A_ff]
+    prolongs = [vector_expand(nodal_prolongation(spaces[i].scalar,
+                                                 spaces[i + 1].scalar))
+                [frees[i + 1]][:, frees[i]].tocsr()
+                for i in range(len(spaces) - 1)]
     if pair == "mini-bdm1":
         # embed the top linear level into the enriched fine space
-        top = spaces[-1]
-        nv = top.scalar.ndof
-        E = sp.eye(problem.vel.ndof, 2 * nv, format="csr")
-        Ef = E[problem.free_vel][:, frees[-1]].tocsr()
-        mats.append(problem.A_ff)
-        prolongs.append(Ef)
-    else:
-        mats[-1] = problem.A_ff
+        E = sp.eye(problem.vel.ndof, 2 * spaces[-1].scalar.ndof, format="csr")
+        prolongs.append(E[problem.free_vel][:, frees[-1]].tocsr())
     return precond.build_bpx(mats, prolongs)
 
 
@@ -276,9 +265,7 @@ def solve_coupled(problem, config=None, subsolver=None):
     if subsolver is None:
         subsolver = problem.make_subsolver(
             precond_kind=config.combo[1], rtol=config.inner_rtol,
-            maxit=config.maxit_inner, mode=config.inner_mode,
-            mass_mode=config.mass_mode, stop_norm=config.stop_norm,
-            stop_ref=config.stop_ref)
+            maxit=config.maxit_inner, mass_mode=config.mass_mode)
 
     gamma_res = ftp.source_residual(subsolver, problem.G_D,
                                     rtol=config.recovery_rtol)
@@ -291,17 +278,14 @@ def solve_coupled(problem, config=None, subsolver=None):
     stokes_op = _outer_operator(problem, None)
     x_init, init_stats = minres(stokes_op, rhs, Pinv=P,
                                 rtol=config.outer_rtol,
-                                maxit=config.maxit_outer,
-                                stop_norm=config.stop_norm,
-                                stop_ref=config.stop_ref)
+                                maxit=config.maxit_outer)
 
     coupling = ftp.CouplingOperator(problem.R_f, subsolver,
                                     rtol=config.inner_rtol)
     full_op = _outer_operator(problem, coupling)
     mark = len(subsolver.iteration_log)
     x, stats = minres(full_op, rhs, Pinv=P, x0=x_init,
-                      rtol=config.outer_rtol, maxit=config.maxit_outer,
-                      stop_norm=config.stop_norm, stop_ref=config.stop_ref)
+                      rtol=config.outer_rtol, maxit=config.maxit_outer)
     inner_counts = subsolver.iteration_log[mark:]
 
     u_Sf, p_S = x[:nf], x[nf:]
@@ -365,18 +349,6 @@ def solve_monolithic_oracle(problem):
                        global_shift=-int_pS)
 
 
-def _vector_h1_gram(vel):
-    sc = vel.scalar
-    G = assembly.scalar_stiffness(sc) + assembly.scalar_mass(sc)
-    G = G.tocoo()
-    X = sp.coo_matrix(
-        (np.concatenate([G.data, G.data]),
-         (np.concatenate([2 * G.row, 2 * G.row + 1]),
-          np.concatenate([2 * G.col, 2 * G.col + 1]))),
-        shape=(vel.ndof, vel.ndof)).tocsr()
-    return X
-
-
 def _infsup_from_matrices(B, X, M, mvec):
     """Smallest nonzero singular value of the divergence coupling in the
     (X-norm, M-norm) pair over zero-mean pressures, by dense eigensolve."""
@@ -407,7 +379,9 @@ def infsup_stokes(mesh, vfam, pfam, pres_mesh=None):
         B = (nodal_prolongation(pres, fine).T
              @ assembly.divergence_matrix(vel, fine)).tocsr()
     free = np.where(~vel.on_boundary)[0]
-    X = _vector_h1_gram(vel)[np.ix_(free, free)]
+    sc = vel.scalar
+    X = vector_expand(assembly.scalar_stiffness(sc)
+                      + assembly.scalar_mass(sc))[np.ix_(free, free)]
     M = assembly.scalar_mass(pres)
     mvec = assembly.pressure_integral(pres)
     return _infsup_from_matrices(B[:, free], X, M, mvec)

@@ -33,59 +33,37 @@ class ErrorRecord:
                                            + self.as_tuple()))
 
 
-def _phys_points(space, pts):
-    p = space.mesh.vertices[space.mesh.triangles[space.tris]]
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
-    return p, J
+def _integral(space, w, vals):
+    """Quadrature sum of point values (nt, nq) over the space's triangles."""
+    return np.einsum("q,t,tq->", w, space.geom.det, vals)
 
 
 def velocity_h1_error(vel, coeffs, u_exact, grad_exact, qdeg=ERROR_QDEG):
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(qdeg)
-    vals, grads, det = sc.tabulate(pts)
-    p, J = _phys_points(sc, pts)
-    c = coeffs[vel.cell_dofs]
-    cx, cy = c[:, 0::2], c[:, 1::2]
-    err2 = 0.0
-    for iq, wq in enumerate(w):
-        phys = p[:, 0] + J[:, :, 0] * pts[iq, 0] + J[:, :, 1] * pts[iq, 1]
-        ue = u_exact(phys)
-        ge = grad_exact(phys)
-        uh = np.stack([cx @ vals[:, iq], cy @ vals[:, iq]], axis=-1)
-        gh = np.stack([np.einsum("tl,tla->ta", cx, grads[:, :, iq, :]),
-                       np.einsum("tl,tla->ta", cy, grads[:, :, iq, :])],
-                      axis=1)
-        err2 += wq * np.sum(det * (((ue - uh) ** 2).sum(1)
-                                   + ((ge - gh) ** 2).sum((1, 2))))
-    return math.sqrt(err2)
+    c = coeffs[vel.cell_dofs].reshape(len(sc.tris), -1, 2)  # (nt, nloc, 2)
+    eu = sc.geom.evaluate(u_exact, pts) \
+        - np.einsum("tlc,lq->tqc", c, sc.values(pts))
+    eg = sc.geom.evaluate(grad_exact, pts) \
+        - np.einsum("tlc,tlqa->tqca", c, sc.gradients(pts))
+    return math.sqrt(_integral(sc, w, (eu ** 2).sum(-1)
+                               + (eg ** 2).sum((-2, -1))))
 
 
 def scalar_l2_error(space, coeffs, exact, qdeg=ERROR_QDEG):
     pts, w = quadrature.triangle_rule(qdeg)
-    vals, _, det = space.tabulate(pts)
-    p, J = _phys_points(space, pts)
-    c = coeffs[space.cell_dofs]
-    err2 = 0.0
-    for iq, wq in enumerate(w):
-        phys = p[:, 0] + J[:, :, 0] * pts[iq, 0] + J[:, :, 1] * pts[iq, 1]
-        err2 += wq * np.sum(det * (exact(phys) - c @ vals[:, iq]) ** 2)
-    return math.sqrt(err2)
+    err = space.geom.evaluate(exact, pts) \
+        - coeffs[space.cell_dofs] @ space.values(pts)
+    return math.sqrt(_integral(space, w, err ** 2))
 
 
 def flux_hdiv_error(flux, coeffs, u_exact, div_exact, qdeg=ERROR_QDEG):
     pts, w = quadrature.triangle_rule(qdeg)
-    vals, divs, det = flux.tabulate(pts)
-    p, J = _phys_points(flux, pts)
+    vals, divs = flux.tabulate(pts)
     c = coeffs[flux.cell_dofs]
-    err2 = 0.0
-    for iq, wq in enumerate(w):
-        phys = p[:, 0] + J[:, :, 0] * pts[iq, 0] + J[:, :, 1] * pts[iq, 1]
-        ue = u_exact(phys)
-        de = div_exact(phys)
-        uh = np.einsum("tl,tlc->tc", c, vals[:, :, iq, :])
-        dh = np.einsum("tl,tl->t", c, divs[:, :, iq])
-        err2 += wq * np.sum(det * (((ue - uh) ** 2).sum(1) + (de - dh) ** 2))
-    return math.sqrt(err2)
+    eu = flux.geom.evaluate(u_exact, pts) - np.einsum("tl,tlqc->tqc", c, vals)
+    ed = flux.geom.evaluate(div_exact, pts) - np.einsum("tl,tlq->tq", c, divs)
+    return math.sqrt(_integral(flux, w, (eu ** 2).sum(-1) + ed ** 2))
 
 
 def compute_errors(report, case=None):

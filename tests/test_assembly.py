@@ -3,6 +3,8 @@ import pytest
 
 from stokesdarcy import InvalidCaseError, PhysicalParams
 from stokesdarcy import assembly as asm
+from stokesdarcy import quadrature as quad
+from stokesdarcy.fespace import ref_basis
 from stokesdarcy.manufactured import ManufacturedCase, ZeroCase
 
 params = PhysicalParams()
@@ -132,8 +134,11 @@ def test_incompatible_source_rejected(mini8):
 
 def test_quadrature_refinement_invariance(mini8):
     """Doubling the quadrature degree changes no matrix entry."""
-    A1, B1, M1 = asm.assemble_stokes(mini8.vel, mini8.pres, params)
-    A2, B2, M2 = asm.assemble_stokes(mini8.vel, mini8.pres, params, qdeg=16)
+    vel, pres = mini8.vel, mini8.pres
+    A1 = asm.stokes_velocity_matrix(vel, params)
+    A2 = asm.stokes_velocity_matrix(vel, params, qdeg=16)
+    B1 = asm.divergence_matrix(vel, pres)
+    B2 = asm.divergence_matrix(vel, pres, qdeg=16)
     assert abs(A1 - A2).max() < 1e-12
     assert abs(B1 - B2).max() < 1e-12
     AD1, BD1, DD1, MD1 = asm.assemble_darcy(mini8.flux, mini8.dpres, params)
@@ -144,18 +149,75 @@ def test_quadrature_refinement_invariance(mini8):
 
 
 def test_deterministic_assembly(mini8):
-    A1, B1, M1 = asm.assemble_stokes(mini8.vel, mini8.pres, params)
-    A2, B2, M2 = asm.assemble_stokes(mini8.vel, mini8.pres, params)
-    assert abs(A1 - A2).max() == 0.0
-    assert abs(B1 - B2).max() == 0.0
+    vel, pres = mini8.vel, mini8.pres
+    for build in (lambda: asm.stokes_velocity_matrix(vel, params),
+                  lambda: asm.divergence_matrix(vel, pres),
+                  lambda: asm.scalar_mass(pres)):
+        assert abs(build() - build()).max() == 0.0
 
 
-def test_matrix_dump(tmp_path, mini8):
-    path = tmp_path / "m.txt"
-    asm.dump_matrix(mini8.M_D, path)
-    lines = path.read_text().splitlines()
-    i, j, v = lines[0].split()
-    assert float(v) != 0
+def _interface_by_edge(space):
+    """Per-edge reference of the interface tabulation: for each interface
+    edge, left to right, the owning triangle's row in ``space.tris`` and
+    the left and right endpoint, found by a loop over the triangles."""
+    mesh = space.mesh
+    tri_of_edge = {}
+    for tloc, tg in enumerate(space.tris):
+        for e in mesh.tri_edges[tg]:
+            tri_of_edge.setdefault(e, tloc)
+    out = []
+    for e in mesh.sigma_edges:
+        pa, pb = mesh.vertices[mesh.edges[e]]
+        if pa[0] > pb[0]:
+            pa, pb = pb, pa
+        out.append((tri_of_edge[e], pa, pb))
+    return out
+
+
+def _edge_basis(space, tloc, pa, pb, s):
+    """Physical points pa + s (pb - pa) and the basis values there, the
+    reference points found by solving with the triangle's Jacobian."""
+    p = space.mesh.vertices[space.mesh.triangles[space.tris[tloc]]]
+    J = np.stack([p[1] - p[0], p[2] - p[0]], axis=-1)
+    phys = pa[None, :] + s[:, None] * (pb - pa)[None, :]
+    ref = np.linalg.solve(J, (phys - p[0]).T).T
+    return phys, ref_basis(space.family, ref)[0]
+
+
+class _InterfaceLoadOnly(ZeroCase):
+    def g_sigma(self, x):
+        x = np.asarray(x)
+        return np.column_stack([np.cos(3 * x), 1 + x ** 2])
+
+
+@pytest.mark.parametrize("pair", ["mini", "iso", "th"])
+def test_interface_terms_match_per_edge_reference(problem_cache, pair):
+    """T_SD, the friction block and the interface load against a loop
+    over the interface edges, one edge at a time."""
+    pr = problem_cache(pair, 8)
+    vel, sc = pr.vel, pr.vel.scalar
+    s4, w4 = quad.segment_rule(4)
+    s6, w6 = quad.segment_rule(6)
+    T = np.zeros((pr.trace.ndim, vel.ndof))
+    K = np.zeros((vel.ndof, vel.ndof))
+    F = np.zeros(vel.ndof)
+    case = _InterfaceLoadOnly()
+    for k, (tloc, pa, pb) in enumerate(_interface_by_edge(sc)):
+        length = np.linalg.norm(pb - pa)
+        dofs = 2 * sc.cell_dofs[tloc]
+        _, bv = _edge_basis(sc, tloc, pa, pb, s4)
+        T[np.ix_([2 * k, 2 * k + 1], dofs + 1)] -= length * np.einsum(
+            "q,iq,lq->il", w4, np.stack([1 - s4, s4]), bv)
+        K[np.ix_(dofs, dofs)] += length * np.einsum("q,lq,mq->lm", w4, bv, bv)
+        phys, bv = _edge_basis(sc, tloc, pa, pb, s6)
+        g = case.g_sigma(phys[:, 0])
+        for c in range(2):
+            F[dofs + c] += length * np.einsum("q,q,lq->l", w6, g[:, c], bv)
+    assert np.abs(pr.T_SD.toarray() - T).max() <= 1e-14
+    friction = (asm.stokes_velocity_matrix(vel, PhysicalParams(kappa=2.0))
+                - asm.stokes_velocity_matrix(vel, PhysicalParams(kappa=1.0)))
+    assert np.abs(friction.toarray() - K).max() <= 1e-14
+    assert np.abs(asm.stokes_load(vel, case, params) - F).max() <= 1e-14
 
 
 def test_divergence_inclusion(mini8, th8, rng):
@@ -165,8 +227,8 @@ def test_divergence_inclusion(mini8, th8, rng):
     for pr in (mini8, th8):
         flux, dpres = pr.flux, pr.dpres
         pts, w = quad.triangle_rule(6)
-        pvals, _, det = dpres.tabulate(pts)
-        _, divs, _ = flux.tabulate(pts)
+        pvals = dpres.values(pts)
+        _, divs = flux.tabulate(pts)
         c = rng.standard_normal(flux.ndof)
         dh = np.einsum("tl,tlq->tq", c[flux.cell_dofs], divs)
         nloc = pvals.shape[0]

@@ -1,5 +1,8 @@
+import functools
+
 import pytest
 
+from stokesdarcy import SolveConfig
 from stokesdarcy.cli import ExperimentSpec, _parse_args, main, read_config
 
 
@@ -110,6 +113,25 @@ def test_failure_marker_and_exit_code(tmp_path, monkeypatch):
     assert "FAILED" in out.read_text()
 
 
+@pytest.mark.parametrize("verb", ["converge", "iterations"])
+def test_inner_solver_failure_is_contained_per_cell(tmp_path, capsys,
+                                                    monkeypatch, verb):
+    """A porous solve capped at one iteration fails in every cell; the
+    table is still written, one reason line per cell goes to stderr."""
+    import stokesdarcy.cli as cli
+    monkeypatch.setattr(cli, "SolveConfig",
+                        functools.partial(SolveConfig, maxit_inner=1))
+    out = tmp_path / "fail.csv"
+    assert main([verb, "--pair", "mini-bdm1", "--nmin", "8", "--nmax", "16",
+                 "--out", str(out)]) == 1
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2 and all("FAILED" in row for row in rows)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("stokesdarcy: n=") and "stalled" in line
+               for line in err)
+
+
 def _spec(argv):
     return ExperimentSpec(_parse_args(argv))
 
@@ -148,11 +170,22 @@ def _assert_usage_error(capsys, monkeypatch, argv):
     return captured.err
 
 
-@pytest.mark.parametrize("flags", [["--nmin", "64", "--nmax", "8"],
-                                   ["--nmin", "0", "--nmax", "8"]])
-@pytest.mark.parametrize("verb", ["converge", "iterations"])
-def test_empty_mesh_range_is_usage_error(capsys, monkeypatch, verb, flags):
-    _assert_usage_error(capsys, monkeypatch, [verb] + flags)
+_BAD_SIZE_FLAGS = [["--nmin", "64", "--nmax", "8"],
+                   ["--nmin", "0", "--nmax", "8"],
+                   ["--nmin", "3", "--nmax", "3"],  # odd n
+                   ["--pair", "iso", "--nmin", "6", "--nmax", "6"]]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param([verb] + flags, id="%s-flags%d" % (verb, i))
+    for verb in ("converge", "iterations")
+    for i, flags in enumerate(_BAD_SIZE_FLAGS)] + [
+    pytest.param(["oracle", "--pair", "iso", "--nmin", "10"],
+                 id="oracle-flags0")])
+def test_empty_mesh_range_is_usage_error(capsys, monkeypatch, argv):
+    """An empty mesh-size range, or a size the pair cannot be built at
+    (odd, or not divisible by 4 for the iso pair)."""
+    _assert_usage_error(capsys, monkeypatch, argv)
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

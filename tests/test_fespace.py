@@ -5,9 +5,9 @@ import scipy.sparse as sp
 from stokesdarcy import build_unit_square
 from stokesdarcy import quadrature as quad
 from stokesdarcy.fespace import (REGION_D, REGION_S, FluxSpace, Space,
-                                 TraceSpace, VectorSpace, build_space,
-                                 locate_triangles, nodal_prolongation,
-                                 ref_basis, sigma_flux_maps)
+                                 TraceSpace, VectorSpace, locate_triangles,
+                                 nodal_prolongation, ref_basis,
+                                 sigma_flux_maps)
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +50,14 @@ def test_p0_mean_zero_dimension(mesh8):
     assert p0.ndof - 1 == 63 and m.sum() == pytest.approx(0.5)
 
 
-def test_build_space_validation(mesh8):
+def test_space_constructors_reject_unknown_family(mesh8):
     with pytest.raises(ValueError):
-        build_space(mesh8, "bdm1", REGION_S)
+        Space(mesh8, "bdm1", REGION_S)
     with pytest.raises(ValueError):
-        build_space(mesh8, "mini", REGION_D)
+        FluxSpace(mesh8, "p1b")
     with pytest.raises(ValueError):
-        build_space(mesh8, "p7", REGION_S)
-    assert build_space(mesh8, "taylorhood", REGION_S).ndof == 306
+        Space(mesh8, "p7", REGION_S)
+    assert VectorSpace(Space(mesh8, "p2", REGION_S)).ndof == 306
 
 
 def test_bdm1_duality_against_quadrature(mesh8, rng):
@@ -130,7 +130,7 @@ def test_interpolation_of_constant(mesh8):
     ci = fs.canonical_interpolation(
         lambda p: np.tile([1.0, 0.0], (len(p), 1)))
     pts, _ = quad.triangle_rule(2)
-    vals, divs, _ = fs.tabulate(pts)
+    vals, divs = fs.tabulate(pts)
     c = ci[fs.cell_dofs]
     field = np.einsum("tl,tlpc->tpc", c, vals)
     assert np.abs(field[..., 0] - 1).max() < 1e-12

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stokesdarcy import build_unit_square, interface_trace, refine_uniform
-from stokesdarcy.mesh import GAMMA_D, GAMMA_S, SIGMA, mesh_hierarchy
+from stokesdarcy.mesh import (GAMMA_D, GAMMA_S, REF_VERTICES, SIGMA,
+                              mesh_hierarchy)
 
 
 def test_counts_n2():
@@ -129,13 +130,41 @@ def test_hierarchy_nested_sizes():
         mesh_hierarchy(12, 2)
 
 
-def test_dump_format(tmp_path):
-    m = build_unit_square(2)
-    path = tmp_path / "mesh.txt"
-    m.dump(path)
-    lines = path.read_text().splitlines()
-    v = [l for l in lines if l.startswith("v ")]
-    t = [l for l in lines if l.startswith("t ")]
-    e = [l for l in lines if l.startswith("e ")]
-    assert len(v) == 9 and len(t) == 8 and len(e) == len(m.edges)
-    assert t[0].split()[-1] in ("S", "D")
+@pytest.mark.parametrize("region", [None, 0, 1])
+def test_affine_geometry(region):
+    m = refine_uniform(build_unit_square(4))
+    g = m.geometry(region)
+    assert g is m.geometry(region)  # cached per region
+    areas = m.triangle_areas()[g.tris]
+    assert np.array_equal(g.det, 2 * areas)
+    assert np.allclose(areas, 0.5 / 64, rtol=1e-14, atol=0)
+    corners = m.vertices[m.triangles[g.tris]]
+    assert np.allclose(g.map_points(REF_VERTICES), corners, rtol=0,
+                       atol=1e-15)
+    assert np.allclose(np.einsum("tba,tbc->tac", g.invJT, g.J),
+                       np.eye(2), rtol=0, atol=1e-14)
+    rows = np.arange(len(g.tris))
+    ref = np.full((len(rows), 2), 1 / 3)
+    assert np.allclose(g.pull_back(rows, corners.mean(axis=1)), ref,
+                       rtol=0, atol=1e-14)
+
+
+def test_interface_edge_map():
+    m = refine_uniform(build_unit_square(4))
+    sig = m.interface_edges()
+    assert np.array_equal(sig.edges, m.sigma_edges)
+    xl, xr = m.vertices[sig.left], m.vertices[sig.right]
+    assert np.all(xl[:, 0] < xr[:, 0]) and np.all(np.diff(xl[:, 0]) > 0)
+    assert np.allclose(sig.length, 1 / 8)
+    s = np.array([0.0, 0.3, 1.0])
+    for r in (0, 1):
+        assert np.all(m.tri_region[sig.tri[:, r]] == r)
+        assert np.array_equal(m.region_triangles(r)[sig.row[:, r]],
+                              sig.tri[:, r])
+        assert np.all(np.any(m.tri_edges[sig.tri[:, r]]
+                             == sig.edges[:, None], axis=1))
+        # reference points map to the physical ones in the owner
+        g = m.geometry(r)
+        phys = np.einsum("eab,eqb->eqa", g.J[sig.row[:, r]],
+                         sig.ref_points(r, s)) + g.origin[sig.row[:, r], None]
+        assert np.allclose(phys, sig.points(s), rtol=0, atol=1e-15)

@@ -191,8 +191,8 @@ def test_hx_curl_columns_mass_norm(problem_cache):
     potential = Space(pr.mesh, "p2", REGION_D)
     C, _ = _hx_transfer_matrices(pr.flux, potential)
     pts, w = quad.triangle_rule(6)
-    _, grads, det = potential.tabulate(pts)
-    fvals, _, _ = pr.flux.tabulate(pts)
+    grads, det = potential.gradients(pts), potential.geom.det
+    fvals, _ = pr.flux.tabulate(pts)
     curl = np.stack([grads[:, :, :, 1], -grads[:, :, :, 0]], axis=-1)
     worst = 0.0
     Ccsc = C.tocsc()
