@@ -6,8 +6,6 @@ condition number essentially constant under refinement, and likewise for
 the auxiliary-space treatment of the div-elliptic porous block.
 """
 
-import numpy as np
-
 from stokesdarcy import Problem, SolveConfig
 from stokesdarcy import ftp, precond
 from stokesdarcy.krylov import (indefinite_condition_estimate,
@@ -19,7 +17,7 @@ from stokesdarcy.solver import _outer_operator, outer_preconditioner
 print("outer coupled operator, block-diagonal preconditioner")
 for n in (8, 16, 32):
     problem = Problem("mini", n)
-    sub = problem.make_subsolver(mode="exact")
+    sub = ftp.DarcySubsolver(problem, mode="exact")
     op = _outer_operator(problem, ftp.CouplingOperator(problem.R_f, sub))
     P = outer_preconditioner(problem, SolveConfig("mini", n,
                                                   mass_mode="exact"))
@@ -33,13 +31,10 @@ for family, pair in (("bdm1", "mini"), ("rt1", "th")):
     conds = []
     for n in (8, 16, 32):
         problem = Problem(pair, n)
-        free = np.where(~problem.flux.on_boundary)[0]
-        ADD = (problem.A_D + problem.D_D)[np.ix_(free, free)].tocsr()
-        transfer = precond.build_hx_transfers(
-            problem.flux, problem.params, free_flux=free,
-            operator_matrices=(problem.A_D, problem.D_D))
-        hx = precond.build_hx_precond(transfer, "direct")
-        conds.append(spd_condition_estimate(ADD, hx, k=100, seed=4))
+        hx = precond.build_hx_precond(precond.build_hx_transfers(problem),
+                                      "direct")
+        conds.append(spd_condition_estimate(problem.Adiv_f, hx, k=100,
+                                            seed=4))
     print("  %s: cond ~ %s" % (family, ", ".join("%.1f" % c for c in conds)))
 
 print("""

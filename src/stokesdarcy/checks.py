@@ -68,7 +68,7 @@ def run_all(seed=0, n=8):
                     worst < 1e-12, "residual %.1e" % worst))
 
     # flux-to-pressure operator: symmetry and positive semidefiniteness
-    sub = pr.make_subsolver(mode="exact")
+    sub = ftp.DarcySubsolver(pr, mode="exact")
     ndim = pr.trace.ndim
     worst_sym, worst_psd = 0.0, np.inf
     for _ in range(10):
@@ -86,10 +86,8 @@ def run_all(seed=0, n=8):
 
     # rotated-gradient image is divergence free: D_D C = 0 columnwise
     for p in (pr, prt):
-        free = np.where(~p.flux.on_boundary)[0]
-        t = precond.build_hx_transfers(p.flux, p.params, free_flux=free,
-                                       operator_matrices=(p.A_D, p.D_D))
-        Dff = p.D_D[np.ix_(free, free)]
+        t = precond.build_hx_transfers(p)
+        Dff = p.D_D[np.ix_(p.free_flux, p.free_flux)]
         resid = abs(Dff @ t.C).max() if t.C.nnz else 0.0
         out.append(("div o curl = 0 on auxiliary columns, %s" % p.flux.family,
                     resid < 1e-10, "max |D C| = %.1e" % resid))
@@ -101,12 +99,12 @@ def run_all(seed=0, n=8):
         out.append(("outer preconditioner SPD probe, %s" % (combo[0],),
                     ok, detail))
     for kind in ("pd0", "hx", "hxbpx"):
-        sub2 = pr.make_subsolver(precond_kind=kind)
+        sub2 = ftp.DarcySubsolver(pr, precond_kind=kind)
         ok, detail = _spd_probe(sub2.velocity_inv, sub2.velocity_inv.n, rng)
         out.append(("inner velocity-block SPD probe, %s" % kind, ok, detail))
 
     # auxiliary-space application cost: two second-order solves
-    sub3 = pr.make_subsolver(precond_kind="hx")
+    sub3 = ftp.DarcySubsolver(pr, precond_kind="hx")
     nsolves = getattr(sub3.velocity_inv, "second_order_solves_per_apply", None)
     out.append(("auxiliary preconditioner uses two nodal solves per apply",
                 nsolves == 2, "count %s" % nsolves))

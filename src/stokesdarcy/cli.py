@@ -40,64 +40,95 @@ def read_config(path):
     return values
 
 
+# what each verb reads: its flags, and the config-file keys of the same
+# names (with underscores)
+_TABLE_KEYS = ("pair", "nmin", "nmax", "combo", "outer_rtol", "inner_rtol",
+               "format", "out")
+VERB_KEYS = {
+    "converge": _TABLE_KEYS,
+    "iterations": _TABLE_KEYS,
+    "check": ("seed",),
+    "oracle": ("pair", "nmin", "combo"),
+}
+_FLAGS = {
+    "pair": dict(help="element pair (mini-bdm1, p2isop1-bdm1, "
+                      "taylorhood-rt1); default mini-bdm1"),
+    "nmin": dict(type=int),
+    "nmax": dict(type=int),
+    "combo": dict(action="append", metavar="OUTER:INNER",
+                  help="outer in %s, inner in %s; repeatable for "
+                       "iterations" % (OUTER_KINDS, INNER_KINDS)),
+    "outer_rtol": dict(type=float),
+    "inner_rtol": dict(type=float),
+    "format": dict(choices=("csv", "markdown")),
+    "out": dict(),
+    "seed": dict(type=int),
+}
+
+
+class UsageError(ValueError):
+    """A flag, config key or value the verb does not accept."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
+
 def _parse_args(argv):
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="stokesdarcy",
         description="Coupled free-flow/porous solver experiment driver")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--pair", default=None,
-                       help="element pair (mini-bdm1, p2isop1-bdm1, "
-                            "taylorhood-rt1); default mini-bdm1")
-        p.add_argument("--nmin", type=int, default=None)
-        p.add_argument("--nmax", type=int, default=None)
-        p.add_argument("--combo", action="append", default=None,
-                       metavar="OUTER:INNER",
-                       help="repeatable; outer in %s, inner in %s"
-                            % (OUTER_KINDS, INNER_KINDS))
-        p.add_argument("--outer-rtol", type=float, default=None)
-        p.add_argument("--inner-rtol", type=float, default=None)
-        p.add_argument("--format", choices=("csv", "markdown"), default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
+    for verb, keys in VERB_KEYS.items():
+        p = sub.add_parser(verb)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), **_FLAGS[key])
         p.add_argument("--config", default=None)
-
-    for name in ("converge", "iterations", "check", "oracle"):
-        common(sub.add_parser(name))
     return ap.parse_args(argv)
 
 
 class ExperimentSpec:
-    """Resolved experiment parameters (defaults, config file, flags)."""
+    """Resolved experiment parameters (defaults, config file, flags).
+
+    Raises UsageError for a config key the verb does not read and for
+    more than one combo where the verb solves one."""
 
     def __init__(self, args):
         cfg = read_config(args.config) if args.config else {}
+        keys = VERB_KEYS[args.command]
+        unread = sorted(set(cfg) - set(keys))
+        if unread:
+            raise UsageError("%s does not read config key%s %s"
+                             % (args.command, "s" * (len(unread) > 1),
+                                ", ".join(map(repr, unread))))
 
-        def pick(flag, key, cast, default):
+        def pick(key, cast, default):
+            flag = getattr(args, key, None)
             if flag is not None:
                 return flag
             if key in cfg:
                 return cast(cfg[key])
             return default
 
-        self.pair = canonical_pair(pick(args.pair, "pair", str,
-                                        "mini-bdm1"))
-        self.nmin = pick(args.nmin, "nmin", int, DEFAULT_NMIN)
-        nmax_given = args.nmax is not None or "nmax" in cfg
-        self.nmax = pick(args.nmax, "nmax", int, DEFAULT_NMAX)
-        self.nmax_explicit = nmax_given
-        self.outer_rtol = pick(args.outer_rtol, "outer_rtol", float, 1e-6)
-        self.inner_rtol = pick(args.inner_rtol, "inner_rtol", float, 1e-2)
-        self.format = pick(args.format, "format", str, "csv")
-        self.out = pick(args.out, "out", str, None)
-        self.seed = pick(args.seed, "seed", int, 0)
-        combos = args.combo if args.combo else cfg.get("combo")
-        if combos is None:
-            combos = ["direct:pd0"]
-        if isinstance(combos, str):
-            combos = [combos]
+        self.pair = canonical_pair(pick("pair", str, "mini-bdm1"))
+        self.nmin = pick("nmin", int, DEFAULT_NMIN)
+        self.nmax_explicit = getattr(args, "nmax", None) is not None \
+            or "nmax" in cfg
+        self.nmax = pick("nmax", int, DEFAULT_NMAX)
+        self.outer_rtol = pick("outer_rtol", float, 1e-6)
+        self.inner_rtol = pick("inner_rtol", float, 1e-2)
+        self.format = pick("format", str, "csv")
+        if self.format not in _FLAGS["format"]["choices"]:
+            raise UsageError("unknown format %r" % (self.format,))
+        self.out = pick("out", str, None)
+        self.seed = pick("seed", int, 0)
+        combos = getattr(args, "combo", None) or cfg.get("combo") \
+            or ["direct:pd0"]
         self.combos = [parse_combo(c) for c in combos]
+        if len(self.combos) > 1 and args.command != "iterations":
+            raise UsageError("%s solves one combo, got %d"
+                             % (args.command, len(self.combos)))
 
     def mesh_sizes(self):
         """The doublings nmin * 2^k <= nmax; raises on an empty range or
@@ -125,8 +156,7 @@ class ExperimentSpec:
         """Mesh sizes of a table, capped for direct factorizations unless
         --nmax was given."""
         ns = self.mesh_sizes()
-        has_direct = any("direct" in c or "pd0" in c or "hx" == c[1]
-                         for c in self.combos)
+        has_direct = any(c != ("bpx", "hxbpx") for c in self.combos)
         if has_direct and not self.nmax_explicit:
             capped = [n for n in ns if n <= DIRECT_CAP]
             if capped != ns:
@@ -275,8 +305,8 @@ def run_oracle(spec):
 
 
 def main(argv=None):
-    args = _parse_args(argv if argv is not None else sys.argv[1:])
     try:
+        args = _parse_args(argv if argv is not None else sys.argv[1:])
         spec = ExperimentSpec(args)
         if args.command in ("converge", "iterations"):
             spec.mesh_sizes()

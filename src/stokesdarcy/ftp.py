@@ -46,67 +46,59 @@ class DarcySubsolver:
 
     Parameters
     ----------
+    problem : the assembled Problem; its saddle block K_D and its
+        div-elliptic block Adiv_f are applied and factored as they are
     precond_kind : 'pd0' (direct div-elliptic block), 'hx' or 'hxbpx'
         (auxiliary-space block with direct or BPX nodal solves)
     mode : 'iter' for preconditioned MINRES, 'exact' for a factorized
-        solve of the constraint-augmented system (property tests)
+        solve of K_D bordered by the mean vector (property tests)
     """
 
-    def __init__(self, A_D, B_D, D_D, M_D, flux, dpres, lift, params,
-                 precond_kind="pd0", rtol=1e-2, maxit=2000, mode="iter",
-                 mass_mode="auto"):
-        self.A_full = A_D.tocsr()
-        self.B_full = B_D.tocsr()
-        self.lift = lift.tocsr()
-        self.flux = flux
-        self.dpres = dpres
-        self.params = params
+    def __init__(self, problem, precond_kind="pd0", rtol=1e-2, maxit=2000,
+                 mode="iter", mass_mode="auto"):
+        self.A_full = problem.A_D.tocsr()
+        self.B_full = problem.B_D.tocsr()
+        self.lift = problem.lift.tocsr()
+        # transposes applied by every functional, built once
+        self.B_fullT = self.B_full.T.tocsr()
+        self.liftT = self.lift.T.tocsr()
+        self.flux = problem.flux
+        self.K = problem.K_D
         self.rtol = rtol
         self.maxit = maxit
         self.mode = mode
         self.precond_kind = precond_kind
 
-        self.free = np.where(~flux.on_boundary)[0]
+        self.free = problem.free_flux
         self.ni = len(self.free)
-        self.npres = dpres.ndof
-        self.Aii = A_D[np.ix_(self.free, self.free)].tocsr()
-        self.Bi = B_D[:, self.free].tocsr()
-        # transposes applied inside the Krylov loops, built once
-        self.BiT = self.Bi.T.tocsr()
-        self.B_fullT = self.B_full.T.tocsr()
-        self.liftT = self.lift.T.tocsr()
-        self.mvec = pressure_integral(dpres)
+        self.npres = problem.dpres.ndof
+        self.mvec = pressure_integral(problem.dpres)
         self._mnorm2 = self.mvec @ self.mvec
 
-        ADD = (A_D + D_D)[np.ix_(self.free, self.free)].tocsr()
         if precond_kind == "pd0":
-            vel_inv = precond.direct_inverse(ADD)
-            self.hx = None
+            vel_inv = precond.direct_inverse(problem.Adiv_f)
         elif precond_kind in ("hx", "hxbpx"):
-            self.hx = precond.build_hx_transfers(
-                flux, params, free_flux=self.free,
-                operator_matrices=(A_D, D_D))
+            hx = precond.build_hx_transfers(problem)
             if precond_kind == "hx":
-                vel_inv = precond.build_hx_precond(self.hx, "direct")
+                vel_inv = precond.build_hx_precond(hx, "direct")
             else:
-                family = "p1" if flux.family == "bdm1" else "p2"
-                hier = precond.hx_nodal_hierarchy(flux.mesh.n, family,
-                                                  params.tau)
-                vel_inv = precond.build_hx_precond(self.hx, "bpx", hier)
+                family = "p1" if self.flux.family == "bdm1" else "p2"
+                hier = precond.hx_nodal_hierarchy(problem.n, family,
+                                                  problem.params.tau)
+                vel_inv = precond.build_hx_precond(hx, "bpx", hier)
         else:
             raise ValueError("unknown inner preconditioner %r"
                              % (precond_kind,))
-        W = precond.mass_inverse(M_D, mass_mode)
+        W = precond.mass_inverse(problem.M_D, mass_mode)
         self.pressure_inv = precond.projected_mass_inverse(W, self.mvec)
         self.precond_op = precond.block_diag_op([vel_inv, self.pressure_inv])
         self.velocity_inv = vel_inv
 
         if mode == "exact":
-            mcol = sp.csc_matrix(self.mvec[:, None])
-            K = sp.bmat([[self.Aii, -self.Bi.T, None],
-                         [-self.Bi, None, mcol],
-                         [None, mcol.T, None]], format="csc")
-            self._kkt = spla.splu(K)
+            mcol = sp.csc_matrix(
+                np.concatenate([np.zeros(self.ni), self.mvec])[:, None])
+            self._kkt = spla.splu(sp.bmat([[self.K, mcol], [mcol.T, None]],
+                                          format="csc"))
         self.nsolves = 0
         self.iteration_log = []
 
@@ -114,16 +106,15 @@ class DarcySubsolver:
         return q - self.mvec * ((self.mvec @ q) / self._mnorm2)
 
     def operator(self):
-        ni = self.ni
+        """K_D with its pressure rows projected onto {q : m.q = 0}."""
+        K, ni = self.K, self.ni
 
         def apply(x):
-            u, p = x[:ni], x[ni:]
-            out = np.empty_like(x)
-            out[:ni] = self.Aii @ u - self.BiT @ p
-            out[ni:] = -self._project(self.Bi @ u)
+            out = K @ x
+            out[ni:] = self._project(out[ni:])
             return out
 
-        return LinOp(ni + self.npres, apply)
+        return LinOp(K.shape[0], apply)
 
     def _solve_blocks(self, F, G, rtol=None):
         """Interior/pressure solve of the constrained saddle system."""

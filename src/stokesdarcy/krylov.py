@@ -63,16 +63,11 @@ class SolveStats:
             self.residuals[-1] / max(self.residuals[0], 1e-300))
 
 
-def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500,
-           stop_norm="pinv", stop_ref="r0"):
+def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500):
     """MINRES for a symmetric system, preconditioned by an SPD operator.
 
-    By default terminates when the Pinv-norm of the residual drops below
-    rtol times the Pinv-norm of the initial residual b - A x0.  With
-    stop_norm='euclidean' the plain 2-norm of the residual (maintained by
-    recurrence, no extra operator applications) is monitored instead, and
-    with stop_ref='b' the reduction is measured against ||b|| rather than
-    the initial residual, the convention of the common Matlab routine.
+    Terminates when the Pinv-norm of the residual drops below rtol times
+    the Pinv-norm of the initial residual b - A x0.
 
     Parameters
     ----------
@@ -91,12 +86,7 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500,
     Pinv = identity_op(n) if Pinv is None else aslinop(Pinv)
     if not 0 < rtol < 1:
         raise ValueError("rtol must lie in (0, 1)")
-    if stop_norm not in ("pinv", "euclidean"):
-        raise ValueError("stop_norm must be 'pinv' or 'euclidean'")
-    if stop_ref not in ("r0", "b", "b2"):
-        raise ValueError("stop_ref must be 'r0', 'b' or 'b2'")
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    track_vec = stop_norm == "euclidean"
 
     v_new = b - A(x) if x0 is not None else b.astype(float).copy()
     z_new = Pinv(v_new)
@@ -104,20 +94,9 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500,
     if g2 < 0:
         raise IndefinitePreconditioner("<r, Pinv r> = %.3e < 0" % g2)
     gamma_new = np.sqrt(g2)
-    r_vec = v_new.copy() if track_vec else None
-    res0 = np.linalg.norm(v_new) if track_vec else gamma_new
-    residuals = [res0]
-    if stop_ref == "b":
-        bref = np.linalg.norm(b) if track_vec else np.sqrt(
-            max(b @ Pinv(b), 0.0))
-        tol_abs = rtol * bref
-    elif stop_ref == "b2":
-        # reference is always the Euclidean ||b||, whatever norm is
-        # monitored: the convention of the common Matlab routine
-        tol_abs = rtol * np.linalg.norm(b)
-    else:
-        tol_abs = rtol * res0
-    if res0 == 0.0 or res0 <= tol_abs:
+    residuals = [gamma_new]
+    tol_abs = rtol * gamma_new
+    if gamma_new == 0.0:
         return x, SolveStats(0, residuals, True, time.perf_counter() - t0)
 
     v, v_old = v_new, np.zeros(n)
@@ -128,8 +107,6 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500,
     c_prev = c_curr = 1.0
     w = np.zeros(n)
     w_old = np.zeros(n)
-    aw = np.zeros(n)
-    aw_old = np.zeros(n)
     converged = False
     it = 0
 
@@ -154,14 +131,8 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500,
 
         w_new = (zhat - a3 * w_old - a2 * w) / a1
         x += (c_new * eta) * w_new
-        if track_vec:
-            aw_new = (Az - a3 * aw_old - a2 * aw) / a1
-            r_vec -= (c_new * eta) * aw_new
-            aw_old, aw = aw, aw_new
-            residuals.append(np.linalg.norm(r_vec))
         eta = -s_new * eta
-        if not track_vec:
-            residuals.append(abs(eta))
+        residuals.append(abs(eta))
 
         w_old, w = w, w_new
         v_old, v = v, v_new

@@ -70,10 +70,9 @@ def _is_diagonal(M):
 
 def mass_inverse(M, mode="auto"):
     """Mass-block treatment: exact inverse where the matrix is diagonal,
-    otherwise a direct factorization ('exact') or one symmetric
-    Gauss-Seidel sweep ('gs').  'auto' picks diagonal-exact when possible
-    and the Gauss-Seidel sweep otherwise."""
-    if mode not in ("auto", "exact", "gs"):
+    otherwise one symmetric Gauss-Seidel sweep ('auto') or a direct
+    factorization ('exact')."""
+    if mode not in ("auto", "exact"):
         raise ValueError("unknown mass mode %r" % (mode,))
     if _is_diagonal(M):
         return diagonal_inverse(M)
@@ -166,18 +165,13 @@ class HXTransfer:
     Delta : sparse scalar stiffness of the potential space
     """
 
-    def __init__(self, C, Idiv, Sdiv, L, Delta, tau, nodal_space,
-                 potential_space, free_nodal, free_potential):
+    def __init__(self, C, Idiv, Sdiv, L, Delta, tau):
         self.C = C
         self.Idiv = Idiv
         self.Sdiv = Sdiv
         self.L = L
         self.Delta = Delta
         self.tau = tau
-        self.nodal_space = nodal_space
-        self.potential_space = potential_space
-        self.free_nodal = free_nodal
-        self.free_potential = free_potential
 
 
 def _hx_transfer_matrices(flux, scalar):
@@ -264,8 +258,9 @@ def _hx_transfer_matrices(flux, scalar):
     return C, Idiv
 
 
-def build_hx_transfers(flux, params, free_flux=None, operator_matrices=None):
-    """Assemble the auxiliary-space transfer data for a flux space.
+def build_hx_transfers(problem):
+    """Assemble the auxiliary-space transfer data for a Problem's flux
+    space.
 
     The vector nodal space has the order of the flux family (linears for
     bdm1, quadratics for rt1); the scalar stream-function space is
@@ -275,23 +270,17 @@ def build_hx_transfers(flux, params, free_flux=None, operator_matrices=None):
     of the inner problem.  Raises if the rotated-gradient image is not
     represented exactly.
     """
+    flux, tau = problem.flux, problem.params.tau
     nodal = Space(flux.mesh, "p1" if flux.family == "bdm1" else "p2",
                   flux.region)
     potential = Space(flux.mesh, "p2", flux.region)
     _, Idiv = _hx_transfer_matrices(flux, nodal)
     C, _ = _hx_transfer_matrices(flux, potential)
 
-    if operator_matrices is None:
-        A_D, D_D = assembly.flux_operator_matrices(flux, params.tau)
-    else:
-        A_D, D_D = operator_matrices
-    if free_flux is None:
-        free_flux = np.where(~flux.on_boundary)[0]
+    free_flux = problem.free_flux
     free_nd = np.where(~nodal.on_boundary)[0]
     free_pt = np.where(~potential.on_boundary)[0]
     free_vec = np.stack([2 * free_nd, 2 * free_nd + 1], axis=1).ravel()
-
-    ADD = (A_D + D_D)[np.ix_(free_flux, free_flux)].tocsr()
     C_f = C[free_flux][:, free_pt].tocsr()
     Idiv_f = Idiv[free_flux][:, free_vec].tocsr()
 
@@ -302,11 +291,10 @@ def build_hx_transfers(flux, params, free_flux=None, operator_matrices=None):
 
     K = assembly.scalar_stiffness(nodal)
     M = assembly.scalar_mass(nodal)
-    Lsc = (K + params.tau * M)[np.ix_(free_nd, free_nd)].tocsr()
+    Lsc = (K + tau * M)[np.ix_(free_nd, free_nd)].tocsr()
     Delta = assembly.scalar_stiffness(potential)[np.ix_(free_pt,
                                                         free_pt)].tocsr()
-    t = HXTransfer(C_f, Idiv_f, ADD.diagonal(), Lsc, Delta, params.tau,
-                   nodal, potential, free_nd, free_pt)
+    t = HXTransfer(C_f, Idiv_f, problem.Adiv_f.diagonal(), Lsc, Delta, tau)
     t.curl_residual = resid
     return t
 

@@ -94,6 +94,16 @@ class Problem:
         self.A_ff = self.A_S[np.ix_(self.free_vel, self.free_vel)].tocsr()
         self.B_Sf = self.B_S[:, self.free_vel].tocsr()
         self.R_f = self.R[:, self.free_vel].tocsr()
+        # each subproblem operator is assembled once, here: the free-flow
+        # and porous saddle blocks and the div-elliptic porous block, all
+        # on the free DOFs
+        self.K_S = sp.bmat([[self.A_ff, -self.B_Sf.T], [-self.B_Sf, None]],
+                           format="csr")
+        ff = np.ix_(self.free_flux, self.free_flux)
+        B_Di = self.B_D[:, self.free_flux]
+        self.K_D = sp.bmat([[self.A_D[ff], -B_Di.T], [-B_Di, None]],
+                           format="csr")
+        self.Adiv_f = (self.A_D + self.D_D)[ff].tocsr()
 
         self.F_S = assembly.stokes_load(self.vel, self.case, p)
         self.G_D = assembly.darcy_load(self.dpres, self.case)
@@ -104,14 +114,6 @@ class Problem:
         """Raw total of the four space dimensions (the table convention)."""
         return (self.vel.ndof + self.pres.ndof
                 + self.flux.ndof + self.dpres.ndof)
-
-    def make_subsolver(self, precond_kind="pd0", rtol=1e-2, maxit=2000,
-                       mode="iter", mass_mode="auto"):
-        return ftp.DarcySubsolver(self.A_D, self.B_D, self.D_D, self.M_D,
-                                  self.flux, self.dpres, self.lift,
-                                  self.params, precond_kind=precond_kind,
-                                  rtol=rtol, maxit=maxit, mode=mode,
-                                  mass_mode=mass_mode)
 
 
 class SolveConfig:
@@ -240,21 +242,16 @@ def outer_preconditioner(problem, config):
 
 
 def _outer_operator(problem, coupling):
-    nf = len(problem.free_vel)
-    npres = problem.pres.ndof
-    A_ff, B = problem.A_ff, problem.B_Sf
-    BT = B.T.tocsr()
+    """K_S, plus the nonlocal coupling on the velocity rows."""
+    K, nf = problem.K_S, len(problem.free_vel)
 
     def apply(x):
-        u, p = x[:nf], x[nf:]
-        out = np.empty_like(x)
-        out[:nf] = A_ff @ u - BT @ p
+        out = K @ x
         if coupling is not None:
-            out[:nf] += coupling(u)
-        out[nf:] = -(B @ u)
+            out[:nf] += coupling(x[:nf])
         return out
 
-    return LinOp(nf + npres, apply)
+    return LinOp(K.shape[0], apply)
 
 
 def solve_coupled(problem, config=None, subsolver=None):
@@ -263,8 +260,8 @@ def solve_coupled(problem, config=None, subsolver=None):
     t0 = time.perf_counter()
     config = config or SolveConfig(problem.pair, problem.n)
     if subsolver is None:
-        subsolver = problem.make_subsolver(
-            precond_kind=config.combo[1], rtol=config.inner_rtol,
+        subsolver = ftp.DarcySubsolver(
+            problem, precond_kind=config.combo[1], rtol=config.inner_rtol,
             maxit=config.maxit_inner, mass_mode=config.mass_mode)
 
     gamma_res = ftp.source_residual(subsolver, problem.G_D,

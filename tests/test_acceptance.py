@@ -247,7 +247,7 @@ def test_criterion7_spectral_equivalence():
     conds_outer = []
     for n in (8, 32):
         pr = Problem("mini", n)
-        sub = pr.make_subsolver(mode="exact")
+        sub = ftp.DarcySubsolver(pr, mode="exact")
         op = _outer_operator(pr, ftp.CouplingOperator(pr.R_f, sub))
         P = outer_preconditioner(pr, SolveConfig("mini", n,
                                                  mass_mode="exact"))
@@ -259,13 +259,10 @@ def test_criterion7_spectral_equivalence():
         vals = []
         for n in (8, 32):
             pr = Problem(pair, n)
-            free = np.where(~pr.flux.on_boundary)[0]
-            ADD = (pr.A_D + pr.D_D)[np.ix_(free, free)].tocsr()
-            t = precond.build_hx_transfers(
-                pr.flux, pr.params, free_flux=free,
-                operator_matrices=(pr.A_D, pr.D_D))
+            t = precond.build_hx_transfers(pr)
             vals.append(spd_condition_estimate(
-                ADD, precond.build_hx_precond(t, "direct"), k=100, seed=4))
+                pr.Adiv_f, precond.build_hx_precond(t, "direct"), k=100,
+                seed=4))
         conds_hx[pair] = vals[1] / vals[0]
     print("[criterion 7] cond growth n=8->32: outer saddle x%.3f, "
           "div-block aux bdm1 x%.3f, rt1 x%.3f (bound 1.5)"

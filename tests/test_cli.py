@@ -45,7 +45,7 @@ def test_rerun_byte_identical(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for out in (a, b):
         assert main(["converge", "--pair", "p2isop1-bdm1", "--nmin", "8",
-                     "--nmax", "8", "--seed", "3", "--out", str(out)]) == 0
+                     "--nmax", "8", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -203,3 +203,68 @@ def test_malformed_combo_or_pair_is_usage_error(tmp_path, capsys,
         argv = ["iterations", "--config", str(cfg)]
     err = _assert_usage_error(capsys, monkeypatch, argv)
     assert repr(value) in err
+
+
+@pytest.mark.parametrize("argv,config", [
+    pytest.param(["converge", "--seed", "3"], None, id="converge-seed"),
+    pytest.param(["iterations", "--seed", "3"], None, id="iterations-seed"),
+    pytest.param(["oracle", "--seed", "3"], None, id="oracle-seed"),
+    pytest.param(["check", "--pair", "mini"], None, id="check-pair"),
+    pytest.param(["oracle", "--format", "markdown"], None,
+                 id="oracle-format"),
+    pytest.param(["oracle", "--out", "x.md"], None, id="oracle-out"),
+    pytest.param(["oracle", "--inner-rtol", "0.5"], None,
+                 id="oracle-inner-rtol"),
+    pytest.param(["oracle", "--nmax", "4"], None, id="oracle-nmax"),
+    pytest.param(["converge", "--combo", "direct:pd0", "--combo", "bpx:hx"],
+                 None, id="converge-two-combos"),
+    pytest.param(["oracle", "--combo", "direct:pd0", "--combo", "bpx:hx"],
+                 None, id="oracle-two-combos"),
+    pytest.param(["iterations"], "inner_rtl = 0.5\n", id="key-typo"),
+    pytest.param(["iterations"], "seeed = 4\n", id="key-seeed"),
+    pytest.param(["converge"], "seed = 4\n", id="key-seed-converge"),
+    pytest.param(["check"], "nmin = 8\n", id="key-nmin-check"),
+    pytest.param(["oracle"], "inner_rtol = 0.5\n", id="key-inner-rtol-oracle"),
+    pytest.param(["converge"], "combo = direct:pd0\ncombo = bpx:hx\n",
+                 id="key-two-combos-converge"),
+    pytest.param(["iterations"], "format = xlsx\n", id="key-bad-format"),
+])
+def test_unread_flag_or_key_is_usage_error(tmp_path, capsys, monkeypatch,
+                                           argv, config):
+    """Every verb accepts only the flags and config keys it reads, and
+    converge and oracle solve exactly one combo; a config value is
+    checked like the flag it stands for."""
+    import stokesdarcy.checks as checks
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("the check battery was started")
+
+    monkeypatch.setattr(checks, "run_all", no_check)
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    _assert_usage_error(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("verb,keys", [
+    ("converge", "pair nmin nmax combo outer_rtol inner_rtol format out"),
+    ("iterations", "pair nmin nmax combo outer_rtol inner_rtol format out"),
+    ("check", "seed"),
+    ("oracle", "pair nmin combo"),
+])
+def test_verb_reads_its_config_keys(tmp_path, verb, keys):
+    """The keys a verb reads are accepted from a config file."""
+    values = {"pair": "iso", "nmin": "16", "nmax": "32", "combo": "bpx:hx",
+              "outer_rtol": "1e-7", "inner_rtol": "1e-3",
+              "format": "markdown", "out": "x.md", "seed": "5"}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join("%s = %s\n" % (k, values[k])
+                           for k in keys.split()))
+    spec = _spec([verb, "--config", str(cfg)])
+    for key in keys.split():
+        want = {"pair": "p2isop1-bdm1", "combo": [("bpx", "hx")]}.get(key)
+        got = spec.combos if key == "combo" else getattr(spec, key)
+        if want is None:
+            want = type(got)(values[key])
+        assert got == want, key

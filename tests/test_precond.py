@@ -18,11 +18,8 @@ def test_direct_inverse_diagonal():
 
 def _spd_block(pr, block):
     """The free-flow velocity block A_ff, or the div-elliptic Darcy block
-    (A_D + D_D) restricted to the free flux DOFs."""
-    if block == "A_ff":
-        return pr.A_ff
-    free = pr.free_flux
-    return (pr.A_D + pr.D_D)[np.ix_(free, free)].tocsr()
+    Adiv_f on the free flux DOFs."""
+    return pr.A_ff if block == "A_ff" else pr.Adiv_f
 
 
 @pytest.mark.parametrize("pair,block", [("mini", "A_ff"), ("th", "darcy")])
@@ -88,6 +85,12 @@ def test_mass_inverse_auto_diagonal(mini8):
     d = mini8.M_D.diagonal()
     x = np.arange(1.0, len(d) + 1)
     assert np.allclose(op(x), x / d)
+
+
+def test_mass_inverse_rejects_unknown_mode(mini8):
+    for mode in ("gauss-seidel", "jacobi"):
+        with pytest.raises(ValueError):
+            precond.mass_inverse(mini8.M_S, mode)
 
 
 def test_projected_mass_inverse(mini8, rng):
@@ -171,10 +174,8 @@ def test_bpx_spectral_bound_ratio(problem_cache):
 @pytest.mark.parametrize("pair", ["mini", "th"])
 def test_hx_divcurl_and_spd(problem_cache, rng, pair):
     pr = problem_cache(pair, 8)
-    free = np.where(~pr.flux.on_boundary)[0]
-    t = precond.build_hx_transfers(pr.flux, pr.params, free_flux=free,
-                                   operator_matrices=(pr.A_D, pr.D_D))
-    D = pr.D_D[np.ix_(free, free)]
+    t = precond.build_hx_transfers(pr)
+    D = pr.D_D[np.ix_(pr.free_flux, pr.free_flux)]
     assert abs(D @ t.C).max() <= 1e-10
     assert t.curl_residual <= 1e-12
     op = precond.build_hx_precond(t, "direct")
@@ -229,20 +230,15 @@ def test_hx_spectral_equivalence(problem_cache, fam, family):
     conds = []
     for n in (8, 16, 32):
         pr = problem_cache(fam, n)
-        free = np.where(~pr.flux.on_boundary)[0]
-        ADD = (pr.A_D + pr.D_D)[np.ix_(free, free)].tocsr()
-        t = precond.build_hx_transfers(pr.flux, pr.params, free_flux=free,
-                                       operator_matrices=(pr.A_D, pr.D_D))
-        op = precond.build_hx_precond(t, "direct")
-        conds.append(spd_condition_estimate(ADD, op, k=100, seed=6))
+        op = precond.build_hx_precond(precond.build_hx_transfers(pr),
+                                      "direct")
+        conds.append(spd_condition_estimate(pr.Adiv_f, op, k=100, seed=6))
     assert conds[-1] / conds[0] <= 1.5
 
 
 def test_hx_bpx_mode_spd(problem_cache, rng):
     pr = problem_cache("mini", 16)
-    free = np.where(~pr.flux.on_boundary)[0]
-    t = precond.build_hx_transfers(pr.flux, pr.params, free_flux=free,
-                                   operator_matrices=(pr.A_D, pr.D_D))
+    t = precond.build_hx_transfers(pr)
     hier = precond.hx_nodal_hierarchy(16, "p1", pr.params.tau)
     op = precond.build_hx_precond(t, "bpx", hier)
     for _ in range(10):
@@ -271,9 +267,7 @@ def test_hx_precond_matches_three_term_formula(problem_cache, rng, mode):
     """S^{-1} r + Idiv Linv Idiv^T r + (1/tau) C Dinv C^T r, written out
     with explicit transposes and one nodal solve per vector component."""
     pr = problem_cache("mini", 16)
-    free = np.where(~pr.flux.on_boundary)[0]
-    t = precond.build_hx_transfers(pr.flux, pr.params, free_flux=free,
-                                   operator_matrices=(pr.A_D, pr.D_D))
+    t = precond.build_hx_transfers(pr)
     if mode == "direct":
         hier = None
         Linv = precond.direct_inverse(t.L)

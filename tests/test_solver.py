@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from stokesdarcy import (Problem, SolveConfig, solve_coupled,
+from stokesdarcy import (Problem, SolveConfig, ftp, solve_coupled,
                          solve_monolithic_oracle)
 from stokesdarcy.manufactured import ZeroCase
-from stokesdarcy.solver import (canonical_pair, estimate_infsup,
-                                infsup_stokes, parse_combo)
+from stokesdarcy.solver import (_outer_operator, canonical_pair,
+                                estimate_infsup, infsup_stokes, parse_combo)
 
 
 def rel(a, b):
@@ -131,3 +133,52 @@ def test_infsup_negative_control():
     betas = [infsup_stokes(build_unit_square(n), "p1", "p1")
              for n in (4, 8, 16)]
     assert betas[2] <= betas[0] / 2
+
+
+@pytest.mark.parametrize("pair", ["mini", "iso", "th"])
+def test_saddle_matrices_match_blocks(problem_cache, rng, pair):
+    """K_S and K_D are the raw blocks assembled into one matrix, and the
+    operators that apply them match the three-product formulas they
+    replace; the exact subsolver matches a KKT solve of the raw blocks."""
+    pr = problem_cache(pair, 8)
+    free = pr.free_flux
+    A_ff, B = pr.A_ff, pr.B_Sf
+    Aii = pr.A_D[np.ix_(free, free)].tocsr()
+    Bi = pr.B_D[:, free].tocsr()
+    K_S = sp.bmat([[A_ff, -B.T], [-B, None]], format="csr")
+    K_D = sp.bmat([[Aii, -Bi.T], [-Bi, None]], format="csr")
+    assert (pr.K_S != K_S).nnz == 0 and pr.K_S.shape == K_S.shape
+    assert (pr.K_D != K_D).nnz == 0 and pr.K_D.shape == K_D.shape
+
+    nf, ni, m = len(pr.free_vel), len(free), pr.mvec
+    outer = _outer_operator(pr, None)
+    sub = ftp.DarcySubsolver(pr)
+    inner = sub.operator()
+    for _ in range(3):
+        x = rng.standard_normal(outer.n)
+        u, p = x[:nf], x[nf:]
+        want = np.concatenate([A_ff @ u - B.T @ p, -(B @ u)])
+        assert rel(outer(x), want) <= 1e-14
+        y = rng.standard_normal(inner.n)
+        u, p = y[:ni], y[ni:]
+        q = Bi @ u
+        want = np.concatenate([Aii @ u - Bi.T @ p,
+                               -(q - m * ((m @ q) / (m @ m)))])
+        assert rel(inner(y), want) <= 1e-14
+
+    exact = ftp.DarcySubsolver(pr, mode="exact")
+    phi = rng.standard_normal(pr.trace.ndim)
+    res = ftp.apply_ftp(exact, phi)
+    ul = pr.lift @ phi
+    col = sp.csc_matrix(m[:, None])
+    kkt = sp.bmat([[Aii, -Bi.T, None], [-Bi, None, col],
+                   [None, col.T, None]], format="csc")
+    rhs = np.concatenate([-(pr.A_D @ ul)[free], pr.B_D @ ul, [0.0]])
+    sol = spla.spsolve(kkt, rhs)
+    u = ul.copy()
+    u[free] += sol[:ni]
+    p = sol[ni:-1]
+    functional = pr.lift.T @ (pr.A_D @ u - pr.B_D.T @ p)
+    assert rel(res.u, u) <= 1e-12
+    assert rel(res.p, p) <= 1e-12
+    assert rel(res.functional, functional) <= 1e-12
