@@ -436,8 +436,16 @@ def nodal_prolongation(coarse, fine):
     """Sparse interpolation matrix from a coarse nodal space into a fine one.
 
     Both spaces must be continuous nodal families on nested structured
-    meshes of the same subdomain.
+    meshes of the same subdomain, both scalar or both VectorSpaces (whose
+    prolongation is the interleaved expansion of the scalar one).  Linears
+    embed into the bubble-enriched space on the same mesh as its leading
+    vertex DOFs.
     """
+    if isinstance(coarse, VectorSpace):
+        return vector_expand(nodal_prolongation(coarse.scalar, fine.scalar))
+    if (coarse.family, fine.family) == ("p1", "p1b") \
+            and coarse.mesh is fine.mesh:
+        return sp.eye(fine.ndof, coarse.ndof, format="csr")
     tri_of = locate_triangles(coarse.mesh, fine.nodes, coarse.region)
     gmap = -np.ones(coarse.mesh.num_triangles, dtype=int)
     gmap[coarse.tris] = np.arange(len(coarse.tris))

@@ -49,7 +49,8 @@ class DarcySubsolver:
     problem : the assembled Problem; its saddle block K_D and its
         div-elliptic block Adiv_f are applied and factored as they are
     precond_kind : 'pd0' (direct div-elliptic block), 'hx' or 'hxbpx'
-        (auxiliary-space block with direct or BPX nodal solves)
+        (auxiliary-space block with direct nodal solves, or BPX ones
+        floored at n = 8)
     mode : 'iter' for preconditioned MINRES, 'exact' for a factorized
         solve of K_D bordered by the mean vector (property tests)
     """
@@ -78,14 +79,11 @@ class DarcySubsolver:
         if precond_kind == "pd0":
             vel_inv = precond.direct_inverse(problem.Adiv_f)
         elif precond_kind in ("hx", "hxbpx"):
-            hx = precond.build_hx_transfers(problem)
-            if precond_kind == "hx":
-                vel_inv = precond.build_hx_precond(hx, "direct")
-            else:
-                family = "p1" if self.flux.family == "bdm1" else "p2"
-                hier = precond.hx_nodal_hierarchy(problem.n, family,
-                                                  problem.params.tau)
-                vel_inv = precond.build_hx_precond(hx, "bpx", hier)
+            # exact nodal solves are the one-level hierarchy
+            n_coarsest = problem.n if precond_kind == "hx" \
+                else min(8, problem.n)
+            vel_inv = precond.build_hx_precond(
+                precond.build_hx_transfers(problem), n_coarsest)
         else:
             raise ValueError("unknown inner preconditioner %r"
                              % (precond_kind,))

@@ -274,25 +274,25 @@ def refine_uniform(mesh):
     return CoupledMesh(2 * mesh.n, vertices, children, region, parent=parent)
 
 
-def mesh_hierarchy(n, n_coarsest=2):
-    """Nested meshes [coarsest ... finest] for multilevel preconditioners.
+def mesh_hierarchy(mesh, n_coarsest):
+    """Nested meshes [coarsest ... mesh] for multilevel preconditioners.
 
-    Built by independent construction at n_coarsest, n_coarsest*2, ..., n;
-    the uniform structure makes consecutive levels nested.
+    The coarser levels are built fresh at n_coarsest, n_coarsest*2, ...,
+    mesh.n / 2 (the uniform structure makes consecutive levels nested);
+    the given mesh itself is the finest level.
     """
-    if n < n_coarsest:
+    if mesh.n < n_coarsest:
         raise ValueError("n smaller than the coarsest level")
     sizes = []
-    m = n
+    m = mesh.n
     while m > n_coarsest:
         if m % 2 != 0:
             raise ValueError("hierarchy requires n = n_coarsest * 2**k")
-        sizes.append(m)
         m //= 2
+        sizes.append(m)
     if m != n_coarsest:
         raise ValueError("hierarchy requires n = n_coarsest * 2**k")
-    sizes.append(n_coarsest)
-    return [build_unit_square(s) for s in reversed(sizes)]
+    return [build_unit_square(s) for s in reversed(sizes)] + [mesh]
 
 
 def interface_trace(mesh):

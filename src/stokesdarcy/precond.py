@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import assembly, quadrature
-from .fespace import REGION_D, Space, nodal_prolongation
+from .fespace import Space, nodal_prolongation
 from .krylov import LinOp
 from .mesh import REF_VERTICES, mesh_hierarchy, segment_points
 
@@ -149,6 +149,19 @@ def build_bpx(mats, prolongs):
     return LinOp(mats[-1].shape[0], apply)
 
 
+def nodal_bpx(spaces, top, matrix, free):
+    """BPX over nested nodal spaces, coarsest first: the coarser levels
+    assemble matrix(space) on the DOFs free(space), the finest is the
+    caller's block `top` on free(spaces[-1]).  One space solves directly.
+    """
+    frees = [free(s) for s in spaces]
+    mats = [matrix(s)[np.ix_(f, f)].tocsr()
+            for s, f in zip(spaces[:-1], frees)] + [top]
+    prolongs = [nodal_prolongation(c, f)[ff][:, fc].tocsr()
+                for c, f, fc, ff in zip(spaces, spaces[1:], frees, frees[1:])]
+    return build_bpx(mats, prolongs)
+
+
 class HXTransfer:
     """Transfer matrices and component blocks of the auxiliary-space
     preconditioner for the div-elliptic Darcy velocity block.
@@ -163,15 +176,19 @@ class HXTransfer:
     Sdiv : (nflux,) diagonal of the div-elliptic block
     L : sparse vector nodal matrix (grad, grad) + tau (., .)
     Delta : sparse scalar stiffness of the potential space
+    nodal, potential : the scalar nodal and stream-function Spaces that
+        L and Delta live on (one object for rt1)
     """
 
-    def __init__(self, C, Idiv, Sdiv, L, Delta, tau):
+    def __init__(self, C, Idiv, Sdiv, L, Delta, tau, nodal, potential):
         self.C = C
         self.Idiv = Idiv
         self.Sdiv = Sdiv
         self.L = L
         self.Delta = Delta
         self.tau = tau
+        self.nodal = nodal
+        self.potential = potential
 
 
 def _hx_transfer_matrices(flux, scalar):
@@ -271,11 +288,12 @@ def build_hx_transfers(problem):
     represented exactly.
     """
     flux, tau = problem.flux, problem.params.tau
-    nodal = Space(flux.mesh, "p1" if flux.family == "bdm1" else "p2",
-                  flux.region)
     potential = Space(flux.mesh, "p2", flux.region)
-    _, Idiv = _hx_transfer_matrices(flux, nodal)
-    C, _ = _hx_transfer_matrices(flux, potential)
+    nodal = Space(flux.mesh, "p1", flux.region) if flux.family == "bdm1" \
+        else potential
+    C, Idiv = _hx_transfer_matrices(flux, potential)
+    if nodal is not potential:
+        _, Idiv = _hx_transfer_matrices(flux, nodal)
 
     free_flux = problem.free_flux
     free_nd = np.where(~nodal.on_boundary)[0]
@@ -292,9 +310,11 @@ def build_hx_transfers(problem):
     K = assembly.scalar_stiffness(nodal)
     M = assembly.scalar_mass(nodal)
     Lsc = (K + tau * M)[np.ix_(free_nd, free_nd)].tocsr()
-    Delta = assembly.scalar_stiffness(potential)[np.ix_(free_pt,
-                                                        free_pt)].tocsr()
-    t = HXTransfer(C_f, Idiv_f, problem.Adiv_f.diagonal(), Lsc, Delta, tau)
+    if nodal is not potential:
+        K = assembly.scalar_stiffness(potential)
+    Delta = K[np.ix_(free_pt, free_pt)].tocsr()
+    t = HXTransfer(C_f, Idiv_f, problem.Adiv_f.diagonal(), Lsc, Delta, tau,
+                   nodal, potential)
     t.curl_residual = resid
     return t
 
@@ -323,27 +343,15 @@ def curl_representation_residual(flux, scalar, C, nprobe=3, seed=7):
     return worst
 
 
-def build_hx_precond(transfer, mode="direct", hierarchy=None):
-    """Three-term additive auxiliary-space preconditioner.
-
-    Applies S^{-1} + Idiv Linv Idiv^T + (1/tau) C Dinv C^T with the nodal
-    solves Linv, Dinv realized directly or by BPX over `hierarchy`
-    (required for mode 'bpx'; see hx_nodal_hierarchy).
-    """
+def build_hx_precond(transfer, n_coarsest):
+    """Three-term additive auxiliary-space preconditioner S^{-1} + Idiv
+    Linv Idiv^T + (1/tau) C Dinv C^T, the nodal solves by BPX from
+    n_coarsest up (see hx_nodal_hierarchy; one level solves exactly)."""
     Sinv = 1.0 / transfer.Sdiv
     C, Idiv = transfer.C, transfer.Idiv
     CT, IdivT = C.T.tocsr(), Idiv.T.tocsr()
     tau = transfer.tau
-    if mode == "direct":
-        Linv_sc = direct_inverse(transfer.L)
-        Dinv = direct_inverse(transfer.Delta)
-    elif mode == "bpx":
-        if hierarchy is None:
-            raise ValueError("BPX mode needs a nodal hierarchy")
-        Linv_sc = build_bpx(hierarchy["L_mats"], hierarchy["L_prolongs"])
-        Dinv = build_bpx(hierarchy["D_mats"], hierarchy["D_prolongs"])
-    else:
-        raise ValueError("unknown mode %r" % (mode,))
+    Linv_sc, Dinv = hx_nodal_hierarchy(transfer, n_coarsest)
 
     def apply(r):
         x = Sinv * r
@@ -358,31 +366,19 @@ def build_hx_precond(transfer, mode="direct", hierarchy=None):
     return op
 
 
-def _scalar_hierarchy(meshes, family, matrix):
-    spaces = [Space(m, family, REGION_D) for m in meshes]
-    frees = [np.where(~s.on_boundary)[0] for s in spaces]
-    mats = [matrix(s)[np.ix_(fr, fr)].tocsr()
-            for s, fr in zip(spaces, frees)]
-    prolongs = [nodal_prolongation(spaces[i], spaces[i + 1])
-                [frees[i + 1]][:, frees[i]].tocsr()
-                for i in range(len(spaces) - 1)]
-    return mats, prolongs
+def hx_nodal_hierarchy(transfer, n_coarsest):
+    """BPX solves (Linv, Dinv) of the zero-boundary auxiliary-space nodal
+    blocks, coarsest level n_coarsest; the finest levels are transfer.L
+    and transfer.Delta on transfer.nodal and transfer.potential."""
+    tau = transfer.tau
+    meshes = mesh_hierarchy(transfer.nodal.mesh, n_coarsest)[:-1]
 
+    def bpx(space, top, matrix):
+        levels = [Space(m, space.family, space.region) for m in meshes]
+        return nodal_bpx(levels + [space], top, matrix,
+                         lambda s: np.where(~s.on_boundary)[0])
 
-def hx_nodal_hierarchy(n, family, tau):
-    """Zero-boundary nodal hierarchies for the auxiliary-space BPX solves:
-    the vector block on the family of the flux order, the stream-function
-    Laplacian on quadratics.
-
-    Floors at the coarsest production mesh: at n = 8 the hierarchy is a
-    single directly solved level, so the nodal solves coincide with the
-    direct variant there.
-    """
-    meshes = mesh_hierarchy(n, min(8, n))
-    L_mats, L_prolongs = _scalar_hierarchy(
-        meshes, family,
-        lambda s: assembly.scalar_stiffness(s) + tau * assembly.scalar_mass(s))
-    D_mats, D_prolongs = _scalar_hierarchy(
-        meshes, "p2", assembly.scalar_stiffness)
-    return {"L_mats": L_mats, "L_prolongs": L_prolongs,
-            "D_mats": D_mats, "D_prolongs": D_prolongs}
+    return (bpx(transfer.nodal, transfer.L,
+                lambda s: assembly.scalar_stiffness(s)
+                + tau * assembly.scalar_mass(s)),
+            bpx(transfer.potential, transfer.Delta, assembly.scalar_stiffness))

@@ -126,7 +126,7 @@ class SolveConfig:
         self.n = n
         self.outer_rtol = outer_rtol
         self.inner_rtol = inner_rtol
-        self.combo = parse_combo(combo) if isinstance(combo, str) else combo
+        self.combo = parse_combo(combo)
         self.mass_mode = mass_mode
         self.maxit_outer = maxit_outer or 1600
         self.maxit_inner = maxit_inner
@@ -137,17 +137,17 @@ OUTER_KINDS = ("direct", "bpx")
 INNER_KINDS = ("pd0", "hx", "hxbpx")
 
 
-def parse_combo(text):
-    """'outer:inner' combo names, e.g. 'direct:pd0' or 'bpx:hx'."""
-    try:
-        outer, inner = text.split(":")
-    except ValueError:
+def parse_combo(combo):
+    """The (outer, inner) kinds of a combo, lowercase and validated: an
+    'outer:inner' name such as 'direct:pd0' or 'bpx:hx', or a pair."""
+    parts = combo.split(":") if isinstance(combo, str) else tuple(combo)
+    if len(parts) != 2 or not all(isinstance(p, str) for p in parts):
         raise ValueError("combo must look like 'outer:inner', got %r"
-                         % (text,))
-    outer, inner = outer.strip().lower(), inner.strip().lower()
+                         % (combo,))
+    outer, inner = (p.strip().lower() for p in parts)
     if outer not in OUTER_KINDS or inner not in INNER_KINDS:
         raise ValueError("unknown combo %r (outer in %s, inner in %s)"
-                         % (text, OUTER_KINDS, INNER_KINDS))
+                         % (combo, OUTER_KINDS, INNER_KINDS))
     return outer, inner
 
 
@@ -199,36 +199,23 @@ def bpx_coarsest(n, enriched=False):
 
 
 def stokes_velocity_bpx(problem, n_coarsest=None):
-    """Multilevel hierarchy for the free-flow velocity block.
-
-    Nodal levels run from the coarsest mesh up to the fine one; for the
-    bubble-enriched pair the top level is the enriched space itself (its
-    Jacobi scaling covers the bubbles) on top of the linear hierarchy.
-    """
-    pair = problem.pair
-    params = problem.params
+    """Multilevel hierarchy for the free-flow velocity block, ending at
+    the problem's own space and block A_ff: for the bubble-enriched pair
+    on top of the linear level of the same mesh (its Jacobi scaling covers
+    the bubbles), for a nodal pair in place of the finest nodal level."""
+    vel = problem.vel
+    enriched = vel.scalar.family == "p1b"
     if n_coarsest is None:
-        n_coarsest = bpx_coarsest(problem.n, pair == "mini-bdm1")
-    meshes = mesh_hierarchy(problem.n, n_coarsest)
-    fam = {"mini-bdm1": "p1", "p2isop1-bdm1": "p1",
-           "taylorhood-rt1": "p2"}[pair]
-    spaces = [VectorSpace(Space(m, fam, REGION_S)) for m in meshes]
-    frees = [np.where(~v.on_gamma)[0] for v in spaces]
-    # the top level is the problem's own block: of the bubble-enriched
-    # pair on top of all nodal levels, of a nodal pair in place of the
-    # finest one
-    nodal = spaces if pair == "mini-bdm1" else spaces[:-1]
-    mats = [assembly.stokes_velocity_matrix(v, params)[np.ix_(f, f)].tocsr()
-            for v, f in zip(nodal, frees)] + [problem.A_ff]
-    prolongs = [vector_expand(nodal_prolongation(spaces[i].scalar,
-                                                 spaces[i + 1].scalar))
-                [frees[i + 1]][:, frees[i]].tocsr()
-                for i in range(len(spaces) - 1)]
-    if pair == "mini-bdm1":
-        # embed the top linear level into the enriched fine space
-        E = sp.eye(problem.vel.ndof, 2 * spaces[-1].scalar.ndof, format="csr")
-        prolongs.append(E[problem.free_vel][:, frees[-1]].tocsr())
-    return precond.build_bpx(mats, prolongs)
+        n_coarsest = bpx_coarsest(problem.n, enriched)
+    meshes = mesh_hierarchy(problem.mesh, n_coarsest)
+    if not enriched:
+        meshes = meshes[:-1]
+    family = "p1" if enriched else vel.scalar.family
+    spaces = [VectorSpace(Space(m, family, REGION_S)) for m in meshes]
+    return precond.nodal_bpx(
+        spaces + [vel], problem.A_ff,
+        lambda v: assembly.stokes_velocity_matrix(v, problem.params),
+        lambda v: np.where(~v.on_gamma)[0])
 
 
 def outer_preconditioner(problem, config):

@@ -1,7 +1,13 @@
-import numpy as np
-import pytest
+import os
 
-from stokesdarcy import Problem
+# one BLAS thread, as the benchmark runs; an explicit setting still wins
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from stokesdarcy import Problem  # noqa: E402
 
 
 @pytest.fixture(scope="session")

@@ -124,10 +124,10 @@ def test_boundary_tags():
 
 
 def test_hierarchy_nested_sizes():
-    hier = mesh_hierarchy(16, 2)
+    hier = mesh_hierarchy(build_unit_square(16), 2)
     assert [m.n for m in hier] == [2, 4, 8, 16]
     with pytest.raises(ValueError):
-        mesh_hierarchy(12, 2)
+        mesh_hierarchy(build_unit_square(12), 2)
 
 
 @pytest.mark.parametrize("region", [None, 0, 1])

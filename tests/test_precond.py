@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stokesdarcy import PhysicalParams, build_unit_square
+from stokesdarcy import build_unit_square
 from stokesdarcy import precond
 from stokesdarcy import quadrature as quad
 from stokesdarcy.fespace import REGION_D, FluxSpace, Space
-from stokesdarcy.krylov import spd_condition_estimate
-
-params = PhysicalParams()
+from stokesdarcy.krylov import LinOp, spd_condition_estimate
 
 
 def test_direct_inverse_diagonal():
@@ -178,7 +176,7 @@ def test_hx_divcurl_and_spd(problem_cache, rng, pair):
     D = pr.D_D[np.ix_(pr.free_flux, pr.free_flux)]
     assert abs(D @ t.C).max() <= 1e-10
     assert t.curl_residual <= 1e-12
-    op = precond.build_hx_precond(t, "direct")
+    op = precond.build_hx_precond(t, 8)
     for _ in range(20):
         x = rng.standard_normal(op.n)
         assert x @ op(x) > 0
@@ -230,31 +228,59 @@ def test_hx_spectral_equivalence(problem_cache, fam, family):
     conds = []
     for n in (8, 16, 32):
         pr = problem_cache(fam, n)
-        op = precond.build_hx_precond(precond.build_hx_transfers(pr),
-                                      "direct")
+        op = precond.build_hx_precond(precond.build_hx_transfers(pr), n)
         conds.append(spd_condition_estimate(pr.Adiv_f, op, k=100, seed=6))
     assert conds[-1] / conds[0] <= 1.5
 
 
-def test_hx_bpx_mode_spd(problem_cache, rng):
+def test_hx_bpx_mode_spd(problem_cache, rng, monkeypatch):
+    """SPD, and one apply costs exactly one vector nodal (two-column block)
+    solve and one potential solve, with one level and with BPX."""
     pr = problem_cache("mini", 16)
     t = precond.build_hx_transfers(pr)
-    hier = precond.hx_nodal_hierarchy(16, "p1", pr.params.tau)
-    op = precond.build_hx_precond(t, "bpx", hier)
-    for _ in range(10):
-        x = rng.standard_normal(op.n)
-        assert x @ op(x) > 0
-    assert op.second_order_solves_per_apply == 2
+    hierarchy = precond.hx_nodal_hierarchy
+
+    def counter(solve, key):
+        def apply(x):
+            calls[key].append(x.shape)
+            return solve(x)
+        return LinOp(solve.n, apply)
+
+    def counted(transfer, n_coarsest):
+        Linv, Dinv = hierarchy(transfer, n_coarsest)
+        return counter(Linv, "L"), counter(Dinv, "D")
+
+    monkeypatch.setattr(precond, "hx_nodal_hierarchy", counted)
+    for n_coarsest in (16, 8):
+        calls = {"L": [], "D": []}
+        op = precond.build_hx_precond(t, n_coarsest)
+        op(rng.standard_normal(op.n))
+        assert calls == {"L": [(t.L.shape[0], 2)],
+                         "D": [(t.Delta.shape[0],)]}
+        for _ in range(10):
+            x = rng.standard_normal(op.n)
+            assert x @ op(x) > 0
 
 
 @pytest.mark.parametrize("family", ["p1", "p2"])
-def test_bpx_block_apply_matches_columns(rng, family):
-    """An (n, 2) block is preconditioned column by column, bitwise."""
-    hier = precond.hx_nodal_hierarchy(32, family, params.tau)
-    for mats, prolongs in ((hier["L_mats"], hier["L_prolongs"]),
-                           (hier["D_mats"], hier["D_prolongs"])):
-        assert len(prolongs) == 2
-        op = precond.build_bpx(mats, prolongs)
+def test_bpx_block_apply_matches_columns(problem_cache, rng, monkeypatch,
+                                         family):
+    """An (n, 2) block is preconditioned column by column, bitwise, for
+    the nodal hierarchies of the bdm1 (p1) and rt1 (p2) flux spaces."""
+    depths = []
+    build_bpx = precond.build_bpx
+
+    def recorded(mats, prolongs):
+        depths.append(len(prolongs))
+        return build_bpx(mats, prolongs)
+
+    monkeypatch.setattr(precond, "build_bpx", recorded)
+    pair = {"p1": "mini", "p2": "th"}[family]
+    t = precond.build_hx_transfers(problem_cache(pair, 32))
+    assert t.nodal.family == family
+    solves = precond.hx_nodal_hierarchy(t, 8)
+    assert depths == [2, 2]
+    for op in solves:
         R = rng.standard_normal((op.n, 2))
         Y = op(R)
         assert Y.shape == (op.n, 2)
@@ -265,18 +291,17 @@ def test_bpx_block_apply_matches_columns(rng, family):
 @pytest.mark.parametrize("mode", ["direct", "bpx"])
 def test_hx_precond_matches_three_term_formula(problem_cache, rng, mode):
     """S^{-1} r + Idiv Linv Idiv^T r + (1/tau) C Dinv C^T r, written out
-    with explicit transposes and one nodal solve per vector component."""
+    with explicit transposes and one nodal solve per vector component;
+    'direct' is the one-level hierarchy, 'bpx' floors at n = 8."""
     pr = problem_cache("mini", 16)
     t = precond.build_hx_transfers(pr)
+    n_coarsest = pr.n if mode == "direct" else 8
     if mode == "direct":
-        hier = None
         Linv = precond.direct_inverse(t.L)
         Dinv = precond.direct_inverse(t.Delta)
     else:
-        hier = precond.hx_nodal_hierarchy(16, "p1", pr.params.tau)
-        Linv = precond.build_bpx(hier["L_mats"], hier["L_prolongs"])
-        Dinv = precond.build_bpx(hier["D_mats"], hier["D_prolongs"])
-    op = precond.build_hx_precond(t, mode, hier)
+        Linv, Dinv = precond.hx_nodal_hierarchy(t, n_coarsest)
+    op = precond.build_hx_precond(t, n_coarsest)
     for _ in range(3):
         r = rng.standard_normal(op.n)
         s = t.Idiv.T @ r

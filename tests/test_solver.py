@@ -29,6 +29,19 @@ def test_combo_parsing():
             parse_combo(bad)
 
 
+def test_config_validates_combo_pairs():
+    """A combo given as a pair follows the rule of the 'outer:inner' name:
+    normalised to lowercase, and rejected when a kind is unknown."""
+    assert SolveConfig("mini", 8, combo=("DIRECT", " pd0")).combo \
+        == ("direct", "pd0")
+    assert SolveConfig("mini", 8, combo=["bpx", "HXBPX"]).combo \
+        == ("bpx", "hxbpx")
+    for bad in (("dirct", "pd0"), ("direct", "lu"), ("direct",),
+                ("direct", "pd0", "hx"), ("direct", 0)):
+        with pytest.raises(ValueError):
+            SolveConfig("mini", 8, combo=bad)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         Problem("mini", 7)
