@@ -38,7 +38,6 @@ mono = solve_monolithic_oracle(problem)
 nested = solve_coupled(problem, SolveConfig("taylorhood-rt1", 8,
                                             outer_rtol=1e-10,
                                             inner_rtol=1e-12,
-                                            recovery_rtol=1e-12,
                                             maxit_inner=5000))
 
 

@@ -6,21 +6,21 @@ condition number essentially constant under refinement, and likewise for
 the auxiliary-space treatment of the div-elliptic porous block.
 """
 
-from stokesdarcy import Problem, SolveConfig
+from stokesdarcy import Problem
 from stokesdarcy import ftp, precond
 from stokesdarcy.krylov import (indefinite_condition_estimate,
                                 spd_condition_estimate)
-from stokesdarcy.solver import _outer_operator, outer_preconditioner
+from stokesdarcy.solver import _outer_operator
 
 # ---------------------------------------------------------------------
-# outer saddle operator, exact interface coupling
+# outer saddle operator, exact interface coupling, exact diagonal blocks
 print("outer coupled operator, block-diagonal preconditioner")
 for n in (8, 16, 32):
     problem = Problem("mini", n)
     sub = ftp.DarcySubsolver(problem, mode="exact")
     op = _outer_operator(problem, ftp.CouplingOperator(problem.R_f, sub))
-    P = outer_preconditioner(problem, SolveConfig("mini", n,
-                                                  mass_mode="exact"))
+    P = precond.block_diag_op([precond.direct_inverse(problem.A_ff),
+                               precond.direct_inverse(problem.M_S)])
     cond = indefinite_condition_estimate(op, P, k=110, seed=3)
     print("  h = 1/%-3d cond ~ %.2f" % (n, cond))
 

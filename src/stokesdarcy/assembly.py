@@ -8,6 +8,10 @@ from .fespace import ref_basis
 
 # quadrature degree 2*(basis degree)+2 per family
 _QDEG = {"p1": 4, "p1dc": 4, "p0dc": 2, "p2": 6, "p1b": 8, "bdm1": 4, "rt1": 6}
+# degree of the rule integrating the (non-polynomial) load data
+LOAD_QDEG = 10
+# largest admissible integral of a porous source
+COMPAT_TOL = 1e-10
 
 
 class InvalidCaseError(ValueError):
@@ -35,25 +39,25 @@ def _scatter(rows, cols, vals, shape):
                          shape=shape).tocsr()
 
 
-def scalar_mass(space, qdeg=None):
-    pts, w = quadrature.triangle_rule(qdeg or _QDEG[space.family])
+def scalar_mass(space):
+    pts, w = quadrature.triangle_rule(_QDEG[space.family])
     vals = space.values(pts)
     loc = np.einsum("q,lq,mq,t->tlm", w, vals, vals, space.geom.det)
     return _scatter(space.cell_dofs, space.cell_dofs, loc,
                     (space.ndof, space.ndof))
 
 
-def scalar_stiffness(space, qdeg=None):
-    pts, w = quadrature.triangle_rule(qdeg or _QDEG[space.family])
+def scalar_stiffness(space):
+    pts, w = quadrature.triangle_rule(_QDEG[space.family])
     grads = space.gradients(pts)
     loc = np.einsum("q,tlqa,tmqa,t->tlm", w, grads, grads, space.geom.det)
     return _scatter(space.cell_dofs, space.cell_dofs, loc,
                     (space.ndof, space.ndof))
 
 
-def pressure_integral(space, qdeg=None):
+def pressure_integral(space):
     """Vector of integrals of the pressure basis functions."""
-    pts, w = quadrature.triangle_rule(qdeg or _QDEG[space.family])
+    pts, w = quadrature.triangle_rule(_QDEG[space.family])
     loc = np.einsum("q,lq,t->tl", w, space.values(pts), space.geom.det)
     out = np.zeros(space.ndof)
     np.add.at(out, space.cell_dofs.ravel(), loc.ravel())
@@ -77,11 +81,11 @@ def _interface_values(space, npts):
             vals.reshape(-1, ns, nq).transpose(1, 0, 2))
 
 
-def stokes_velocity_matrix(vel, params, qdeg=None):
+def stokes_velocity_matrix(vel, params):
     """Velocity form 2 nu (eps(u), eps(v)) plus the interface friction
     term kappa <u_x, v_x> on y = 1/2, over all (unconstrained) DOFs."""
     sc = vel.scalar
-    pts, w = quadrature.triangle_rule(qdeg or _QDEG[sc.family])
+    pts, w = quadrature.triangle_rule(_QDEG[sc.family])
     grads = sc.gradients(pts)
     det = sc.geom.det
     nt, nloc = grads.shape[0], grads.shape[1]
@@ -103,11 +107,11 @@ def stokes_velocity_matrix(vel, params, qdeg=None):
     return A + _scatter(dofs, dofs, loc, (vel.ndof, vel.ndof))
 
 
-def divergence_matrix(vel, pres, qdeg=None):
+def divergence_matrix(vel, pres):
     """B[q, v] = (div v, q) over the velocity subdomain."""
     sc = vel.scalar
-    deg = qdeg or max(_QDEG[sc.family], _QDEG[pres.family])
-    pts, w = quadrature.triangle_rule(deg)
+    pts, w = quadrature.triangle_rule(max(_QDEG[sc.family],
+                                          _QDEG[pres.family]))
     pvals = pres.values(pts)
     # entry (j, 2m+b): (d_b phi_m, psi_j)
     locB = np.einsum("q,jq,tmqb,t->tjmb", w, pvals, sc.gradients(pts),
@@ -126,17 +130,17 @@ def _flux_blocks(flux, tau, w, vals, divs):
     return A, D
 
 
-def flux_operator_matrices(flux, tau, qdeg=None):
+def flux_operator_matrices(flux, tau):
     """Weighted flux mass tau (u, v) and the div-div form (div u, div v)."""
-    pts, w = quadrature.triangle_rule(qdeg or _QDEG[flux.family])
+    pts, w = quadrature.triangle_rule(_QDEG[flux.family])
     return _flux_blocks(flux, tau, w, *flux.tabulate(pts))
 
 
-def assemble_darcy(flux, dpres, params, qdeg=None):
+def assemble_darcy(flux, dpres, params):
     """Darcy blocks: weighted flux mass, divergence coupling, div-div form,
     and the pressure mass matrix."""
-    deg = qdeg or max(_QDEG[flux.family], _QDEG[dpres.family])
-    pts, w = quadrature.triangle_rule(deg)
+    pts, w = quadrature.triangle_rule(max(_QDEG[flux.family],
+                                          _QDEG[dpres.family]))
     vals, divs = flux.tabulate(pts)
     A, D = _flux_blocks(flux, params.tau, w, vals, divs)
     locB = np.einsum("q,jq,tmq,t->tjm", w, dpres.values(pts), divs,
@@ -147,14 +151,13 @@ def assemble_darcy(flux, dpres, params, qdeg=None):
 
 
 def assemble_interface(vel, flux, trace):
-    """Interface mass, mixed trace matrix and the L2 trace projection.
+    """Mixed trace matrix and the L2 trace projection.
 
-    Returns (Q, T, R): Q the trace-space mass, T[mu, v] = <v.n, mu> over
-    the interface, R = Q^{-1} T the matrix of the projection of Stokes
+    Returns (T, R): T[mu, v] = <v.n, mu> over the interface, R = Q^{-1} T
+    (Q the trace-space mass) the matrix of the projection of Stokes
     normal traces onto the Darcy trace space.
     """
     sc = vel.scalar
-    Q = trace.mass_matrix()
     sig, rows, s, sw, bv = _interface_values(sc, 4)
     # v.n = -v_y for the fixed interface normal (0, -1); trace basis
     # functions (1 - s, s) from the left endpoint
@@ -165,15 +168,15 @@ def assemble_interface(vel, flux, trace):
                  loc, (trace.ndim, vel.ndof))
     Qinv = sp.block_diag(np.linalg.inv(trace.mass_blocks()), format="csr")
     R = (Qinv @ T).tocsr()
-    return Q, T, R
+    return T, R
 
 
-def stokes_load(vel, case, params, qdeg=10):
+def stokes_load(vel, case, params):
     """Body-force load plus the interface stress correction."""
     if (case.nu, case.kappa, case.tau) != (params.nu, params.kappa, params.tau):
         raise InvalidCaseError("manufactured data assumes unit parameters")
     sc = vel.scalar
-    pts, w = quadrature.triangle_rule(qdeg)
+    pts, w = quadrature.triangle_rule(LOAD_QDEG)
     f = sc.geom.evaluate(case.f_S, pts)
     loc = np.einsum("q,t,tqc,lq->tlc", w, sc.geom.det, f, sc.values(pts))
     F = np.zeros(vel.ndof)
@@ -187,12 +190,12 @@ def stokes_load(vel, case, params, qdeg=10):
     return F
 
 
-def darcy_load(dpres, case, qdeg=10, compat_tol=1e-10):
+def darcy_load(dpres, case):
     """Source load (f_D, q); rejects incompatible sources."""
-    pts, w = quadrature.triangle_rule(qdeg)
+    pts, w = quadrature.triangle_rule(LOAD_QDEG)
     fdet = dpres.geom.det[:, None] * dpres.geom.evaluate(case.f_D, pts)
     total = np.sum(w * fdet)
-    if abs(total) > compat_tol:
+    if abs(total) > COMPAT_TOL:
         raise InvalidCaseError("source must integrate to zero over the "
                                "porous region, got %.3e" % total)
     G = np.zeros(dpres.ndof)

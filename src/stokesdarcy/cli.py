@@ -10,9 +10,10 @@ import numpy as np
 from . import verify
 from .ftp import SolverFailure
 from .krylov import IndefinitePreconditioner
-from .solver import (INNER_KINDS, OUTER_KINDS, Problem, SolveConfig,
-                     canonical_pair, check_mesh_size, combo_label,
-                     parse_combo, solve_coupled, solve_monolithic_oracle)
+from .solver import (DEFAULT_COMBO, INNER_KINDS, INNER_RTOL, OUTER_KINDS,
+                     OUTER_RTOL, Problem, SolveConfig, canonical_pair,
+                     check_mesh_size, combo_label, parse_combo,
+                     solve_coupled, solve_monolithic_oracle)
 
 ENV_OUTDIR = "STOKESDARCY_OUTDIR"
 DEFAULT_NMIN, DEFAULT_NMAX = 8, 128  # default table: n = 8, 16, ..., 128
@@ -116,15 +117,15 @@ class ExperimentSpec:
         self.nmax_explicit = getattr(args, "nmax", None) is not None \
             or "nmax" in cfg
         self.nmax = pick("nmax", int, DEFAULT_NMAX)
-        self.outer_rtol = pick("outer_rtol", float, 1e-6)
-        self.inner_rtol = pick("inner_rtol", float, 1e-2)
+        self.outer_rtol = pick("outer_rtol", float, OUTER_RTOL)
+        self.inner_rtol = pick("inner_rtol", float, INNER_RTOL)
         self.format = pick("format", str, "csv")
         if self.format not in _FLAGS["format"]["choices"]:
             raise UsageError("unknown format %r" % (self.format,))
         self.out = pick("out", str, None)
         self.seed = pick("seed", int, 0)
         combos = getattr(args, "combo", None) or cfg.get("combo") \
-            or ["direct:pd0"]
+            or [DEFAULT_COMBO]
         self.combos = [parse_combo(c) for c in combos]
         if len(self.combos) > 1 and args.command != "iterations":
             raise UsageError("%s solves one combo, got %d"
@@ -284,8 +285,7 @@ def run_oracle(spec):
     n = spec.oracle_size()
     problem = Problem(spec.pair, n)
     config = SolveConfig(spec.pair, n, outer_rtol=1e-10, inner_rtol=1e-12,
-                         recovery_rtol=1e-12, combo=spec.combos[0],
-                         maxit_inner=5000)
+                         combo=spec.combos[0], maxit_inner=5000)
     nested = solve_coupled(problem, config)
     mono = solve_monolithic_oracle(problem)
 

@@ -439,12 +439,15 @@ def nodal_prolongation(coarse, fine):
     meshes of the same subdomain, both scalar or both VectorSpaces (whose
     prolongation is the interleaved expansion of the scalar one).  Linears
     embed into the bubble-enriched space on the same mesh as its leading
-    vertex DOFs.
+    vertex DOFs; any other prolongation into the bubble-enriched space
+    raises ValueError, since bubble coefficients are not nodal values.
     """
     if isinstance(coarse, VectorSpace):
         return vector_expand(nodal_prolongation(coarse.scalar, fine.scalar))
-    if (coarse.family, fine.family) == ("p1", "p1b") \
-            and coarse.mesh is fine.mesh:
+    if fine.family == "p1b":
+        if coarse.family != "p1" or coarse.mesh is not fine.mesh:
+            raise ValueError("only linears on the same mesh embed into the "
+                             "bubble-enriched space")
         return sp.eye(fine.ndof, coarse.ndof, format="csr")
     tri_of = locate_triangles(coarse.mesh, fine.nodes, coarse.region)
     gmap = -np.ones(coarse.mesh.num_triangles, dtype=int)

@@ -12,6 +12,7 @@ from .assembly import PhysicalParams
 from .fespace import (REGION_D, REGION_S, FluxSpace, Space, TraceSpace,
                       VectorSpace, nodal_prolongation, sigma_flux_maps,
                       vector_expand)
+from .ftp import INNER_RTOL, MAXIT_INNER
 from .krylov import LinOp, minres
 from .manufactured import ManufacturedCase
 from .mesh import build_unit_square, mesh_hierarchy
@@ -86,7 +87,7 @@ class Problem:
             self.M_S = (E.T @ Mf @ E).tocsr()
         self.A_D, self.B_D, self.D_D, self.M_D = assembly.assemble_darcy(
             self.flux, self.dpres, p)
-        self.Q_S, self.T_SD, self.R = assembly.assemble_interface(
+        self.T_SD, self.R = assembly.assemble_interface(
             self.vel, self.flux, self.trace)
 
         self.free_vel = np.where(~self.vel.on_gamma)[0]
@@ -116,21 +117,30 @@ class Problem:
                 + self.flux.ndof + self.dpres.ndof)
 
 
-class SolveConfig:
-    """Solve parameters; defaults follow the reported experiments."""
+# outer MINRES defaults of the reported experiments
+OUTER_RTOL = 1e-6
+MAXIT_OUTER = 1600
+# loosest tolerance of the porous source and recovery solves
+RECOVERY_RTOL = 1e-8
+DEFAULT_COMBO = "direct:pd0"
 
-    def __init__(self, pair, n, outer_rtol=1e-6, inner_rtol=1e-2,
-                 combo=("direct", "pd0"), mass_mode="auto",
-                 maxit_outer=None, maxit_inner=2000, recovery_rtol=1e-8):
+
+class SolveConfig:
+    """Solve parameters; defaults follow the reported experiments.
+
+    The porous source and recovery solves run at recovery_rtol, the
+    tighter of RECOVERY_RTOL and the inner tolerance.
+    """
+
+    def __init__(self, pair, n, outer_rtol=OUTER_RTOL, inner_rtol=INNER_RTOL,
+                 combo=DEFAULT_COMBO, maxit_inner=MAXIT_INNER):
         self.pair = canonical_pair(pair)
         self.n = n
         self.outer_rtol = outer_rtol
         self.inner_rtol = inner_rtol
         self.combo = parse_combo(combo)
-        self.mass_mode = mass_mode
-        self.maxit_outer = maxit_outer or 1600
         self.maxit_inner = maxit_inner
-        self.recovery_rtol = min(recovery_rtol, inner_rtol)
+        self.recovery_rtol = min(RECOVERY_RTOL, inner_rtol)
 
 
 OUTER_KINDS = ("direct", "bpx")
@@ -224,8 +234,7 @@ def outer_preconditioner(problem, config):
         vel_inv = precond.direct_inverse(problem.A_ff)
     else:
         vel_inv = stokes_velocity_bpx(problem)
-    mass_inv = precond.mass_inverse(problem.M_S, config.mass_mode)
-    return precond.block_diag_op([vel_inv, mass_inv])
+    return precond.block_diag_op([vel_inv, precond.mass_inverse(problem.M_S)])
 
 
 def _outer_operator(problem, coupling):
@@ -241,15 +250,19 @@ def _outer_operator(problem, coupling):
     return LinOp(K.shape[0], apply)
 
 
-def solve_coupled(problem, config=None, subsolver=None):
+def solve_coupled(problem, config=None):
     """Nested decoupled solve: outer residual-minimizing iteration on the
-    interface-condensed free-flow system, porous fields by splitting."""
+    interface-condensed free-flow system, porous fields by splitting.
+    The config must name the problem's pair and mesh size."""
     t0 = time.perf_counter()
     config = config or SolveConfig(problem.pair, problem.n)
-    if subsolver is None:
-        subsolver = ftp.DarcySubsolver(
-            problem, precond_kind=config.combo[1], rtol=config.inner_rtol,
-            maxit=config.maxit_inner, mass_mode=config.mass_mode)
+    if (config.pair, config.n) != (problem.pair, problem.n):
+        raise ValueError("config for %s at n=%d cannot solve the %s problem "
+                         "at n=%d" % (config.pair, config.n, problem.pair,
+                                      problem.n))
+    subsolver = ftp.DarcySubsolver(
+        problem, precond_kind=config.combo[1], rtol=config.inner_rtol,
+        maxit=config.maxit_inner)
 
     gamma_res = ftp.source_residual(subsolver, problem.G_D,
                                     rtol=config.recovery_rtol)
@@ -261,15 +274,13 @@ def solve_coupled(problem, config=None, subsolver=None):
     P = outer_preconditioner(problem, config)
     stokes_op = _outer_operator(problem, None)
     x_init, init_stats = minres(stokes_op, rhs, Pinv=P,
-                                rtol=config.outer_rtol,
-                                maxit=config.maxit_outer)
+                                rtol=config.outer_rtol, maxit=MAXIT_OUTER)
 
-    coupling = ftp.CouplingOperator(problem.R_f, subsolver,
-                                    rtol=config.inner_rtol)
+    coupling = ftp.CouplingOperator(problem.R_f, subsolver)
     full_op = _outer_operator(problem, coupling)
     mark = len(subsolver.iteration_log)
     x, stats = minres(full_op, rhs, Pinv=P, x0=x_init,
-                      rtol=config.outer_rtol, maxit=config.maxit_outer)
+                      rtol=config.outer_rtol, maxit=MAXIT_OUTER)
     inner_counts = subsolver.iteration_log[mark:]
 
     u_Sf, p_S = x[:nf], x[nf:]
@@ -350,49 +361,40 @@ def _infsup_from_matrices(B, X, M, mvec):
     return float(np.sqrt(pos[0])) if len(pos) else 0.0
 
 
-def infsup_stokes(mesh, vfam, pfam, pres_mesh=None):
-    """Divergence inf-sup constant of a velocity/pressure pair on the
-    free-flow half with full homogeneous boundary conditions."""
-    vel = VectorSpace(Space(mesh, vfam, REGION_S))
-    pres_mesh = pres_mesh or mesh
-    pres = Space(pres_mesh, pfam, REGION_S)
-    if pres_mesh is mesh:
-        B = assembly.divergence_matrix(vel, pres)
-    else:
-        fine = Space(mesh, pfam, REGION_S)
-        B = (nodal_prolongation(pres, fine).T
-             @ assembly.divergence_matrix(vel, fine)).tocsr()
+def _infsup_stokes(vel, pres, B, M):
+    """Stokes inf-sup constant from the divergence block B and pressure
+    mass M over all velocity DOFs; the interface is held fixed too."""
     free = np.where(~vel.on_boundary)[0]
     sc = vel.scalar
     X = vector_expand(assembly.scalar_stiffness(sc)
                       + assembly.scalar_mass(sc))[np.ix_(free, free)]
-    M = assembly.scalar_mass(pres)
     mvec = assembly.pressure_integral(pres)
     return _infsup_from_matrices(B[:, free], X, M, mvec)
 
 
-def infsup_darcy(mesh, ffam, qfam):
-    """Divergence inf-sup constant of a flux/pressure pair on the porous
-    half with vanishing normal trace on the whole boundary."""
-    flux = FluxSpace(mesh, ffam)
-    dpres = Space(mesh, qfam, REGION_D)
-    A1, D1 = assembly.flux_operator_matrices(flux, 1.0)
-    _, B, _, M = assembly.assemble_darcy(flux, dpres, PhysicalParams())
-    free = np.where(~flux.on_boundary)[0]
+def infsup_stokes(mesh, vfam, pfam):
+    """Divergence inf-sup constant of a velocity/pressure pair on one
+    mesh, on the free-flow half with full homogeneous boundary
+    conditions."""
+    vel = VectorSpace(Space(mesh, vfam, REGION_S))
+    pres = Space(mesh, pfam, REGION_S)
+    return _infsup_stokes(vel, pres, assembly.divergence_matrix(vel, pres),
+                          assembly.scalar_mass(pres))
+
+
+def infsup_darcy(problem):
+    """Divergence inf-sup constant of a Problem's flux/pressure pair on
+    the porous half with vanishing normal trace on the whole boundary."""
+    A1, D1 = assembly.flux_operator_matrices(problem.flux, 1.0)
+    free = problem.free_flux
     X = (A1 + D1)[np.ix_(free, free)]
-    mvec = assembly.pressure_integral(dpres)
-    return _infsup_from_matrices(B[:, free], X, M, mvec)
+    return _infsup_from_matrices(problem.B_D[:, free], X, problem.M_D,
+                                 problem.mvec)
 
 
 def estimate_infsup(pair, n):
-    """Inf-sup constants of both half-problems for one element pair."""
-    pair = canonical_pair(pair)
-    vfam, pfam, ffam, qfam = PAIRS[pair]
-    mesh = build_unit_square(n)
-    if pair == "p2isop1-bdm1":
-        beta_S = infsup_stokes(mesh, vfam, pfam,
-                               pres_mesh=build_unit_square(n // 2))
-    else:
-        beta_S = infsup_stokes(mesh, vfam, pfam)
-    beta_D = infsup_darcy(mesh, ffam, qfam)
-    return {"beta_S": beta_S, "beta_D": beta_D}
+    """Inf-sup constants of both half-problems of one element pair, on
+    the spaces and blocks of Problem(pair, n)."""
+    pr = Problem(pair, n)
+    return {"beta_S": _infsup_stokes(pr.vel, pr.pres, pr.B_S, pr.M_S),
+            "beta_D": infsup_darcy(pr)}

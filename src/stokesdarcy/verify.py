@@ -38,9 +38,9 @@ def _integral(space, w, vals):
     return np.einsum("q,t,tq->", w, space.geom.det, vals)
 
 
-def velocity_h1_error(vel, coeffs, u_exact, grad_exact, qdeg=ERROR_QDEG):
+def velocity_h1_error(vel, coeffs, u_exact, grad_exact):
     sc = vel.scalar
-    pts, w = quadrature.triangle_rule(qdeg)
+    pts, w = quadrature.triangle_rule(ERROR_QDEG)
     c = coeffs[vel.cell_dofs].reshape(len(sc.tris), -1, 2)  # (nt, nloc, 2)
     eu = sc.geom.evaluate(u_exact, pts) \
         - np.einsum("tlc,lq->tqc", c, sc.values(pts))
@@ -50,15 +50,15 @@ def velocity_h1_error(vel, coeffs, u_exact, grad_exact, qdeg=ERROR_QDEG):
                                + (eg ** 2).sum((-2, -1))))
 
 
-def scalar_l2_error(space, coeffs, exact, qdeg=ERROR_QDEG):
-    pts, w = quadrature.triangle_rule(qdeg)
+def scalar_l2_error(space, coeffs, exact):
+    pts, w = quadrature.triangle_rule(ERROR_QDEG)
     err = space.geom.evaluate(exact, pts) \
         - coeffs[space.cell_dofs] @ space.values(pts)
     return math.sqrt(_integral(space, w, err ** 2))
 
 
-def flux_hdiv_error(flux, coeffs, u_exact, div_exact, qdeg=ERROR_QDEG):
-    pts, w = quadrature.triangle_rule(qdeg)
+def flux_hdiv_error(flux, coeffs, u_exact, div_exact):
+    pts, w = quadrature.triangle_rule(ERROR_QDEG)
     vals, divs = flux.tabulate(pts)
     c = coeffs[flux.cell_dofs]
     eu = flux.geom.evaluate(u_exact, pts) - np.einsum("tl,tlqc->tqc", c, vals)

@@ -210,6 +210,18 @@ def test_prolongation_reproduces_polynomials():
         assert np.abs(P @ cs.interpolate(f) - fsp.interpolate(f)).max() < 1e-12
 
 
+def test_prolongation_into_enriched_space_needs_same_mesh():
+    """Bubble coefficients are not nodal values: only the same-mesh
+    embedding of linears into the enriched space is defined."""
+    p1_4 = Space(build_unit_square(4), "p1", REGION_S)
+    p1b_8 = Space(build_unit_square(8), "p1b", REGION_S)
+    for coarse in (p1_4, Space(p1_4.mesh, "p1b", REGION_S)):
+        with pytest.raises(ValueError):
+            nodal_prolongation(coarse, p1b_8)
+        with pytest.raises(ValueError):
+            nodal_prolongation(VectorSpace(coarse), VectorSpace(p1b_8))
+
+
 def _prolongation_by_node(coarse, fine):
     """Reference construction of nodal_prolongation, one fine node at a
     time, emitting the entries in row-major order."""

@@ -95,7 +95,7 @@ def test_coupling_kills_tangential_fields(mini8, rng):
 def test_coupling_symmetry_tight(mini8):
     sub = ftp.DarcySubsolver(mini8, precond_kind="pd0", rtol=1e-10,
                              maxit=4000)
-    C = ftp.CouplingOperator(mini8.R_f, sub, rtol=1e-10)
+    C = ftp.CouplingOperator(mini8.R_f, sub)
     local = np.random.default_rng(5)
     worst = 0.0
     for _ in range(10):

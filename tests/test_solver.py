@@ -42,6 +42,22 @@ def test_config_validates_combo_pairs():
             SolveConfig("mini", 8, combo=bad)
 
 
+def test_recovery_tolerance_is_derived():
+    """Source and recovery solves run at 1e-8, or at the inner tolerance
+    where that is tighter."""
+    assert SolveConfig("mini", 8).recovery_rtol == 1e-8
+    assert SolveConfig("mini", 8, inner_rtol=1e-12).recovery_rtol == 1e-12
+
+
+def test_solve_rejects_config_of_another_problem(mini8):
+    """Pair and mesh size come from the Problem; a config naming others
+    is refused before any solve."""
+    for config in (SolveConfig("th", 8), SolveConfig("mini", 16),
+                   SolveConfig("th", 64)):
+        with pytest.raises(ValueError):
+            solve_coupled(mini8, config)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         Problem("mini", 7)
@@ -71,7 +87,7 @@ def test_nested_matches_monolithic(problem_cache, pair):
     pr = problem_cache(pair, 8)
     mono = solve_monolithic_oracle(pr)
     cfg = SolveConfig(pair, 8, outer_rtol=1e-10, inner_rtol=1e-12,
-                      recovery_rtol=1e-12, maxit_inner=5000)
+                      maxit_inner=5000)
     nested = solve_coupled(pr, cfg)
     assert nested.converged
     assert rel(nested.u_S, mono.u_S) <= 1e-6
@@ -124,7 +140,6 @@ def test_splitting_matches_monolithic_fields(problem_cache):
     mono = solve_monolithic_oracle(pr)
     nested = solve_coupled(pr, SolveConfig("iso", 8, outer_rtol=1e-11,
                                            inner_rtol=1e-12,
-                                           recovery_rtol=1e-12,
                                            maxit_inner=5000))
     assert rel(nested.u_D, mono.u_D) <= 1e-7
     assert rel(nested.p_D, mono.p_D) <= 1e-7
