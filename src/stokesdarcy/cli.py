@@ -286,7 +286,9 @@ def run_oracle(spec):
     problem = Problem(spec.pair, n)
     config = SolveConfig(spec.pair, n, outer_rtol=1e-10, inner_rtol=1e-12,
                          combo=spec.combos[0], maxit_inner=5000)
-    nested = solve_coupled(problem, config)
+    nested = _solve_cell(problem, config)
+    if nested is None:
+        return False
     mono = solve_monolithic_oracle(problem)
 
     def rel(a, b):

@@ -5,11 +5,16 @@ auxiliary-space preconditioner for the div-elliptic Darcy block."""
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from . import assembly, quadrature
 from .fespace import Space, nodal_prolongation
 from .krylov import LinOp
 from .mesh import REF_VERTICES, mesh_hierarchy, segment_points
+
+# largest graph component, in DOFs, of a matrix whose Gauss-Seidel sweep
+# is assembled explicitly instead of applied by triangular solves
+SWEEP_BLOCK_MAX = 8
 
 
 def direct_inverse(M):
@@ -48,10 +53,21 @@ def gs_sweep(M):
     """One symmetric Gauss-Seidel sweep as an SPD preconditioner.
 
     Applies ((D+L) D^{-1} (D+U))^{-1}, the standard symmetric-sweep
-    substitute for an exact mass inverse.
+    substitute for an exact mass inverse.  When the graph of M splits
+    into components of at most SWEEP_BLOCK_MAX DOFs (a discontinuous
+    pressure mass) the sweep is assembled explicitly, one dense block per
+    component, and applied as one sparse product; otherwise it is two
+    triangular solves.
     """
     M = sp.csr_matrix(M)
     d = M.diagonal()
+    if np.any(d <= 0):
+        raise ValueError("nonpositive diagonal entry")
+    ncomp, labels = connected_components(M, directed=False)
+    sizes = np.bincount(labels, minlength=ncomp)
+    if sizes.max(initial=0) <= SWEEP_BLOCK_MAX:
+        G = _block_sweep_matrix(M, labels, sizes)
+        return LinOp(M.shape[0], lambda r: G @ r)
     lower = spla.splu(sp.csc_matrix(sp.tril(M)),
                       permc_spec="NATURAL", options={"SymmetricMode": False})
     upper = spla.splu(sp.csc_matrix(sp.triu(M)),
@@ -62,6 +78,37 @@ def gs_sweep(M):
         return upper.solve(d * y)
 
     return LinOp(M.shape[0], apply)
+
+
+def _block_sweep_matrix(M, labels, sizes):
+    """The sweep inv(D+U) D inv(D+L) of a matrix whose graph components
+    (labels, sizes) are small, as one CSR matrix.
+
+    Each component keeps its DOFs in ascending global order, so its local
+    triangles are the restrictions of the global ones and the blocks may
+    interleave or differ in size.  Blocks are padded to a common size
+    with the identity and inverted in one batch.
+    """
+    n = M.shape[0]
+    m = sizes.max(initial=0)
+    order = np.argsort(labels, kind="stable")
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    local = np.empty(n, dtype=np.intp)
+    local[order] = np.arange(n) - starts[labels[order]]
+    glob = np.zeros((len(sizes), m), dtype=np.intp)
+    glob[labels, local] = np.arange(n)
+
+    pad = np.arange(m) >= sizes[:, None]
+    B = np.zeros((len(sizes), m, m))
+    B[:, np.arange(m), np.arange(m)] = pad
+    A = M.tocoo()
+    np.add.at(B, (labels[A.row], local[A.row], local[A.col]), A.data)
+    d = np.diagonal(B, axis1=1, axis2=2)
+    G = np.linalg.inv(np.triu(B)) @ (d[:, :, None] * np.linalg.inv(np.tril(B)))
+
+    c, i, j = np.nonzero(~pad[:, :, None] & ~pad[:, None, :])
+    return sp.csr_matrix((G[c, i, j], (glob[c, i], glob[c, j])),
+                         shape=(n, n))
 
 
 def _is_diagonal(M):

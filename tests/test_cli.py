@@ -4,6 +4,8 @@ import pytest
 
 from stokesdarcy import SolveConfig
 from stokesdarcy.cli import ExperimentSpec, _parse_args, main, read_config
+from stokesdarcy.ftp import SolverFailure
+from stokesdarcy.krylov import IndefinitePreconditioner
 
 
 def test_converge_csv_contract(tmp_path):
@@ -94,6 +96,23 @@ def test_check_verb():
 
 def test_oracle_verb():
     assert main(["oracle", "--pair", "mini-bdm1"]) == 0
+
+
+@pytest.mark.parametrize("error", [SolverFailure, IndefinitePreconditioner])
+def test_oracle_inner_failure_exits_1(capsys, monkeypatch, error):
+    """An inner failure of the nested solve is one stderr line and exit 1,
+    as for a table cell, not a traceback."""
+    import stokesdarcy.cli as cli
+
+    def fail(problem, config):
+        raise error("inner MINRES stalled")
+
+    monkeypatch.setattr(cli, "solve_coupled", fail)
+    assert main(["oracle", "--pair", "mini-bdm1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("stokesdarcy: ")
+    assert "failed: inner MINRES stalled" in err[0]
 
 
 def test_failure_marker_and_exit_code(tmp_path, monkeypatch):

@@ -77,6 +77,71 @@ def test_gs_sweep_spd(mini8, rng):
         assert x @ op(x) > 0
 
 
+def _scattered_blocks():
+    """SPD block-diagonal matrix of 1-, 2- and 3-DOF blocks under a random
+    symmetric permutation, so no block is contiguous."""
+    rng = np.random.default_rng(5)
+    blocks = []
+    for size in [1, 3, 2, 2, 1, 3, 3, 1, 2]:
+        Q = rng.standard_normal((size, size))
+        blocks.append(Q @ Q.T + size * np.eye(size))
+    B = sp.block_diag(blocks).tocsr()
+    p = rng.permutation(B.shape[0])
+    return B[p][:, p].tocsr()
+
+
+def _sweep_matrix(which, problem_cache):
+    """Taylor-Hood M_D (block path), mini M_S (triangular path) or the
+    scattered blocks, at n = 8."""
+    if which == "scattered":
+        return _scattered_blocks()
+    return problem_cache("th", 8).M_D if which == "th" \
+        else problem_cache("mini", 8).M_S
+
+
+@pytest.mark.parametrize("which", ["th", "mini", "scattered"])
+def test_gs_sweep_matches_dense_reference(problem_cache, which):
+    """Block path (Taylor-Hood M_D, scattered blocks) and triangular path
+    (mini M_S) both apply inv(D+U) D inv(D+L)."""
+    M = _sweep_matrix(which, problem_cache)
+    A = M.toarray()
+    ref = np.linalg.inv(np.triu(A)) @ np.diag(np.diag(A)) \
+        @ np.linalg.inv(np.tril(A))
+    op = precond.gs_sweep(M)
+    S = np.column_stack([op(e) for e in np.eye(op.n)])
+    assert np.linalg.norm(S - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("which,factorizations", [("th", 0), ("mini", 2)])
+def test_gs_sweep_block_path_factors_nothing(problem_cache, monkeypatch,
+                                             which, factorizations):
+    """The disconnected Taylor-Hood M_D (3-DOF blocks) is swept by one
+    assembled matrix; the connected mini M_S by two triangular factors."""
+    M = _sweep_matrix(which, problem_cache)
+    splu = precond.spla.splu
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(precond.spla, "splu", count)
+    precond.gs_sweep(M)
+    assert len(calls) == factorizations
+
+
+@pytest.mark.parametrize("entry", [-1.0, 0.0])
+@pytest.mark.parametrize("n", [2, 12])
+def test_gs_sweep_rejects_nonpositive_diagonal(entry, n):
+    """A 2x2 matrix takes the block path, a 12-DOF chain the triangular
+    one; neither may return a sweep of a nonpositive diagonal."""
+    d = np.full(n, 2.0)
+    d[0] = entry
+    M = sp.diags([np.full(n - 1, 0.1), d, np.full(n - 1, 0.1)], [-1, 0, 1])
+    with pytest.raises(ValueError, match="nonpositive diagonal entry"):
+        precond.gs_sweep(M)
+
+
 def test_mass_inverse_auto_diagonal(mini8):
     # piecewise-constant pressure mass is diagonal: exact inverse picked
     op = precond.mass_inverse(mini8.M_D)
