@@ -3,6 +3,14 @@ problem on the split unit square, with a decoupled nested-MINRES
 iteration, block-diagonal preconditioning and multilevel / auxiliary-space
 velocity blocks."""
 
+import os
+
+# one BLAS thread unless the environment says otherwise: more threads
+# burn CPU on these small sparse solves without shortening them.  This
+# acts only if numpy is not loaded yet, as for the console script.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .assembly import InvalidCaseError, PhysicalParams
 from .krylov import LinOp, SolveStats, minres
 from .manufactured import ManufacturedCase, ZeroCase

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .mesh import GAMMA_D, SIGMA
+from .mesh import GAMMA_D, REF_VERTICES, SIGMA, segment_points
 
 REGION_S = 0
 REGION_D = 1
@@ -154,8 +154,9 @@ class Space:
     def gradients(self, ref_pts):
         """Physical basis gradients (nt, nloc, np, 2) at the mapped
         reference points."""
-        return np.einsum("tab,lpb->tlpa", self.geom.invJT,
-                         ref_basis(self.family, ref_pts)[1])
+        g = ref_basis(self.family, ref_pts)[1][..., None, :]
+        T = self.geom.invJT[:, None, None]
+        return T[..., 0] * g[..., 0] + T[..., 1] * g[..., 1]
 
     def interpolate(self, f):
         """Nodal interpolation of a callable f(x) -> values.
@@ -193,24 +194,35 @@ class VectorSpace:
 
 _BDM_NMONO = 6
 _RT_NMONO = 8
+# Gauss rules of the degree-of-freedom functionals: exact on every
+# polynomial field the code reduces to DOFs, accurate on smooth callables
+_EDGE_POINTS = 5
+_INTERIOR_DEGREE = 6
 
 
 def _monomials(kind, X, Y):
-    """Vector monomials in local (shifted, scaled) coordinates.
+    """Vector monomials in local (shifted, scaled) coordinates X, Y of
+    shape (..., npts).
 
-    Returns vals (nmono, npts, 2) and divergences (nmono, npts) with the
-    divergence taken in the local coordinates (caller rescales by 1/h).
+    Returns vals (..., nmono, npts, 2) and divergences (..., nmono, npts)
+    with the divergence taken in the local coordinates (caller rescales
+    by 1/h).
     """
-    npts = len(X)
-    one, zero = np.ones(npts), np.zeros(npts)
-    vals = [np.stack([one, zero], -1), np.stack([X, zero], -1),
-            np.stack([Y, zero], -1), np.stack([zero, one], -1),
-            np.stack([zero, X], -1), np.stack([zero, Y], -1)]
-    divs = [zero, one, zero, zero, zero, one]
+    nm = _BDM_NMONO if kind == "bdm1" else _RT_NMONO
+    lead, npts = X.shape[:-1], X.shape[-1]
+    vals = np.zeros(lead + (nm, npts, 2))
+    divs = np.zeros(lead + (nm, npts))
+    for c in range(2):
+        vals[..., 3 * c, :, c] = 1.0
+        vals[..., 3 * c + 1, :, c] = X
+        vals[..., 3 * c + 2, :, c] = Y
+    divs[..., 1, :] = divs[..., 5, :] = 1.0
     if kind == "rt1":
-        vals += [np.stack([X * X, X * Y], -1), np.stack([X * Y, Y * Y], -1)]
-        divs += [3 * X, 3 * Y]
-    return np.stack(vals), np.stack(divs)
+        XY = X * Y
+        vals[..., 6, :, 0], vals[..., 6, :, 1] = X * X, XY
+        vals[..., 7, :, 0], vals[..., 7, :, 1] = XY, Y * Y
+        divs[..., 6, :], divs[..., 7, :] = 3 * X, 3 * Y
+    return vals, divs
 
 
 class FluxSpace:
@@ -220,7 +232,10 @@ class FluxSpace:
     against the linear functions valued 1 at each endpoint (endpoints in
     ascending global-index order, the edge normal obtained by rotating the
     ascending tangent clockwise); for rt1 additionally two interior moments
-    against the coordinate unit vectors.
+    against the coordinate unit vectors.  ``local_dofs`` applies these
+    functionals to fields given at ``dof_points`` and ``scatter`` collects
+    the result on the global DOFs; the local bases, the canonical
+    interpolant and the auxiliary-space transfers are all built from them.
     """
 
     def __init__(self, mesh, family):
@@ -240,12 +255,13 @@ class FluxSpace:
         self.ndof = 2 * ne + (2 * nt if family == "rt1" else 0)
 
         # two DOFs per local edge, then (rt1) two interior DOFs
-        loc_edges = emap[mesh.tri_edges[self.tris]]
-        cell = (2 * loc_edges[:, :, None] + [0, 1]).reshape(nt, 6)
+        tri_eids = mesh.tri_edges[self.tris]
+        cell = (2 * emap[tri_eids][:, :, None] + [0, 1]).reshape(nt, 6)
         if family == "rt1":
             interior = 2 * ne + 2 * np.arange(nt)[:, None] + [0, 1]
             cell = np.hstack([cell, interior])
         self.cell_dofs = cell
+        self._owners = np.bincount(cell.ravel(), minlength=self.ndof)
 
         tag = mesh.edge_tag[eids]
         edof = np.repeat(tag, 2)
@@ -254,61 +270,87 @@ class FluxSpace:
         self.on_gamma[:2 * ne] = edof == GAMMA_D
         self.on_sigma[:2 * ne] = edof == SIGMA
         self.on_boundary = self.on_gamma | self.on_sigma
-        self.edge_sign = mesh.edge_signs()[self.tris]
+
+        # DOF points: the Gauss points of local edge k (opposite vertex k,
+        # traversed counterclockwise), then (rt1) the interior rule.  The
+        # rule is symmetric, so where the ascending orientation runs
+        # against the traversal the two endpoint weights swap.
+        sq, wq = quadrature.segment_rule(_EDGE_POINTS)
+        self.dof_points = segment_points(REF_VERTICES[[1, 2, 0]],
+                                         REF_VERTICES[[2, 0, 1]],
+                                         sq).reshape(-1, 2)
+        self._edge_weights = np.column_stack([wq * (1 - sq), wq * sq])
+        self._flip = mesh.edge_signs()[self.tris] < 0
+        self._normals = mesh.edge_geometry(tri_eids.ravel())[2].reshape(
+            nt, 3, 2)
+        if family == "rt1":
+            tq, twq = quadrature.triangle_rule(_INTERIOR_DEGREE)
+            self.dof_points = np.vstack([self.dof_points, tq])
+            # (1/|T|) int over T; weights of the reference rule sum to 1/2
+            self._interior_weights = 2 * twq
         self._build_local_bases()
 
     def _build_local_bases(self):
-        mesh = self.mesh
-        nt = len(self.tris)
+        """Monomial coefficients of the basis dual to the DOFs: the inverse
+        of the DOF values of the monomials, triangle by triangle."""
         self.centers = self.geom.corners.mean(axis=1)
         self.hscale = np.sqrt(np.abs(0.5 * self.geom.det))
-        sq, wq = quadrature.segment_rule(3)
+        mono, _ = self._local_monomials(self.dof_points)
+        self.coeff = np.linalg.inv(np.swapaxes(self.local_dofs(mono), 1, 2))
 
-        M = np.zeros((nt, self.nloc, self.nloc))
-        tri_eids = mesh.tri_edges[self.tris]
-        for k in range(3):
-            ek = tri_eids[:, k]
-            a, b, normal = mesh.edge_geometry(ek)
-            for s, w in zip(sq, wq):
-                pts = a + s * (b - a)
-                X = (pts[:, 0] - self.centers[:, 0]) / self.hscale
-                Y = (pts[:, 1] - self.centers[:, 1]) / self.hscale
-                mono, _ = _monomials(self.family, X, Y)  # (nm, nt, 2)
-                mn = np.einsum("mtc,tc->mt", mono, normal)
-                # normalized moments: (1/|e|) int (u.n) q_i with q_1 at the
-                # lower-index endpoint; ds = |e| d s cancels the 1/|e|
-                M[:, 2 * k, :] += (w * (1 - s)) * mn.T
-                M[:, 2 * k + 1, :] += (w * s) * mn.T
+    def local_dofs(self, fields):
+        """Degrees of freedom, triangle by triangle, of vector fields given
+        at the images of ``dof_points``.
+
+        fields : (nt, m, npts, 2), or (1, m, npts, 2) for fields whose
+            values are shared by every triangle
+        Returns (nt, m, nloc), in the local order of ``cell_dofs``.
+        """
+        nt, m = len(self.tris), fields.shape[1]
+        nq = len(self._edge_weights)
+        edge = fields[:, :, :3 * nq].reshape(-1, m, 3, nq, 2)
+        nrm = self._normals[:, None, :, None, :]
+        un = edge[..., 0] * nrm[..., 0] + edge[..., 1] * nrm[..., 1]
+        # normalized moments (1/|e|) int (u.n) q_i with q_1 at the
+        # lower-index endpoint; ds = |e| d s cancels the 1/|e|
+        mom = (un.reshape(-1, nq) @ self._edge_weights).reshape(nt, m, 3, 2)
+        mom = np.where(self._flip[:, None, :, None], mom[..., ::-1], mom)
+        dofs = mom.reshape(nt, m, 6)
         if self.family == "rt1":
-            tq, twq = quadrature.triangle_rule(3)
-            phys = self.geom.map_points(tq)
-            for iq, w in enumerate(twq):
-                X = (phys[:, iq, 0] - self.centers[:, 0]) / self.hscale
-                Y = (phys[:, iq, 1] - self.centers[:, 1]) / self.hscale
-                mono, _ = _monomials(self.family, X, Y)
-                # (1/|T|) int u.e_c; weights of the reference rule sum to 1/2
-                M[:, 6, :] += 2 * w * mono[:, :, 0].T
-                M[:, 7, :] += 2 * w * mono[:, :, 1].T
-        self.coeff = np.linalg.inv(M)  # (nt, nmono, ndof_loc) acting on duals
+            inner = np.swapaxes(fields[:, :, 3 * nq:], 2, 3) \
+                @ self._interior_weights
+            dofs = np.concatenate(
+                [dofs, np.broadcast_to(inner, (nt, m, 2))], axis=2)
+        return dofs
+
+    def scatter(self, local, cols, ncols):
+        """Sparse (ndof, ncols) matrix from local DOFs.
+
+        local (nt, m, nloc) holds the DOFs of m fields per triangle, field
+        j of triangle t belonging to column cols[t, j].  An edge DOF owned
+        by two triangles gets the mean of their two values, which coincide
+        for a field with single-valued normal trace.
+        """
+        rows = np.broadcast_to(self.cell_dofs[:, None, :], local.shape)
+        cols = np.broadcast_to(cols[:, :, None], local.shape)
+        vals = local / self._owners[rows]
+        return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=(self.ndof, ncols)).tocsr()
+
+    def _local_monomials(self, ref_pts):
+        """Monomial values (nt, nmono, np, 2) and local-coordinate
+        divergences (nt, nmono, np) at mapped reference points."""
+        pts = self.geom.map_points(ref_pts)
+        X = (pts[..., 0] - self.centers[:, None, 0]) / self.hscale[:, None]
+        Y = (pts[..., 1] - self.centers[:, None, 1]) / self.hscale[:, None]
+        return _monomials(self.family, X, Y)
 
     def tabulate(self, ref_pts):
         """Physical basis values and divergences at mapped points.
 
         Returns vals (nt, nloc, np, 2) and divs (nt, nloc, np).
         """
-        pts = self.geom.map_points(ref_pts)
-        X = (pts[..., 0] - self.centers[:, None, 0]) / self.hscale[:, None]
-        Y = (pts[..., 1] - self.centers[:, None, 1]) / self.hscale[:, None]
-        nm = _BDM_NMONO if self.family == "bdm1" else _RT_NMONO
-        nt, npts = X.shape
-        mono = np.empty((nt, nm, npts, 2))
-        mdiv = np.empty((nt, nm, npts))
-        for t in range(0, nt, 4096):
-            sl = slice(t, min(t + 4096, nt))
-            mv, md = _monomials(self.family, X[sl].ravel(), Y[sl].ravel())
-            span = sl.stop - sl.start
-            mono[sl] = mv.reshape(nm, span, npts, 2).transpose(1, 0, 2, 3)
-            mdiv[sl] = md.reshape(nm, span, npts).transpose(1, 0, 2)
+        mono, mdiv = self._local_monomials(ref_pts)
         vals = np.einsum("tml,tmpc->tlpc", self.coeff, mono)
         divs = np.einsum("tml,tmp->tlp", self.coeff, mdiv) / self.hscale[:, None, None]
         return vals, divs
@@ -329,31 +371,12 @@ class FluxSpace:
         return np.einsum("pl,plc->pc", c, local)
 
     def canonical_interpolation(self, f):
-        """Coefficients of the canonical interpolant of a smooth field.
-
-        Edge moments of the normal component against linears are matched
-        exactly (5-point Gauss); rt1 also matches the interior moments.
-        """
-        coeffs = np.zeros(self.ndof)
-        sq, wq = quadrature.segment_rule(5)
-        a, b, normal = self.mesh.edge_geometry(self.edge_ids)
-        m1 = np.zeros(len(self.edge_ids))
-        m2 = np.zeros(len(self.edge_ids))
-        for s, w in zip(sq, wq):
-            pts = a + s * (b - a)
-            un = np.einsum("ec,ec->e", np.asarray(f(pts), dtype=float), normal)
-            m1 += w * (1 - s) * un
-            m2 += w * s * un
-        coeffs[0:2 * len(self.edge_ids):2] = m1
-        coeffs[1:2 * len(self.edge_ids):2] = m2
-        if self.family == "rt1":
-            tq, twq = quadrature.triangle_rule(6)
-            # (1/|T|) int f; weights of the reference rule sum to 1/2
-            acc = 2 * np.einsum("q,tqc->tc", twq, self.geom.evaluate(f, tq))
-            base = 2 * len(self.edge_ids)
-            coeffs[base::2] = acc[:, 0]
-            coeffs[base + 1::2] = acc[:, 1]
-        return coeffs
+        """Coefficients of the canonical interpolant of a smooth field
+        f((N, 2) points) -> (N, 2): its DOFs, by the Gauss rules of
+        ``local_dofs``."""
+        vals = self.geom.evaluate(f, self.dof_points)[:, None]
+        cols = np.zeros((len(self.tris), 1), dtype=int)
+        return self.scatter(self.local_dofs(vals), cols, 1).toarray().ravel()
 
 
 class TraceSpace:

@@ -90,7 +90,7 @@ class DarcySubsolver:
         else:
             raise ValueError("unknown inner preconditioner %r"
                              % (precond_kind,))
-        W = precond.mass_inverse(problem.M_D)
+        W = precond.gs_sweep(problem.M_D)
         self.pressure_inv = precond.projected_mass_inverse(W, self.mvec)
         self.precond_op = precond.block_diag_op([vel_inv, self.pressure_inv])
         self.velocity_inv = vel_inv
@@ -100,7 +100,6 @@ class DarcySubsolver:
                 np.concatenate([np.zeros(self.ni), self.mvec])[:, None])
             self._kkt = spla.splu(sp.bmat([[self.K, mcol], [mcol.T, None]],
                                           format="csc"))
-        self.nsolves = 0
         self.iteration_log = []
 
     def _project(self, q):
@@ -119,7 +118,6 @@ class DarcySubsolver:
 
     def _solve_blocks(self, F, G, rtol=None):
         """Interior/pressure solve of the constrained saddle system."""
-        self.nsolves += 1
         if self.mode == "exact":
             rhs = np.concatenate([F, -G, [0.0]])
             x = self._kkt.solve(rhs)

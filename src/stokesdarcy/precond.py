@@ -8,9 +8,9 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from . import assembly, quadrature
-from .fespace import Space, nodal_prolongation
+from .fespace import Space, VectorSpace, nodal_prolongation
 from .krylov import LinOp
-from .mesh import REF_VERTICES, mesh_hierarchy, segment_points
+from .mesh import mesh_hierarchy
 
 # largest graph component, in DOFs, of a matrix whose Gauss-Seidel sweep
 # is assembled explicitly instead of applied by triangular solves
@@ -42,13 +42,6 @@ def direct_inverse(M):
     return LinOp(n, lu.solve)
 
 
-def diagonal_inverse(M):
-    d = M.diagonal()
-    if np.any(d <= 0):
-        raise ValueError("nonpositive diagonal entry")
-    return LinOp(M.shape[0], lambda x, d=d: x / d)
-
-
 def gs_sweep(M):
     """One symmetric Gauss-Seidel sweep as an SPD preconditioner.
 
@@ -57,7 +50,8 @@ def gs_sweep(M):
     into components of at most SWEEP_BLOCK_MAX DOFs (a discontinuous
     pressure mass) the sweep is assembled explicitly, one dense block per
     component, and applied as one sparse product; otherwise it is two
-    triangular solves.
+    triangular solves.  The sweep of a diagonal matrix (1-DOF components)
+    is its exact inverse.
     """
     M = sp.csr_matrix(M)
     d = M.diagonal()
@@ -109,18 +103,6 @@ def _block_sweep_matrix(M, labels, sizes):
     c, i, j = np.nonzero(~pad[:, :, None] & ~pad[:, None, :])
     return sp.csr_matrix((G[c, i, j], (glob[c, i], glob[c, j])),
                          shape=(n, n))
-
-
-def _is_diagonal(M):
-    return sp.csr_matrix(M).nnz == np.count_nonzero(M.diagonal())
-
-
-def mass_inverse(M):
-    """Mass-block treatment: exact inverse where the matrix is diagonal,
-    otherwise one symmetric Gauss-Seidel sweep."""
-    if _is_diagonal(M):
-        return diagonal_inverse(M)
-    return gs_sweep(M)
 
 
 def projected_mass_inverse(W, m):
@@ -233,88 +215,25 @@ class HXTransfer:
         self.potential = potential
 
 
-def _hx_transfer_matrices(flux, scalar):
-    """Curl and canonical-interpolation matrices into the flux space.
+def curl_matrix(flux, potential):
+    """Flux coefficients (nflux, npotential) of the rotated gradients
+    (d2 v, -d1 v) of the potential basis: their canonical interpolants,
+    which represent them exactly."""
+    g = potential.gradients(flux.dof_points)
+    curl = np.stack([g[..., 1], -g[..., 0]], axis=-1)
+    return flux.scatter(flux.local_dofs(curl), potential.cell_dofs,
+                        potential.ndof)
 
-    For every local scalar basis function v the rotated gradient
-    (d2 v, -d1 v) and the two vector fields v*e_x, v*e_y are reduced to
-    their canonical flux DOFs (edge moments, plus interior moments for
-    rt1) triangle by triangle; interior-edge contributions coincide from
-    both sides and are halved.  Returns (C, Idiv) over all DOFs, C of
-    shape (nflux, nscalar) and Idiv of shape (nflux, 2*nscalar).
-    """
-    mesh = flux.mesh
-    if not np.array_equal(flux.tris, scalar.tris):
-        raise ValueError("flux and nodal spaces must share the subdomain")
-    sq, wq = quadrature.segment_rule(4)
-    nq = len(sq)
-    # reference points on local edge k (opposite vertex k), traversed in
-    # both directions: blocks 2k and 2k + 1
-    ref_pts = segment_points(REF_VERTICES[[1, 2, 2, 0, 0, 1]],
-                             REF_VERTICES[[2, 1, 0, 2, 1, 0]],
-                             sq).reshape(-1, 2)
-    vals = scalar.values(ref_pts)  # (nloc, np)
-    grads = scalar.gradients(ref_pts)  # (nt, nloc, np, 2)
 
-    signs = flux.edge_sign
-    tri_eids = mesh.tri_edges[flux.tris]
-    edge_mult = np.zeros(len(flux.edge_ids))
-    for k in range(3):
-        np.add.at(edge_mult, flux.edge_index[tri_eids[:, k]], 1.0)
-
-    nloc = vals.shape[0]
-    nt = len(flux.tris)
-    rowsC, colsC, valsC = [], [], []
-    rowsI, colsI, valsI = [], [], []
-    for k in range(3):
-        le = flux.edge_index[tri_eids[:, k]]
-        ek = tri_eids[:, k]
-        normal = mesh.edge_geometry(ek)[2]
-        # per-triangle selection of the matching traversal direction
-        pos = slice(2 * k * nq, (2 * k + 1) * nq)
-        neg = slice((2 * k + 1) * nq, (2 * k + 2) * nq)
-        sel = np.where(signs[:, k, None] > 0,
-                       np.arange(pos.start, pos.stop)[None, :],
-                       np.arange(neg.start, neg.stop)[None, :])
-        g = np.take_along_axis(grads, sel[:, None, :, None], axis=2)
-        v = vals[:, sel].transpose(1, 0, 2)  # (nt, nloc, nq)
-        curl_n = g[:, :, :, 1] * normal[:, None, None, 0] \
-            - g[:, :, :, 0] * normal[:, None, None, 1]
-        scale = 1.0 / edge_mult[le]
-        for dofs, qw in ((2 * le, 1 - sq), (2 * le + 1, sq)):
-            momC = np.einsum("q,tlq->tl", wq * qw, curl_n) * scale[:, None]
-            rowsC.append(np.repeat(dofs, nloc))
-            colsC.append(scalar.cell_dofs.ravel())
-            valsC.append(momC.ravel())
-            for c in range(2):
-                momI = np.einsum("q,tlq->tl", wq * qw,
-                                 v * normal[:, None, None, c]) * scale[:, None]
-                rowsI.append(np.repeat(dofs, nloc))
-                colsI.append(2 * scalar.cell_dofs.ravel() + c)
-                valsI.append(momI.ravel())
-    if flux.family == "rt1":
-        tq, twq = quadrature.triangle_rule(4)
-        ivals, igrads = scalar.values(tq), scalar.gradients(tq)
-        base = 2 * len(flux.edge_ids)
-        ids = base + 2 * np.arange(nt)
-        # (1/|T|) int over T equals twice the reference-rule sum
-        curl_int = 2 * np.einsum("q,tlqc->tlc", twq, igrads[:, :, :, ::-1])
-        curl_int[:, :, 1] *= -1.0
-        v_int = 2 * np.einsum("q,lq->l", twq, ivals)
-        for c in range(2):
-            rowsC.append(np.repeat(ids + c, nloc))
-            colsC.append(scalar.cell_dofs.ravel())
-            valsC.append(curl_int[:, :, c].ravel())
-            rowsI.append(np.repeat(ids + c, nloc))
-            colsI.append(2 * scalar.cell_dofs.ravel() + c)
-            valsI.append(np.broadcast_to(v_int, (nt, nloc)).ravel())
-    C = sp.coo_matrix((np.concatenate(valsC),
-                       (np.concatenate(rowsC), np.concatenate(colsC))),
-                      shape=(flux.ndof, scalar.ndof)).tocsr()
-    Idiv = sp.coo_matrix((np.concatenate(valsI),
-                          (np.concatenate(rowsI), np.concatenate(colsI))),
-                         shape=(flux.ndof, 2 * scalar.ndof)).tocsr()
-    return C, Idiv
+def nodal_interpolation_matrix(flux, nodal):
+    """Canonical interpolation (nflux, 2*nnodal) of the interleaved vector
+    nodal basis v*e_x, v*e_y."""
+    v = nodal.values(flux.dof_points)
+    fields = np.zeros((nodal.nloc, 2, v.shape[1], 2))
+    fields[:, 0, :, 0] = fields[:, 1, :, 1] = v
+    vec = VectorSpace(nodal)
+    return flux.scatter(flux.local_dofs(fields.reshape(1, vec.nloc, -1, 2)),
+                        vec.cell_dofs, vec.ndof)
 
 
 def build_hx_transfers(problem):
@@ -333,9 +252,8 @@ def build_hx_transfers(problem):
     potential = Space(flux.mesh, "p2", flux.region)
     nodal = Space(flux.mesh, "p1", flux.region) if flux.family == "bdm1" \
         else potential
-    C, Idiv = _hx_transfer_matrices(flux, potential)
-    if nodal is not potential:
-        _, Idiv = _hx_transfer_matrices(flux, nodal)
+    C = curl_matrix(flux, potential)
+    Idiv = nodal_interpolation_matrix(flux, nodal)
 
     free_flux = problem.free_flux
     free_nd = np.where(~nodal.on_boundary)[0]

@@ -234,7 +234,7 @@ def outer_preconditioner(problem, config):
         vel_inv = precond.direct_inverse(problem.A_ff)
     else:
         vel_inv = stokes_velocity_bpx(problem)
-    return precond.block_diag_op([vel_inv, precond.mass_inverse(problem.M_S)])
+    return precond.block_diag_op([vel_inv, precond.gs_sweep(problem.M_S)])
 
 
 def _outer_operator(problem, coupling):

@@ -1,4 +1,7 @@
 import functools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -287,3 +290,27 @@ def test_verb_reads_its_config_keys(tmp_path, verb, keys):
         if want is None:
             want = type(got)(values[key])
         assert got == want, key
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset,want", [
+    ({}, ("1", "1", "1")),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ("3", "1", "1")),
+], ids=["unset", "explicit"])
+def test_import_defaults_to_one_blas_thread(preset, want):
+    """Importing the package (as the console script does before numpy is
+    loaded) fills in one BLAS thread; an explicit setting wins."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+    env.update(preset)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import os, stokesdarcy; print(' '.join(os.environ[v] for v in "
+            "%r))" % (_BLAS_VARS,))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert tuple(proc.stdout.split()) == want

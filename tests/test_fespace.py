@@ -60,14 +60,21 @@ def test_space_constructors_reject_unknown_family(mesh8):
     assert VectorSpace(Space(mesh8, "p2", REGION_S)).ndof == 306
 
 
-def test_bdm1_duality_against_quadrature(mesh8, rng):
-    """The six edge moments applied to the six basis fields give the
-    identity, with the moments evaluated by independent quadrature."""
-    fs = FluxSpace(mesh8, "bdm1")
+@pytest.mark.parametrize("family", ["bdm1", "rt1"])
+def test_flux_duality_against_quadrature(mesh8, family):
+    """The edge moments (and the two rt1 interior moments) applied to the
+    local basis fields give the identity, with the moments evaluated by
+    independent quadrature."""
+    fs = FluxSpace(mesh8, family)
     tloc = 11
     tg = fs.tris[tloc]
     sq, wq = quad.segment_rule(6)
-    gram = np.zeros((6, 6))
+    gram = np.zeros((fs.nloc, fs.nloc))
+    basis = []
+    for l in range(fs.nloc):
+        coeffs = np.zeros(fs.ndof)
+        coeffs[fs.cell_dofs[tloc, l]] = 1.0
+        basis.append(coeffs)
     for k in range(3):
         e = mesh8.tri_edges[tg, k]
         a, b = mesh8.vertices[mesh8.edges[e]]
@@ -75,17 +82,20 @@ def test_bdm1_duality_against_quadrature(mesh8, rng):
         normal = np.array([tang[1], -tang[0]])
         pts = a[None, :] + sq[:, None] * (b - a)[None, :]
         le = fs.edge_index[e]
-        for l in range(6):
-            coeffs = np.zeros(fs.ndof)
-            coeffs[fs.cell_dofs[tloc, l]] = 1.0
+        i1 = np.where(fs.cell_dofs[tloc] == 2 * le)[0][0]
+        i2 = np.where(fs.cell_dofs[tloc] == 2 * le + 1)[0][0]
+        for l, coeffs in enumerate(basis):
             un = fs.evaluate_at(coeffs, np.full(len(sq), tloc), pts) @ normal
-            row1 = np.sum(wq * (1 - sq) * un)
-            row2 = np.sum(wq * sq * un)
-            i1 = np.where(fs.cell_dofs[tloc] == 2 * le)[0][0]
-            i2 = np.where(fs.cell_dofs[tloc] == 2 * le + 1)[0][0]
-            gram[i1, l] = row1
-            gram[i2, l] = row2
-    assert np.allclose(gram, np.eye(6), atol=1e-12)
+            gram[i1, l] = np.sum(wq * (1 - sq) * un)
+            gram[i2, l] = np.sum(wq * sq * un)
+    if family == "rt1":
+        tq, tw = quad.triangle_rule(8)
+        pts = fs.geom.map_points(tq)[tloc]
+        for l, coeffs in enumerate(basis):
+            u = fs.evaluate_at(coeffs, np.full(len(tq), tloc), pts)
+            # (1/|T|) int u = 2 * (reference-rule sum)
+            gram[6:, l] = 2 * tw @ u
+    assert np.allclose(gram, np.eye(fs.nloc), atol=1e-12)
 
 
 @pytest.mark.parametrize("family", ["bdm1", "rt1"])

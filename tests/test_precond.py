@@ -5,7 +5,8 @@ import scipy.sparse as sp
 from stokesdarcy import build_unit_square
 from stokesdarcy import precond
 from stokesdarcy import quadrature as quad
-from stokesdarcy.fespace import REGION_D, FluxSpace, Space
+from stokesdarcy.fespace import (REGION_D, FluxSpace, Space,
+                                 locate_triangles, ref_basis)
 from stokesdarcy.krylov import LinOp, spd_condition_estimate
 
 
@@ -142,10 +143,21 @@ def test_gs_sweep_rejects_nonpositive_diagonal(entry, n):
         precond.gs_sweep(M)
 
 
-def test_mass_inverse_auto_diagonal(mini8):
-    # piecewise-constant pressure mass is diagonal: exact inverse picked
-    op = precond.mass_inverse(mini8.M_D)
+def test_gs_sweep_of_diagonal_mass_is_exact_inverse(mini8, monkeypatch):
+    """The diagonal P0 Darcy mass splits into 1-DOF blocks: its sweep is
+    assembled without a factorization and is the exact inverse."""
+    splu = precond.spla.splu
+    calls = []
+
+    def count(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(precond.spla, "splu", count)
+    op = precond.gs_sweep(mini8.M_D)
+    assert not calls
     d = mini8.M_D.diagonal()
+    np.testing.assert_allclose(op(np.ones(len(d))), 1 / d, rtol=1e-15, atol=0)
     x = np.arange(1.0, len(d) + 1)
     assert np.allclose(op(x), x / d)
 
@@ -153,7 +165,7 @@ def test_mass_inverse_auto_diagonal(mini8):
 def test_projected_mass_inverse(mini8, rng):
     from stokesdarcy.assembly import pressure_integral
     m = pressure_integral(mini8.dpres)
-    W = precond.mass_inverse(mini8.M_D)
+    W = precond.gs_sweep(mini8.M_D)
     P = precond.projected_mass_inverse(W, m)
     r = rng.standard_normal(P.n)
     y = P(r)
@@ -252,9 +264,8 @@ def test_hx_curl_columns_mass_norm(problem_cache):
     """Flux-mass-norm residual of the rotated-gradient expansion, column
     by column on the coarsest production mesh."""
     pr = problem_cache("mini", 8)
-    from stokesdarcy.precond import _hx_transfer_matrices
     potential = Space(pr.mesh, "p2", REGION_D)
-    C, _ = _hx_transfer_matrices(pr.flux, potential)
+    C = precond.curl_matrix(pr.flux, potential)
     pts, w = quad.triangle_rule(6)
     grads, det = potential.gradients(pts), potential.geom.det
     fvals, _ = pr.flux.tabulate(pts)
@@ -280,13 +291,35 @@ def test_hx_interpolation_of_constant():
     mesh = build_unit_square(4)
     flux = FluxSpace(mesh, "bdm1")
     nodal = Space(mesh, "p1", REGION_D)
-    from stokesdarcy.precond import _hx_transfer_matrices
-    _, Idiv = _hx_transfer_matrices(flux, nodal)
+    Idiv = precond.nodal_interpolation_matrix(flux, nodal)
     z = np.zeros(2 * nodal.ndof)
     z[0::2] = 1.0  # the constant field (1, 0)
     want = flux.canonical_interpolation(
         lambda p: np.tile([1.0, 0.0], (len(p), 1)))
     assert np.abs(Idiv @ z - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("family,nodal_family", [("bdm1", "p1"),
+                                                 ("rt1", "p2")])
+def test_hx_interpolation_is_canonical(rng, family, nodal_family):
+    """Idiv applied to a random vector nodal field equals the canonical
+    interpolant of that field, evaluated pointwise."""
+    mesh = build_unit_square(4)
+    flux = FluxSpace(mesh, family)
+    nodal = Space(mesh, nodal_family, REGION_D)
+    Idiv = precond.nodal_interpolation_matrix(flux, nodal)
+    z = rng.standard_normal((nodal.ndof, 2))
+    gmap = -np.ones(mesh.num_triangles, dtype=int)
+    gmap[nodal.tris] = np.arange(len(nodal.tris))
+
+    def field(pts):
+        loc = gmap[locate_triangles(mesh, pts, REGION_D)]
+        vals = ref_basis(nodal_family, nodal.geom.pull_back(loc, pts))[0]
+        return np.einsum("lp,plc->pc", vals, z[nodal.cell_dofs[loc]])
+
+    want = flux.canonical_interpolation(field)
+    assert np.abs(Idiv @ z.ravel() - want).max() \
+        <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("fam,family", [("mini", "p1"), ("th", "p2")])
