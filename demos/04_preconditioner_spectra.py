@@ -17,7 +17,7 @@ from stokesdarcy.solver import _outer_operator
 print("outer coupled operator, block-diagonal preconditioner")
 for n in (8, 16, 32):
     problem = Problem("mini", n)
-    sub = ftp.DarcySubsolver(problem, mode="exact")
+    sub = ftp.ExactDarcySubsolver(problem)
     op = _outer_operator(problem, ftp.CouplingOperator(problem.R_f, sub))
     P = precond.block_diag_op([precond.direct_inverse(problem.A_ff),
                                precond.direct_inverse(problem.M_S)])

@@ -7,7 +7,8 @@ import numpy as np
 from . import ftp, precond, quadrature
 from .krylov import minres
 from .mesh import build_unit_square, refine_uniform
-from .solver import Problem, SolveConfig, outer_preconditioner
+from .solver import (INNER_KINDS, KINDS, OUTER_KINDS, Problem, SolveConfig,
+                     outer_preconditioner)
 
 
 def _spd_probe(op, rng):
@@ -69,7 +70,7 @@ def run_all(seed=0):
                     worst < 1e-12, "residual %.1e" % worst))
 
     # flux-to-pressure operator: symmetry and positive semidefiniteness
-    sub = ftp.DarcySubsolver(pr, mode="exact")
+    sub = ftp.ExactDarcySubsolver(pr)
     ndim = pr.trace.ndim
     worst_sym, worst_psd = 0.0, np.inf
     for _ in range(10):
@@ -94,14 +95,12 @@ def run_all(seed=0):
                     resid < 1e-10, "max |D C| = %.1e" % resid))
 
     # preconditioner variants: SPD probes
-    for combo in (("direct", "pd0"), ("bpx", "pd0")):
-        P = outer_preconditioner(pr, SolveConfig("mini", n, combo=combo))
-        ok, detail = _spd_probe(P, rng)
-        out.append(("outer preconditioner SPD probe, %s" % (combo[0],),
-                    ok, detail))
-    for kind in ("pd0", "hx", "hxbpx"):
-        sub2 = ftp.DarcySubsolver(pr, precond_kind=kind)
-        ok, detail = _spd_probe(sub2.velocity_inv, rng)
+    for kind in OUTER_KINDS:
+        config = SolveConfig("mini", n, combo=(kind, INNER_KINDS[0]))
+        ok, detail = _spd_probe(outer_preconditioner(pr, config), rng)
+        out.append(("outer preconditioner SPD probe, %s" % kind, ok, detail))
+    for kind in INNER_KINDS:
+        ok, detail = _spd_probe(KINDS[kind].build(pr), rng)
         out.append(("inner velocity-block SPD probe, %s" % kind, ok, detail))
 
     # Krylov kernel sanity: indefinite diagonal system

@@ -10,10 +10,11 @@ import numpy as np
 from . import verify
 from .ftp import SolverFailure
 from .krylov import IndefinitePreconditioner
-from .solver import (DEFAULT_COMBO, INNER_KINDS, INNER_RTOL, OUTER_KINDS,
-                     OUTER_RTOL, Problem, SolveConfig, canonical_pair,
-                     check_mesh_size, combo_label, parse_combo,
-                     solve_coupled, solve_monolithic_oracle)
+from .solver import (DEFAULT_COMBO, INNER_KINDS, INNER_RTOL, KINDS,
+                     OUTER_KINDS, OUTER_RTOL, Problem, SolveConfig,
+                     canonical_pair, check_mesh_size, check_tolerances,
+                     combo_label, parse_combo, solve_coupled,
+                     solve_monolithic_oracle)
 
 ENV_OUTDIR = "STOKESDARCY_OUTDIR"
 DEFAULT_NMIN, DEFAULT_NMAX = 8, 128  # default table: n = 8, 16, ..., 128
@@ -157,7 +158,7 @@ class ExperimentSpec:
         """Mesh sizes of a table, capped for direct factorizations unless
         --nmax was given."""
         ns = self.mesh_sizes()
-        has_direct = any(c != ("bpx", "hxbpx") for c in self.combos)
+        has_direct = any(KINDS[k].direct for c in self.combos for k in c)
         if has_direct and not self.nmax_explicit:
             capped = [n for n in ns if n <= DIRECT_CAP]
             if capped != ns:
@@ -312,6 +313,7 @@ def main(argv=None):
         spec = ExperimentSpec(args)
         if args.command in ("converge", "iterations"):
             spec.mesh_sizes()
+            check_tolerances(spec.outer_rtol, spec.inner_rtol)
         elif args.command == "oracle":
             spec.oracle_size()
     except ValueError as exc:

@@ -458,8 +458,9 @@ def locate_triangles(mesh, pts, region=None):
 def nodal_prolongation(coarse, fine):
     """Sparse interpolation matrix from a coarse nodal space into a fine one.
 
-    Both spaces must be continuous nodal families on nested structured
-    meshes of the same subdomain, both scalar or both VectorSpaces (whose
+    Both spaces must be continuous nodal families on nested meshes of the
+    same subdomain, the coarse one numbered like build_unit_square's (a
+    ValueError otherwise), both scalar or both VectorSpaces (whose
     prolongation is the interleaved expansion of the scalar one).  Linears
     embed into the bubble-enriched space on the same mesh as its leading
     vertex DOFs; any other prolongation into the bubble-enriched space
@@ -479,6 +480,12 @@ def nodal_prolongation(coarse, fine):
     if np.any(loc < 0):
         raise ValueError("fine node outside the coarse subdomain")
     ref = coarse.geom.pull_back(loc, fine.nodes)
+    # barycentric coordinates (1 - xi - eta, xi, eta); a negative one means
+    # locate_triangles met a mesh not numbered like build_unit_square
+    if min(ref.min(), (1.0 - ref.sum(axis=1)).min()) < -1e-12:
+        raise ValueError("fine node outside its located coarse triangle: "
+                         "the coarse mesh is not numbered like "
+                         "build_unit_square's")
     bvals = ref_basis(coarse.family, ref)[0].T  # (fine.ndof, nloc)
     keep = np.abs(bvals) > 1e-13
     rows = np.nonzero(keep)[0]

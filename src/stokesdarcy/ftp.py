@@ -40,74 +40,78 @@ class FtpResult:
         self.stats = stats
 
 
-class DarcySubsolver:
-    """Saddle solver for the porous block with prescribed interface flux.
+class _DarcySolves:
+    """Porous saddle solves on the Problem's blocks with prescribed
+    interface flux, and their functionals; subclasses supply the
+    constrained interior/pressure solve `_solve_blocks`.
 
-    The pressure is kept in full-basis coefficients; the zero-mean
-    constraint is maintained by projecting the divergence residual onto
-    the span of the non-constant test functions and keeping iterates in
-    {p : m.p = 0}, which reproduces the mean-zero formulation exactly.
-
-    Parameters
-    ----------
-    problem : the assembled Problem; its saddle block K_D and its
-        div-elliptic block Adiv_f are applied and factored as they are
-    precond_kind : 'pd0' (direct div-elliptic block), 'hx' or 'hxbpx'
-        (auxiliary-space block with direct nodal solves, or BPX ones
-        floored at n = 8)
-    mode : 'iter' for preconditioned MINRES, 'exact' for a factorized
-        solve of K_D bordered by the mean vector (property tests)
+    Pressures keep full-basis coefficients; iterates stay in {p : m.p =
+    0} and divergence residuals are projected onto the non-constant test
+    functions, which reproduces the mean-zero formulation exactly.
     """
 
-    def __init__(self, problem, precond_kind="pd0", rtol=INNER_RTOL,
-                 maxit=MAXIT_INNER, mode="iter"):
-        self.A_full = problem.A_D.tocsr()
-        self.B_full = problem.B_D.tocsr()
-        self.lift = problem.lift.tocsr()
-        # transposes applied by every functional, built once
-        self.B_fullT = self.B_full.T.tocsr()
-        self.liftT = self.lift.T.tocsr()
-        self.flux = problem.flux
-        self.K = problem.K_D
-        self.rtol = rtol
-        self.maxit = maxit
-        self.mode = mode
-
-        self.free = problem.free_flux
-        self.ni = len(self.free)
+    def __init__(self, problem):
+        self.problem = problem
+        self.ni = len(problem.free_flux)
         self.npres = problem.dpres.ndof
         self.mvec = pressure_integral(problem.dpres)
         self._mnorm2 = self.mvec @ self.mvec
-
-        if precond_kind == "pd0":
-            vel_inv = precond.direct_inverse(problem.Adiv_f)
-        elif precond_kind in ("hx", "hxbpx"):
-            # exact nodal solves are the one-level hierarchy
-            n_coarsest = problem.n if precond_kind == "hx" \
-                else min(8, problem.n)
-            vel_inv = precond.build_hx_precond(
-                precond.build_hx_transfers(problem), n_coarsest)
-        else:
-            raise ValueError("unknown inner preconditioner %r"
-                             % (precond_kind,))
-        W = precond.gs_sweep(problem.M_D)
-        self.pressure_inv = precond.projected_mass_inverse(W, self.mvec)
-        self.precond_op = precond.block_diag_op([vel_inv, self.pressure_inv])
-        self.velocity_inv = vel_inv
-
-        if mode == "exact":
-            mcol = sp.csc_matrix(
-                np.concatenate([np.zeros(self.ni), self.mvec])[:, None])
-            self._kkt = spla.splu(sp.bmat([[self.K, mcol], [mcol.T, None]],
-                                          format="csc"))
+        # transposes applied by every functional, built once
+        self._B_DT = problem.B_D.T.tocsr()
+        self._liftT = problem.lift.T.tocsr()
         self.iteration_log = []
 
     def _project(self, q):
         return q - self.mvec * ((self.mvec @ q) / self._mnorm2)
 
+    def solve_lifted(self, phi, rtol=None):
+        """Porous fields with normal trace phi on the interface (zero on
+        the outer boundary); returns full flux coefficients."""
+        pr = self.problem
+        ul = np.asarray(pr.lift @ phi).ravel()
+        F = -(pr.A_D @ ul)[pr.free_flux]
+        G = -(pr.B_D @ ul)
+        ui, p, stats = self._solve_blocks(F, G, rtol)
+        u = ul
+        u[pr.free_flux] += ui
+        return u, p, stats
+
+    def solve_source(self, G_load, rtol=None):
+        """Homogeneous-trace solve with divergence data G_load."""
+        scale = max(np.abs(G_load).max(), 1.0)
+        if abs(np.sum(G_load)) > COMPAT_TOL * scale:
+            raise InvalidCaseError("incompatible source: (f, 1) = %.3e"
+                                   % np.sum(G_load))
+        ui, p, stats = self._solve_blocks(np.zeros(self.ni), G_load, rtol)
+        u = np.zeros(self.problem.flux.ndof)
+        u[self.problem.free_flux] = ui
+        return u, p, stats
+
+    def functional(self, u, p):
+        """Dual pairing of the fields against lifted interface test
+        functions: the flux-to-pressure (or source residual) values."""
+        return np.asarray(self._liftT @ (self.problem.A_D @ u
+                                         - self._B_DT @ p)).ravel()
+
+
+class DarcySubsolver(_DarcySolves):
+    """Preconditioned MINRES for the porous saddle block K_D, stopping at
+    rtol or maxit.  velocity_inv is a built preconditioner of the
+    div-elliptic block Adiv_f (an inner kind of `solver.KINDS`); the
+    pressure block is a projected Gauss-Seidel mass sweep."""
+
+    def __init__(self, problem, velocity_inv, rtol=INNER_RTOL,
+                 maxit=MAXIT_INNER):
+        super().__init__(problem)
+        self.rtol = rtol
+        self.maxit = maxit
+        W = precond.gs_sweep(problem.M_D)
+        self.precond_op = precond.block_diag_op(
+            [velocity_inv, precond.projected_mass_inverse(W, self.mvec)])
+
     def operator(self):
         """K_D with its pressure rows projected onto {q : m.q = 0}."""
-        K, ni = self.K, self.ni
+        K, ni = self.problem.K_D, self.ni
 
         def apply(x):
             out = K @ x
@@ -118,12 +122,6 @@ class DarcySubsolver:
 
     def _solve_blocks(self, F, G, rtol=None):
         """Interior/pressure solve of the constrained saddle system."""
-        if self.mode == "exact":
-            rhs = np.concatenate([F, -G, [0.0]])
-            x = self._kkt.solve(rhs)
-            stats = None
-            self.iteration_log.append(0)
-            return x[:self.ni], self._project(x[self.ni:-1]), stats
         rhs = np.concatenate([F, -self._project(G)])
         x, stats = minres(self.operator(), rhs, Pinv=self.precond_op,
                           rtol=rtol or self.rtol, maxit=self.maxit)
@@ -136,33 +134,22 @@ class DarcySubsolver:
                                 stats.iterations), stats)
         return x[:self.ni], self._project(x[self.ni:]), stats
 
-    def solve_lifted(self, phi, rtol=None):
-        """Porous fields with normal trace phi on the interface (zero on
-        the outer boundary); returns full flux coefficients."""
-        ul = np.asarray(self.lift @ phi).ravel()
-        F = -(self.A_full @ ul)[self.free]
-        G = -(self.B_full @ ul)
-        ui, p, stats = self._solve_blocks(F, G, rtol)
-        u = ul
-        u[self.free] += ui
-        return u, p, stats
 
-    def solve_source(self, G_load, rtol=None):
-        """Homogeneous-trace solve with divergence data G_load."""
-        scale = max(np.abs(G_load).max(), 1.0)
-        if abs(np.sum(G_load)) > COMPAT_TOL * scale:
-            raise InvalidCaseError("incompatible source: (f, 1) = %.3e"
-                                   % np.sum(G_load))
-        ui, p, stats = self._solve_blocks(np.zeros(self.ni), G_load, rtol)
-        u = np.zeros(self.flux.ndof)
-        u[self.free] = ui
-        return u, p, stats
+class ExactDarcySubsolver(_DarcySolves):
+    """Factorized reference for property tests: K_D bordered by the mean
+    vector, solved by one LU; every solve logs 0 iterations."""
 
-    def functional(self, u, p):
-        """Dual pairing of the fields against lifted interface test
-        functions: the flux-to-pressure (or source residual) values."""
-        return np.asarray(self.liftT @ (self.A_full @ u
-                                        - self.B_fullT @ p)).ravel()
+    def __init__(self, problem):
+        super().__init__(problem)
+        mcol = sp.csc_matrix(
+            np.concatenate([np.zeros(self.ni), self.mvec])[:, None])
+        self._kkt = spla.splu(sp.bmat([[problem.K_D, mcol],
+                                       [mcol.T, None]], format="csc"))
+
+    def _solve_blocks(self, F, G, rtol=None):
+        x = self._kkt.solve(np.concatenate([F, -G, [0.0]]))
+        self.iteration_log.append(0)
+        return x[:self.ni], self._project(x[self.ni:-1]), None
 
 
 def apply_ftp(subsolver, phi):

@@ -173,11 +173,19 @@ def build_bpx(mats, prolongs):
     return LinOp(mats[-1].shape[0], apply)
 
 
-def nodal_bpx(spaces, top, matrix, free):
-    """BPX over nested nodal spaces, coarsest first: the coarser levels
-    assemble matrix(space) on the DOFs free(space), the finest is the
-    caller's block `top` on free(spaces[-1]).  One space solves directly.
-    """
+def nodal_bpx(meshes, space, top, matrix, free, family=None):
+    """BPX over nested meshes (coarsest first) up to `space`, a scalar or
+    vector nodal space on meshes[-1] with the caller's block `top` on
+    free(space).  Coarser levels are spaces of `family` (default: the
+    space's), matrix(level) on free(level); another family also gets a
+    level on the top mesh.  One level solves directly."""
+    scalar = getattr(space, "scalar", space)
+    family = family or scalar.family
+    coarse = meshes if family != scalar.family else meshes[:-1]
+    spaces = [Space(m, family, scalar.region) for m in coarse]
+    if space is not scalar:
+        spaces = [VectorSpace(s) for s in spaces]
+    spaces.append(space)
     frees = [free(s) for s in spaces]
     mats = [matrix(s)[np.ix_(f, f)].tocsr()
             for s, f in zip(spaces[:-1], frees)] + [top]
@@ -329,14 +337,13 @@ def hx_nodal_hierarchy(transfer, n_coarsest):
     blocks, coarsest level n_coarsest; the finest levels are transfer.L
     and transfer.Delta on transfer.nodal and transfer.potential."""
     tau = transfer.tau
-    meshes = mesh_hierarchy(transfer.nodal.mesh, n_coarsest)[:-1]
+    meshes = mesh_hierarchy(transfer.nodal.mesh, n_coarsest)
 
-    def bpx(space, top, matrix):
-        levels = [Space(m, space.family, space.region) for m in meshes]
-        return nodal_bpx(levels + [space], top, matrix,
-                         lambda s: np.where(~s.on_boundary)[0])
+    def free(s):
+        return np.where(~s.on_boundary)[0]
 
-    return (bpx(transfer.nodal, transfer.L,
-                lambda s: assembly.scalar_stiffness(s)
-                + tau * assembly.scalar_mass(s)),
-            bpx(transfer.potential, transfer.Delta, assembly.scalar_stiffness))
+    return (nodal_bpx(meshes, transfer.nodal, transfer.L,
+                      lambda s: assembly.scalar_stiffness(s)
+                      + tau * assembly.scalar_mass(s), free),
+            nodal_bpx(meshes, transfer.potential, transfer.Delta,
+                      assembly.scalar_stiffness, free))

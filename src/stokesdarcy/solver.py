@@ -2,6 +2,7 @@
 the monolithic reference solve, and stability-constant estimation."""
 
 import time
+from collections import namedtuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -134,6 +135,10 @@ class SolveConfig:
 
     def __init__(self, pair, n, outer_rtol=OUTER_RTOL, inner_rtol=INNER_RTOL,
                  combo=DEFAULT_COMBO, maxit_inner=MAXIT_INNER):
+        check_tolerances(outer_rtol, inner_rtol)
+        if maxit_inner < 1:
+            raise ValueError("maxit_inner must be >= 1, got %r"
+                             % (maxit_inner,))
         self.pair = canonical_pair(pair)
         self.n = n
         self.outer_rtol = outer_rtol
@@ -143,8 +148,36 @@ class SolveConfig:
         self.recovery_rtol = min(RECOVERY_RTOL, inner_rtol)
 
 
-OUTER_KINDS = ("direct", "bpx")
-INNER_KINDS = ("pd0", "hx", "hxbpx")
+def check_tolerances(outer_rtol, inner_rtol):
+    """Raise ValueError unless both relative tolerances lie in (0, 1)."""
+    for name, rtol in (("outer_rtol", outer_rtol), ("inner_rtol", inner_rtol)):
+        if not 0.0 < rtol < 1.0:
+            raise ValueError("%s must lie in (0, 1), got %r" % (name, rtol))
+
+
+def _hx_block(problem, n_coarsest):
+    return precond.build_hx_precond(precond.build_hx_transfers(problem),
+                                    n_coarsest)
+
+
+# The preconditioner kinds of the reported tables, for the free-flow
+# velocity block (outer) and the div-elliptic porous block (inner): table
+# label, whether the finest level is factored directly, and the builder
+# problem -> block, which looks its routines up when called.
+Kind = namedtuple("Kind", "role label direct build")
+KINDS = {
+    "direct": Kind("outer", "PS_dir", True,
+                   lambda pr: precond.direct_inverse(pr.A_ff)),
+    "bpx": Kind("outer", "PS_bpx", False, lambda pr: stokes_velocity_bpx(pr)),
+    "pd0": Kind("inner", "PD0", True,
+                lambda pr: precond.direct_inverse(pr.Adiv_f)),
+    # exact nodal solves are the one-level hierarchy
+    "hx": Kind("inner", "PD_hx", True, lambda pr: _hx_block(pr, pr.n)),
+    "hxbpx": Kind("inner", "PD_hxbpx", False,
+                  lambda pr: _hx_block(pr, min(8, pr.n))),
+}
+OUTER_KINDS, INNER_KINDS = (tuple(k for k in KINDS if KINDS[k].role == role)
+                            for role in ("outer", "inner"))
 
 
 def parse_combo(combo):
@@ -162,9 +195,7 @@ def parse_combo(combo):
 
 
 def combo_label(combo):
-    outer = {"direct": "PS_dir", "bpx": "PS_bpx"}[combo[0]]
-    inner = {"pd0": "PD0", "hx": "PD_hx", "hxbpx": "PD_hxbpx"}[combo[1]]
-    return "%s(%s)" % (outer, inner)
+    return "%s(%s)" % (KINDS[combo[0]].label, KINDS[combo[1]].label)
 
 
 class SolveReport:
@@ -172,7 +203,7 @@ class SolveReport:
 
     def __init__(self, problem, config, u_S, p_S, u_D, p_D,
                  outer_iterations, inner_counts, residuals, converged,
-                 wall_time, global_shift=0.0):
+                 wall_time):
         self.problem = problem
         self.config = config
         self.u_S = u_S
@@ -184,7 +215,6 @@ class SolveReport:
         self.residuals = residuals
         self.converged = converged
         self.wall_time = wall_time
-        self.global_shift = global_shift
 
     @property
     def mean_inner(self):
@@ -194,8 +224,10 @@ class SolveReport:
 
     def pressures_zero_total_mean(self):
         """Both pressures shifted by the single constant that moves the
-        normalization from the porous half to the whole domain."""
-        return self.p_S + self.global_shift, self.p_D + self.global_shift
+        normalization from the porous half to the whole domain: minus the
+        free-flow integral, as |Omega| = 1 and p_D has zero mean."""
+        shift = -(assembly.pressure_integral(self.problem.pres) @ self.p_S)
+        return self.p_S + shift, self.p_D + shift
 
 
 def bpx_coarsest(n, enriched=False):
@@ -213,27 +245,19 @@ def stokes_velocity_bpx(problem, n_coarsest=None):
     the problem's own space and block A_ff: for the bubble-enriched pair
     on top of the linear level of the same mesh (its Jacobi scaling covers
     the bubbles), for a nodal pair in place of the finest nodal level."""
-    vel = problem.vel
-    enriched = vel.scalar.family == "p1b"
+    enriched = problem.vel.scalar.family == "p1b"
     if n_coarsest is None:
         n_coarsest = bpx_coarsest(problem.n, enriched)
-    meshes = mesh_hierarchy(problem.mesh, n_coarsest)
-    if not enriched:
-        meshes = meshes[:-1]
-    family = "p1" if enriched else vel.scalar.family
-    spaces = [VectorSpace(Space(m, family, REGION_S)) for m in meshes]
     return precond.nodal_bpx(
-        spaces + [vel], problem.A_ff,
+        mesh_hierarchy(problem.mesh, n_coarsest), problem.vel, problem.A_ff,
         lambda v: assembly.stokes_velocity_matrix(v, problem.params),
-        lambda v: np.where(~v.on_gamma)[0])
+        lambda v: np.where(~v.on_gamma)[0],
+        family="p1" if enriched else None)
 
 
 def outer_preconditioner(problem, config):
     """Block-diagonal free-flow preconditioner for the chosen combo."""
-    if config.combo[0] == "direct":
-        vel_inv = precond.direct_inverse(problem.A_ff)
-    else:
-        vel_inv = stokes_velocity_bpx(problem)
+    vel_inv = KINDS[config.combo[0]].build(problem)
     return precond.block_diag_op([vel_inv, precond.gs_sweep(problem.M_S)])
 
 
@@ -261,8 +285,8 @@ def solve_coupled(problem, config=None):
                          "at n=%d" % (config.pair, config.n, problem.pair,
                                       problem.n))
     subsolver = ftp.DarcySubsolver(
-        problem, precond_kind=config.combo[1], rtol=config.inner_rtol,
-        maxit=config.maxit_inner)
+        problem, KINDS[config.combo[1]].build(problem),
+        rtol=config.inner_rtol, maxit=config.maxit_inner)
 
     gamma_res = ftp.source_residual(subsolver, problem.G_D,
                                     rtol=config.recovery_rtol)
@@ -288,19 +312,12 @@ def solve_coupled(problem, config=None):
     u_S[problem.free_vel] = u_Sf
     phi = np.asarray(problem.R_f @ u_Sf).ravel()
     u_phi, p_phi, _ = subsolver.solve_lifted(phi, rtol=config.recovery_rtol)
+    # both parts of p_D already have zero mean on the porous half
     u_D = gamma_res.u + u_phi
     p_D = gamma_res.p + p_phi
-    # exact zero mean on the porous half; coefficients are nodal values,
-    # so a constant shift subtracts uniformly
-    p_D = p_D - (problem.mvec @ p_D) / 0.5
-
-    int_pS = assembly.pressure_integral(problem.pres) @ p_S
-    global_shift = -int_pS  # |Omega| = 1 and the porous integral is zero
-
     return SolveReport(problem, config, u_S, p_S, u_D, p_D,
                        stats.iterations, inner_counts, stats.residuals,
-                       stats.converged, time.perf_counter() - t0,
-                       global_shift=global_shift)
+                       stats.converged, time.perf_counter() - t0)
 
 
 def solve_monolithic_oracle(problem):
@@ -309,8 +326,7 @@ def solve_monolithic_oracle(problem):
     fidx = problem.free_vel
     iidx = problem.free_flux
     E = (problem.lift @ problem.R).tocsr()[:, fidx]
-    A_S, A_D, B_S, B_D = (problem.A_S, problem.A_D, problem.B_S,
-                          problem.B_D)
+    A_D, B_D = problem.A_D, problem.B_D
     Kss = problem.A_ff + E.T @ A_D @ E
     Ksi = (E.T @ A_D[:, iidx]).tocsr()
     Aii = A_D[np.ix_(iidx, iidx)].tocsr()
@@ -338,10 +354,8 @@ def solve_monolithic_oracle(problem):
     p_S = x[nf + ni:nf + ni + nps]
     p_D = x[nf + ni + nps:-1]
     config = SolveConfig(problem.pair, problem.n)
-    int_pS = assembly.pressure_integral(problem.pres) @ p_S
     return SolveReport(problem, config, u_S, p_S, u_D, p_D, 0, [],
-                       [0.0], True, time.perf_counter() - t0,
-                       global_shift=-int_pS)
+                       [0.0], True, time.perf_counter() - t0)
 
 
 def _infsup_from_matrices(B, X, M, mvec):

@@ -246,7 +246,7 @@ def test_criterion7_spectral_equivalence():
     conds_outer = []
     for n in (8, 32):
         pr = Problem("mini", n)
-        sub = ftp.DarcySubsolver(pr, mode="exact")
+        sub = ftp.ExactDarcySubsolver(pr)
         op = _outer_operator(pr, ftp.CouplingOperator(pr.R_f, sub))
         P = precond.block_diag_op([precond.direct_inverse(pr.A_ff),
                                    precond.direct_inverse(pr.M_S)])

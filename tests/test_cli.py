@@ -175,6 +175,35 @@ def test_default_mesh_sizes_and_direct_cap(capsys):
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("combo", ["bpx:hx", "bpx:pd0", "direct:hxbpx"])
+def test_direct_cap_follows_the_kind_table(capsys, combo):
+    """A combo is capped when either kind factors its finest level;
+    bpx:hxbpx, which factors neither, is left uncapped (above)."""
+    assert _spec(["iterations", "--combo", combo]).n_values() \
+        == [8, 16, 32, 64]
+    assert "capping the mesh range at n=64" in capsys.readouterr().err
+
+
+def test_combo_names_are_the_kind_table():
+    from stokesdarcy.cli import _FLAGS
+    from stokesdarcy.solver import KINDS, combo_label, parse_combo
+
+    outer = tuple(k for k in KINDS if KINDS[k].role == "outer")
+    inner = tuple(k for k in KINDS if KINDS[k].role == "inner")
+    assert len(outer) + len(inner) == len(KINDS)
+    assert "outer in %s, inner in %s;" % (outer, inner) \
+        in _FLAGS["combo"]["help"]
+    for o in outer:
+        for i in inner:
+            combo = parse_combo("%s:%s" % (o, i))
+            assert combo == (o, i)
+            assert combo_label(combo) == "%s(%s)" % (KINDS[o].label,
+                                                     KINDS[i].label)
+    for o, i in ((inner[0], inner[0]), (outer[0], outer[0])):
+        with pytest.raises(ValueError):
+            parse_combo("%s:%s" % (o, i))
+
+
 def _assert_usage_error(capsys, monkeypatch, argv):
     """main(argv) exits 2 with a one-line error before any solve; returns
     the error text."""
@@ -208,6 +237,24 @@ def test_empty_mesh_range_is_usage_error(capsys, monkeypatch, argv):
     """An empty mesh-size range, or a size the pair cannot be built at
     (odd, or not divisible by 4 for the iso pair)."""
     _assert_usage_error(capsys, monkeypatch, argv)
+
+
+@pytest.mark.parametrize("argv,config", [
+    pytest.param([verb, flag, value], None,
+                 id="%s%s=%s" % (verb, flag, value))
+    for verb in ("converge", "iterations")
+    for flag, value in (("--inner-rtol", "0"), ("--inner-rtol", "2"),
+                        ("--outer-rtol", "-1"), ("--outer-rtol", "nan"))] + [
+    pytest.param(["iterations"], "inner_rtol = 0\n", id="key-inner-rtol"),
+    pytest.param(["converge"], "outer_rtol = 1\n", id="key-outer-rtol")])
+def test_out_of_range_tolerance_is_usage_error(tmp_path, capsys, monkeypatch,
+                                               argv, config):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    err = _assert_usage_error(capsys, monkeypatch, argv)
+    assert "must lie in (0, 1)" in err
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

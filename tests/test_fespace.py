@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stokesdarcy import build_unit_square
+from stokesdarcy import build_unit_square, refine_uniform
 from stokesdarcy import quadrature as quad
 from stokesdarcy.fespace import (REGION_D, REGION_S, FluxSpace, Space,
                                  TraceSpace, VectorSpace, locate_triangles,
@@ -230,6 +230,17 @@ def test_prolongation_into_enriched_space_needs_same_mesh():
             nodal_prolongation(coarse, p1b_8)
         with pytest.raises(ValueError):
             nodal_prolongation(VectorSpace(coarse), VectorSpace(p1b_8))
+
+
+@pytest.mark.parametrize("fam", ["p1", "p2"])
+def test_prolongation_rejects_a_mesh_it_cannot_locate_in(fam):
+    """The triangle lookup assumes the numbering of build_unit_square; a
+    red-refined mesh of the same size is numbered otherwise, and most
+    fine nodes pull back outside the triangle found for them."""
+    coarse = Space(refine_uniform(build_unit_square(4)), fam, REGION_S)
+    fine = Space(build_unit_square(16), fam, REGION_S)
+    with pytest.raises(ValueError, match="outside its located"):
+        nodal_prolongation(coarse, fine)
 
 
 def _prolongation_by_node(coarse, fine):

@@ -3,13 +3,13 @@ import pytest
 
 from stokesdarcy import InvalidCaseError
 from stokesdarcy import assembly as asm
-from stokesdarcy import ftp
+from stokesdarcy import ftp, precond
 from stokesdarcy.manufactured import ManufacturedCase
 
 
 @pytest.fixture(scope="module")
 def exact_sub(mini8):
-    return ftp.DarcySubsolver(mini8, mode="exact")
+    return ftp.ExactDarcySubsolver(mini8)
 
 
 def test_zero_datum(exact_sub):
@@ -67,7 +67,7 @@ def test_source_zero(exact_sub):
 def test_source_discrete_equations(mini8):
     """The source solve satisfies its divergence constraint: (div u, q)
     equals (f, q) for every zero-mean pressure test function."""
-    sub = ftp.DarcySubsolver(mini8, mode="exact")
+    sub = ftp.ExactDarcySubsolver(mini8)
     G = asm.darcy_load(mini8.dpres, ManufacturedCase())
     res = ftp.source_residual(sub, G)
     resid = mini8.B_D @ res.u - G
@@ -82,7 +82,7 @@ def test_incompatible_source_rejected(exact_sub):
 
 
 def test_coupling_kills_tangential_fields(mini8, rng):
-    sub = ftp.DarcySubsolver(mini8, mode="exact")
+    sub = ftp.ExactDarcySubsolver(mini8)
     C = ftp.CouplingOperator(mini8.R_f, sub)
     u = np.zeros(len(mini8.free_vel))
     # fields with zero vertical component have zero normal trace
@@ -93,8 +93,8 @@ def test_coupling_kills_tangential_fields(mini8, rng):
 
 
 def test_coupling_symmetry_tight(mini8):
-    sub = ftp.DarcySubsolver(mini8, precond_kind="pd0", rtol=1e-10,
-                             maxit=4000)
+    sub = ftp.DarcySubsolver(mini8, precond.direct_inverse(mini8.Adiv_f),
+                             rtol=1e-10, maxit=4000)
     C = ftp.CouplingOperator(mini8.R_f, sub)
     local = np.random.default_rng(5)
     worst = 0.0
@@ -107,7 +107,7 @@ def test_coupling_symmetry_tight(mini8):
 
 
 def test_coupling_psd(mini8, rng):
-    sub = ftp.DarcySubsolver(mini8, mode="exact")
+    sub = ftp.ExactDarcySubsolver(mini8)
     C = ftp.CouplingOperator(mini8.R_f, sub)
     for _ in range(10):
         u = rng.standard_normal(C.n)
@@ -115,7 +115,7 @@ def test_coupling_psd(mini8, rng):
 
 
 def test_one_solve_per_application(mini8, rng):
-    sub = ftp.DarcySubsolver(mini8, mode="exact")
+    sub = ftp.ExactDarcySubsolver(mini8)
     C = ftp.CouplingOperator(mini8.R_f, sub)
     before = len(sub.iteration_log)
     for k in range(5):
@@ -124,7 +124,8 @@ def test_one_solve_per_application(mini8, rng):
 
 
 def test_iterative_solver_failure_flagged(mini8, rng):
-    sub = ftp.DarcySubsolver(mini8, precond_kind="pd0", rtol=1e-12, maxit=2)
+    sub = ftp.DarcySubsolver(mini8, precond.direct_inverse(mini8.Adiv_f),
+                             rtol=1e-12, maxit=2)
     with pytest.raises(ftp.SolverFailure) as info:
         ftp.apply_ftp(sub, rng.standard_normal(16))
     assert info.value.stats is not None

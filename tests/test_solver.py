@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from stokesdarcy import (Problem, SolveConfig, ftp, solve_coupled,
+from stokesdarcy import (Problem, SolveConfig, ftp, precond, solve_coupled,
                          solve_monolithic_oracle)
 from stokesdarcy.manufactured import ZeroCase
 from stokesdarcy.solver import (_outer_operator, canonical_pair,
@@ -40,6 +40,15 @@ def test_config_validates_combo_pairs():
                 ("direct", "pd0", "hx"), ("direct", 0)):
         with pytest.raises(ValueError):
             SolveConfig("mini", 8, combo=bad)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("outer_rtol", 0.0), ("outer_rtol", -1.0), ("outer_rtol", 1.0),
+    ("outer_rtol", float("nan")), ("inner_rtol", 0.0), ("inner_rtol", 2.0),
+    ("inner_rtol", float("nan")), ("maxit_inner", 0)])
+def test_config_rejects_out_of_range_settings(key, value):
+    with pytest.raises(ValueError, match=key):
+        SolveConfig("mini", 8, **{key: value})
 
 
 def test_recovery_tolerance_is_derived():
@@ -180,7 +189,7 @@ def test_saddle_matrices_match_blocks(problem_cache, rng, pair):
 
     nf, ni, m = len(pr.free_vel), len(free), pr.mvec
     outer = _outer_operator(pr, None)
-    sub = ftp.DarcySubsolver(pr)
+    sub = ftp.DarcySubsolver(pr, precond.direct_inverse(pr.Adiv_f))
     inner = sub.operator()
     for _ in range(3):
         x = rng.standard_normal(outer.n)
@@ -194,7 +203,7 @@ def test_saddle_matrices_match_blocks(problem_cache, rng, pair):
                                -(q - m * ((m @ q) / (m @ m)))])
         assert rel(inner(y), want) <= 1e-14
 
-    exact = ftp.DarcySubsolver(pr, mode="exact")
+    exact = ftp.ExactDarcySubsolver(pr)
     phi = rng.standard_normal(pr.trace.ndim)
     res = ftp.apply_ftp(exact, phi)
     ul = pr.lift @ phi
