@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .fespace import ref_basis
+from .fespace import csr_from_triplets, ref_basis
 
 # quadrature degree 2*(basis degree)+2 per family
 _QDEG = {"p1": 4, "p1dc": 4, "p0dc": 2, "p2": 6, "p1b": 8, "bdm1": 4, "rt1": 6}
@@ -31,12 +31,7 @@ class PhysicalParams:
 
 def _scatter(rows, cols, vals, shape):
     """Element-block scatter: rows (nt, a), cols (nt, b), vals (nt, a, b)."""
-    nt, a = rows.shape
-    b = cols.shape[1]
-    r = np.repeat(rows[:, :, None], b, axis=2)
-    c = np.repeat(cols[:, None, :], a, axis=1)
-    return sp.coo_matrix((vals.ravel(), (r.ravel(), c.ravel())),
-                         shape=shape).tocsr()
+    return csr_from_triplets(rows[:, :, None], cols[:, None, :], vals, shape)
 
 
 def scalar_mass(space):

@@ -20,6 +20,42 @@ from .mesh import GAMMA_D, REF_VERTICES, SIGMA, segment_points
 REGION_S = 0
 REGION_D = 1
 
+# An assembled entry |a_ij| <= DROP_RTOL * max(max_k |a_ik|, max_k |a_kj|)
+# is an exact zero or cancellation roundoff of its form and is not stored.
+# The scale depends on rows and columns only: symmetric for a symmetric
+# form, and free of the form's physical coefficients.
+DROP_RTOL = 2.0 ** -40
+
+
+def csr_from_triplets(rows, cols, vals, shape):
+    """CSR sum of the triplets (rows, cols, vals), broadcast against each
+    other, duplicates added, without the entries that DROP_RTOL marks as
+    roundoff.  Every kept entry is bitwise the plain coo -> csr sum."""
+    rows, cols, vals = (a.ravel() for a in np.broadcast_arrays(rows, cols,
+                                                               vals))
+    return drop_roundoff(sp.coo_matrix((vals, (rows, cols)), shape=shape))
+
+
+def drop_roundoff(A):
+    """A copy of the sparse matrix A, as CSR, without the entries that
+    DROP_RTOL marks as roundoff.  Only entries at or below DROP_RTOL of
+    the largest magnitude of A can qualify; only those are tested."""
+    A = A.tocsr(copy=True)
+    mag = np.abs(A.data)
+    small = np.flatnonzero(mag <= DROP_RTOL * mag.max(initial=0.0))
+    if not small.size:
+        return A
+    rowmax = np.zeros(A.shape[0])
+    full = np.diff(A.indptr) > 0
+    rowmax[full] = np.maximum.reduceat(mag, A.indptr[:-1][full])
+    colmax = np.zeros(A.shape[1])
+    np.maximum.at(colmax, A.indices, mag)
+    rows = np.searchsorted(A.indptr, small, side="right") - 1
+    scale = np.maximum(rowmax[rows], colmax[A.indices[small]])
+    A.data[small[mag[small] <= DROP_RTOL * scale]] = 0.0
+    A.eliminate_zeros()
+    return A
+
 
 def ref_basis(family, pts):
     """Values and reference gradients of the local shape functions.
@@ -329,13 +365,13 @@ class FluxSpace:
         local (nt, m, nloc) holds the DOFs of m fields per triangle, field
         j of triangle t belonging to column cols[t, j].  An edge DOF owned
         by two triangles gets the mean of their two values, which coincide
-        for a field with single-valued normal trace.
+        for a field with single-valued normal trace.  Roundoff entries are
+        dropped as in ``csr_from_triplets``.
         """
-        rows = np.broadcast_to(self.cell_dofs[:, None, :], local.shape)
-        cols = np.broadcast_to(cols[:, :, None], local.shape)
-        vals = local / self._owners[rows]
-        return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                             shape=(self.ndof, ncols)).tocsr()
+        rows = self.cell_dofs[:, None, :]
+        return csr_from_triplets(rows, cols[:, :, None],
+                                 local / self._owners[rows],
+                                 (self.ndof, ncols))
 
     def _local_monomials(self, ref_pts):
         """Monomial values (nt, nmono, np, 2) and local-coordinate
@@ -375,8 +411,9 @@ class FluxSpace:
         f((N, 2) points) -> (N, 2): its DOFs, by the Gauss rules of
         ``local_dofs``."""
         vals = self.geom.evaluate(f, self.dof_points)[:, None]
-        cols = np.zeros((len(self.tris), 1), dtype=int)
-        return self.scatter(self.local_dofs(vals), cols, 1).toarray().ravel()
+        dofs = self.local_dofs(vals)[:, 0] / self._owners[self.cell_dofs]
+        return np.bincount(self.cell_dofs.ravel(), dofs.ravel(),
+                           minlength=self.ndof)
 
 
 class TraceSpace:
@@ -487,11 +524,9 @@ def nodal_prolongation(coarse, fine):
                          "the coarse mesh is not numbered like "
                          "build_unit_square's")
     bvals = ref_basis(coarse.family, ref)[0].T  # (fine.ndof, nloc)
-    keep = np.abs(bvals) > 1e-13
-    rows = np.nonzero(keep)[0]
-    cols = coarse.cell_dofs[loc][keep]
-    return sp.coo_matrix((bvals[keep], (rows, cols)),
-                         shape=(fine.ndof, coarse.ndof)).tocsr()
+    return csr_from_triplets(np.arange(fine.ndof)[:, None],
+                             coarse.cell_dofs[loc], bvals,
+                             (fine.ndof, coarse.ndof))
 
 
 def vector_expand(P):

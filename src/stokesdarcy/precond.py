@@ -314,20 +314,23 @@ def curl_representation_residual(flux, scalar, C):
 def build_hx_precond(transfer, n_coarsest):
     """Three-term additive auxiliary-space preconditioner S^{-1} + Idiv
     Linv Idiv^T + (1/tau) C Dinv C^T, the nodal solves by BPX from
-    n_coarsest up (see hx_nodal_hierarchy; one level solves exactly)."""
+    n_coarsest up (see hx_nodal_hierarchy; one level solves exactly).
+
+    Both transfers are stacked: one restriction [Idiv^T; C^T] and one
+    prolongation [Idiv, C/tau], two sparse products per apply."""
     Sinv = 1.0 / transfer.Sdiv
     C, Idiv = transfer.C, transfer.Idiv
-    CT, IdivT = C.T.tocsr(), Idiv.T.tocsr()
-    tau = transfer.tau
+    restrict = sp.vstack([Idiv.T, C.T], format="csr")
+    prolong = sp.hstack([Idiv, C / transfer.tau], format="csr")
+    nvec = Idiv.shape[1]
     Linv_sc, Dinv = hx_nodal_hierarchy(transfer, n_coarsest)
 
     def apply(r):
-        x = Sinv * r
+        s = restrict @ r
         # the interleaved vector nodal solve is one two-column block solve
-        y = Linv_sc((IdivT @ r).reshape(-1, 2)).ravel()
-        x = x + Idiv @ y
-        x = x + C @ Dinv(CT @ r) / tau
-        return x
+        y = np.concatenate([Linv_sc(s[:nvec].reshape(-1, 2)).ravel(),
+                            Dinv(s[nvec:])])
+        return Sinv * r + prolong @ y
 
     return LinOp(len(Sinv), apply)
 

@@ -11,8 +11,8 @@ import scipy.sparse.linalg as spla
 from . import assembly, ftp, precond
 from .assembly import PhysicalParams
 from .fespace import (REGION_D, REGION_S, FluxSpace, Space, TraceSpace,
-                      VectorSpace, nodal_prolongation, sigma_flux_maps,
-                      vector_expand)
+                      VectorSpace, drop_roundoff, nodal_prolongation,
+                      sigma_flux_maps, vector_expand)
 from .ftp import INNER_RTOL, MAXIT_INNER
 from .krylov import LinOp, minres
 from .manufactured import ManufacturedCase
@@ -84,8 +84,8 @@ class Problem:
             Bf = assembly.divergence_matrix(self.vel, fine_p)
             Mf = assembly.scalar_mass(fine_p)
             E = self.pres_embed
-            self.B_S = (E.T @ Bf).tocsr()
-            self.M_S = (E.T @ Mf @ E).tocsr()
+            self.B_S = drop_roundoff(E.T @ Bf)
+            self.M_S = drop_roundoff(E.T @ Mf @ E)
         self.A_D, self.B_D, self.D_D, self.M_D = assembly.assemble_darcy(
             self.flux, self.dpres, p)
         self.T_SD, self.R = assembly.assemble_interface(

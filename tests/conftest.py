@@ -1,3 +1,4 @@
+import contextlib
 import os
 
 # one BLAS thread, as the benchmark runs; an explicit setting still wins
@@ -7,7 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from stokesdarcy import Problem  # noqa: E402
+from stokesdarcy import Problem, fespace, solver  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -40,3 +41,16 @@ def th8(problem_cache):
 @pytest.fixture(scope="session")
 def iso8(problem_cache):
     return problem_cache("iso", 8)
+
+
+@pytest.fixture
+def undropped(monkeypatch):
+    """Context manager under which assembly keeps every summed entry: the
+    plain coo -> csr sum of the triplets, roundoff and zeros included."""
+    @contextlib.contextmanager
+    def plain():
+        with monkeypatch.context() as m:
+            for module in (fespace, solver):
+                m.setattr(module, "drop_roundoff", lambda A: A.tocsr())
+            yield
+    return plain

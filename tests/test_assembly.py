@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from stokesdarcy import InvalidCaseError, PhysicalParams
+from stokesdarcy import InvalidCaseError, PhysicalParams, Problem, precond
 from stokesdarcy import assembly as asm
 from stokesdarcy import quadrature as quad
-from stokesdarcy.fespace import ref_basis
+from stokesdarcy.fespace import DROP_RTOL, ref_basis
 from stokesdarcy.manufactured import ManufacturedCase, ZeroCase
 
 params = PhysicalParams()
@@ -239,3 +239,73 @@ def test_divergence_inclusion(mini8, th8, rng):
             rhs[..., None])[..., 0]
         back = np.einsum("tl,lq->tq", proj, pvals)
         assert np.abs(back - dh).max() <= 1e-12 * max(np.abs(dh).max(), 1)
+
+
+def _roundoff_scale(A):
+    """max(largest |entry| of its row, of its column) per stored entry of
+    the CSR matrix A, in storage order."""
+    mag = abs(A)
+    rowmax = mag.max(axis=1).toarray().ravel()
+    colmax = mag.max(axis=0).toarray().ravel()
+    return np.maximum(np.repeat(rowmax, np.diff(A.indptr)),
+                      colmax[A.indices])
+
+
+def _forms(pair, monkeypatch):
+    """The assembled forms of a pair at n = 16, the auxiliary-space
+    transfers and blocks, and the coarsest level of the potential BPX
+    hierarchy."""
+    pr = Problem(pair, 16)
+    t = precond.build_hx_transfers(pr)
+    levels = []
+    build_bpx = precond.build_bpx
+
+    def record(mats, prolongs):
+        levels.append(mats[0])
+        return build_bpx(mats, prolongs)
+
+    with monkeypatch.context() as m:
+        m.setattr(precond, "build_bpx", record)
+        precond.hx_nodal_hierarchy(t, 8)
+    forms = {k: getattr(pr, k) for k in ("A_S", "B_S", "M_S", "A_D", "B_D",
+                                         "D_D", "M_D")}
+    forms.update(C=t.C, Idiv=t.Idiv, L=t.L, Delta=t.Delta,
+                 coarse_Delta=levels[1])
+    return {k: A.tocsr() for k, A in forms.items()}
+
+
+@pytest.mark.parametrize("pair", ["mini", "iso", "th"])
+def test_assembled_forms_store_no_roundoff(pair, monkeypatch, undropped):
+    """No assembled matrix stores an entry at or below DROP_RTOL of its
+    row/column scale; every kept entry of a scattered form is bitwise the
+    plain coo -> csr sum of the same triplets, and every entry left out
+    is at most DROP_RTOL of that scale.  The rule separates two groups
+    far apart: a form's kept entries lie above 1e-3 of the scale and the
+    dropped ones below 1e-13.  L = K + tau M and the iso pair's B_S and
+    M_S (products with the pressure embedding) are combinations of such
+    forms: their kept entries match the plain combination to within the
+    dropped roundoff."""
+    forms = _forms(pair, monkeypatch)
+    with undropped():
+        plain = _forms(pair, monkeypatch)
+    combined = {"L"} | ({"B_S", "M_S"} if pair == "iso" else set())
+    dropped = 0
+    for name, A in forms.items():
+        P = plain[name]
+        assert A.shape == P.shape
+        assert np.all(np.abs(A.data) > DROP_RTOL * _roundoff_scale(A)), name
+        scale = _roundoff_scale(P)
+        Pc = P.tocoo()
+        kept = np.asarray(A[Pc.row, Pc.col]).ravel()
+        stored = kept != 0
+        assert stored.sum() == A.nnz, name
+        if name in combined:
+            assert np.all(np.abs(kept - Pc.data)[stored]
+                          <= DROP_RTOL * scale[stored]), name
+        else:
+            assert np.array_equal(kept[stored], Pc.data[stored]), name
+            assert np.all(np.abs(kept[stored]) > 1e-3 * scale[stored]), name
+        assert np.all(np.abs(Pc.data[~stored])
+                      <= 1e-13 * scale[~stored]), name
+        dropped += P.nnz - A.nnz
+    assert dropped > 0

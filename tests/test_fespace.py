@@ -276,3 +276,23 @@ def test_prolongation_matches_per_node_reference(fam, region):
     assert np.array_equal(P.indptr, ref.indptr)
     assert np.array_equal(P.indices, ref.indices)
     assert np.array_equal(P.data, ref.data)
+
+
+@pytest.mark.parametrize("fam", ["p1", "p2"])
+def test_prolongation_drop_rule_keeps_threshold_filter(fam, undropped):
+    """Up to n = 64, on both subdomains, the roundoff rule of assembly
+    keeps exactly the prolongation entries above 1e-13 (the absolute
+    filter it replaced), bitwise; every nodal hierarchy of the solvers
+    is built from these."""
+    spaces = [[Space(build_unit_square(n), fam, region) for n in
+               (8, 16, 32, 64)] for region in (REGION_S, REGION_D)]
+    for level in spaces:
+        for coarse, fine in zip(level, level[1:]):
+            P = nodal_prolongation(coarse, fine)
+            with undropped():
+                ref = nodal_prolongation(coarse, fine)
+            ref.data[np.abs(ref.data) <= 1e-13] = 0.0
+            ref.eliminate_zeros()
+            assert np.array_equal(P.indptr, ref.indptr)
+            assert np.array_equal(P.indices, ref.indices)
+            assert np.array_equal(P.data, ref.data)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from stokesdarcy import build_unit_square
+from stokesdarcy import Problem, build_unit_square
 from stokesdarcy import precond
 from stokesdarcy import quadrature as quad
 from stokesdarcy.fespace import (REGION_D, FluxSpace, Space,
@@ -33,14 +33,8 @@ def test_direct_inverse_roundtrip(problem_cache, rng, pair, block):
     assert ok, err
 
 
-@pytest.mark.parametrize("pair,n,block", [("th", 16, "darcy"),
-                                          ("mini", 32, "A_ff")])
-def test_direct_inverse_symmetric_ordering(problem_cache, monkeypatch, pair,
-                                           n, block):
-    """SPD blocks are factored with one symmetric permutation and diagonal
-    pivots, at most half the L+U fill of SuperLU's default column ordering
-    with partial pivoting (0.38 and 0.43 of it on these two blocks)."""
-    M = sp.csc_matrix(_spd_block(problem_cache(pair, n), block))
+def _factor_fill(M, monkeypatch):
+    """L+U fill of direct_inverse's factorization of M, and the factors."""
     splu = precond.spla.splu
     factors = []
 
@@ -49,13 +43,37 @@ def test_direct_inverse_symmetric_ordering(problem_cache, monkeypatch, pair,
         factors.append(lu)
         return lu
 
-    monkeypatch.setattr(precond.spla, "splu", capture)
-    precond.direct_inverse(M)
+    with monkeypatch.context() as m:
+        m.setattr(precond.spla, "splu", capture)
+        precond.direct_inverse(M)
     assert len(factors) == 1
-    lu = factors[0]
+    return factors[0].L.nnz + factors[0].U.nnz, factors[0]
+
+
+@pytest.mark.parametrize("pair,n,block", [("th", 16, "darcy"),
+                                          ("mini", 32, "A_ff")])
+def test_direct_inverse_symmetric_ordering(problem_cache, monkeypatch,
+                                           undropped, pair, n, block):
+    """SPD blocks are factored with one symmetric permutation and diagonal
+    pivots.  The Taylor-Hood Darcy block takes at most half the L+U fill
+    of SuperLU's default column ordering with partial pivoting (0.38 of
+    it).  The mini velocity block, which assembly stores without its
+    roundoff bubble-vertex couplings, takes no more than the default
+    ordering (0.91 of it) and at most 0.8 of the fill of the same block
+    assembled with every roundoff entry (0.75 of it)."""
+    M = sp.csc_matrix(_spd_block(problem_cache(pair, n), block))
+    fill, lu = _factor_fill(M, monkeypatch)
     assert np.array_equal(lu.perm_r, lu.perm_c)
-    default = splu(M)
-    assert lu.L.nnz + lu.U.nnz <= 0.5 * (default.L.nnz + default.U.nnz)
+    default = precond.spla.splu(M)
+    default_fill = default.L.nnz + default.U.nnz
+    if block == "darcy":
+        assert fill <= 0.5 * default_fill
+        return
+    assert fill <= default_fill
+    with undropped():
+        plain = _spd_block(Problem(pair, n), block)
+    assert plain.nnz > M.nnz
+    assert fill <= 0.8 * _factor_fill(plain, monkeypatch)[0]
 
 
 def test_direct_inverse_rejects_nonsymmetric():
@@ -395,18 +413,22 @@ def test_hx_precond_matches_three_term_formula(problem_cache, rng, mode):
     pr = problem_cache("mini", 16)
     t = precond.build_hx_transfers(pr)
     n_coarsest = pr.n if mode == "direct" else 8
-    if mode == "direct":
-        Linv = precond.direct_inverse(t.L)
-        Dinv = precond.direct_inverse(t.Delta)
-    else:
-        Linv, Dinv = precond.hx_nodal_hierarchy(t, n_coarsest)
-    op = precond.build_hx_precond(t, n_coarsest)
-    for _ in range(3):
-        r = rng.standard_normal(op.n)
-        s = t.Idiv.T @ r
-        y = np.empty_like(s)
-        y[0::2] = Linv(s[0::2])
-        y[1::2] = Linv(s[1::2])
-        want = r / t.Sdiv + t.Idiv @ y + t.C @ Dinv(t.C.T @ r) / t.tau
-        got = op(r)
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    for tau in (1.0, 4.0):
+        # the weight of the potential term, varied on its own
+        t.tau = tau
+        if mode == "direct":
+            Linv = precond.direct_inverse(t.L)
+            Dinv = precond.direct_inverse(t.Delta)
+        else:
+            Linv, Dinv = precond.hx_nodal_hierarchy(t, n_coarsest)
+        op = precond.build_hx_precond(t, n_coarsest)
+        for _ in range(3):
+            r = rng.standard_normal(op.n)
+            s = t.Idiv.T @ r
+            y = np.empty_like(s)
+            y[0::2] = Linv(s[0::2])
+            y[1::2] = Linv(s[1::2])
+            want = r / t.Sdiv + t.Idiv @ y + t.C @ Dinv(t.C.T @ r) / t.tau
+            got = op(r)
+            assert np.linalg.norm(got - want) \
+                <= 1e-14 * np.linalg.norm(want)
