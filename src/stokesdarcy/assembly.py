@@ -34,18 +34,44 @@ def _scatter(rows, cols, vals, shape):
     return csr_from_triplets(rows[:, :, None], cols[:, None, :], vals, shape)
 
 
+def _ref_gradients(family, pts):
+    """Reference gradients (2, nloc, nq) of a nodal family's basis."""
+    return np.moveaxis(ref_basis(family, pts)[1], 2, 0)
+
+
+def _push_forward(geom, ref, order):
+    """det times invJT applied to each of the first ``order`` (1 or 2)
+    reference-gradient axes of ``ref``: the per-triangle values
+    (nt,) + ref.shape of the form on physical triangles, with physical
+    axes in place of the reference ones.  Affine maps make every local
+    matrix this one product."""
+    G = geom.det[:, None, None] * geom.invJT
+    if order == 2:
+        G = G[:, :, None, :, None] * geom.invJT[:, None, :, None, :]
+    m = 2 ** order
+    return (G.reshape(-1, m) @ ref.reshape(m, -1)).reshape((-1,) + ref.shape)
+
+
+def _gradient_products(space):
+    """(nt, 2, 2, nloc, nloc): det (d_a phi_l, d_b phi_m) per triangle."""
+    pts, w = quadrature.triangle_rule(_QDEG[space.family])
+    g = _ref_gradients(space.family, pts)
+    # K[i, j, l, m] = sum_q w_q d_i phi_l d_j phi_m on the reference triangle
+    ref = (g * w)[:, None] @ np.swapaxes(g, 1, 2)[None]
+    return _push_forward(space.geom, ref, 2)
+
+
 def scalar_mass(space):
     pts, w = quadrature.triangle_rule(_QDEG[space.family])
     vals = space.values(pts)
-    loc = np.einsum("q,lq,mq,t->tlm", w, vals, vals, space.geom.det)
+    loc = space.geom.det[:, None, None] * ((vals * w) @ vals.T)
     return _scatter(space.cell_dofs, space.cell_dofs, loc,
                     (space.ndof, space.ndof))
 
 
 def scalar_stiffness(space):
-    pts, w = quadrature.triangle_rule(_QDEG[space.family])
-    grads = space.gradients(pts)
-    loc = np.einsum("q,tlqa,tmqa,t->tlm", w, grads, grads, space.geom.det)
+    cross = _gradient_products(space)
+    loc = cross[:, 0, 0] + cross[:, 1, 1]
     return _scatter(space.cell_dofs, space.cell_dofs, loc,
                     (space.ndof, space.ndof))
 
@@ -53,7 +79,7 @@ def scalar_stiffness(space):
 def pressure_integral(space):
     """Vector of integrals of the pressure basis functions."""
     pts, w = quadrature.triangle_rule(_QDEG[space.family])
-    loc = np.einsum("q,lq,t->tl", w, space.values(pts), space.geom.det)
+    loc = np.outer(space.geom.det, space.values(pts) @ w)
     out = np.zeros(space.ndof)
     np.add.at(out, space.cell_dofs.ravel(), loc.ravel())
     return out
@@ -80,16 +106,12 @@ def stokes_velocity_matrix(vel, params):
     """Velocity form 2 nu (eps(u), eps(v)) plus the interface friction
     term kappa <u_x, v_x> on y = 1/2, over all (unconstrained) DOFs."""
     sc = vel.scalar
-    pts, w = quadrature.triangle_rule(_QDEG[sc.family])
-    grads = sc.gradients(pts)
-    det = sc.geom.det
-    nt, nloc = grads.shape[0], grads.shape[1]
-
-    kgrad = np.einsum("q,tlqa,tmqa,t->tlm", w, grads, grads, det)
-    cross = np.einsum("q,tlqa,tmqb,t->tlmab", w, grads, grads, det)
+    cross = _gradient_products(sc)
+    nt, nloc = cross.shape[0], cross.shape[-1]
+    kgrad = cross[:, 0, 0] + cross[:, 1, 1]
     # entry (2l+a, 2m+b) of the viscous block:
     #   nu * [ delta_ab (grad phi_l, grad phi_m) + (d_b phi_l, d_a phi_m) ]
-    locA = params.nu * cross.transpose(0, 1, 4, 2, 3) + params.nu \
+    locA = params.nu * cross.transpose(0, 3, 2, 4, 1) + params.nu \
         * kgrad[:, :, None, :, None] * np.eye(2)[:, None, :]
     A = _scatter(vel.cell_dofs, vel.cell_dofs,
                  locA.reshape(nt, 2 * nloc, 2 * nloc), (vel.ndof, vel.ndof))
@@ -97,7 +119,7 @@ def stokes_velocity_matrix(vel, params):
     # interface friction: the tangential trace is just the x component here
     sig, rows, _, sw, bv = _interface_values(sc, 4)
     loc = (params.kappa * sig.length)[:, None, None] \
-        * np.einsum("q,elq,emq->elm", sw, bv, bv)
+        * ((bv * sw) @ np.swapaxes(bv, 1, 2))
     dofs = 2 * sc.cell_dofs[rows]
     return A + _scatter(dofs, dofs, loc, (vel.ndof, vel.ndof))
 
@@ -107,19 +129,26 @@ def divergence_matrix(vel, pres):
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(max(_QDEG[sc.family],
                                           _QDEG[pres.family]))
-    pvals = pres.values(pts)
+    # D[i, j, m] = sum_q w_q psi_j d_i phi_m on the reference triangle
+    ref = (pres.values(pts) * w) @ np.swapaxes(
+        _ref_gradients(sc.family, pts), 1, 2)
     # entry (j, 2m+b): (d_b phi_m, psi_j)
-    locB = np.einsum("q,jq,tmqb,t->tjmb", w, pvals, sc.gradients(pts),
-                     sc.geom.det)
+    locB = _push_forward(sc.geom, ref, 1).transpose(0, 2, 3, 1)
     return _scatter(pres.cell_dofs, vel.cell_dofs,
-                    locB.reshape(len(sc.tris), len(pvals), vel.nloc),
+                    locB.reshape(len(sc.tris), ref.shape[1], vel.nloc),
                     (pres.ndof, vel.ndof))
 
 
 def _flux_blocks(flux, tau, w, vals, divs):
-    det = flux.geom.det
-    locA = tau * np.einsum("q,tlqc,tmqc,t->tlm", w, vals, vals, det)
-    locD = np.einsum("q,tlq,tmq,t->tlm", w, divs, divs, det)
+    """Flux mass and div-div blocks by batched products over triangles:
+    the flux basis is built on each physical triangle, so there is no
+    reference tensor."""
+    det = flux.geom.det[:, None, None]
+    nt, nloc = divs.shape[:2]
+    v = vals.reshape(nt, nloc, -1)
+    wv = (vals * w[:, None]).reshape(nt, nloc, -1)
+    locA = tau * det * (wv @ np.swapaxes(v, 1, 2))
+    locD = det * ((divs * w) @ np.swapaxes(divs, 1, 2))
     A = _scatter(flux.cell_dofs, flux.cell_dofs, locA, (flux.ndof, flux.ndof))
     D = _scatter(flux.cell_dofs, flux.cell_dofs, locD, (flux.ndof, flux.ndof))
     return A, D
@@ -138,8 +167,8 @@ def assemble_darcy(flux, dpres, params):
                                           _QDEG[dpres.family]))
     vals, divs = flux.tabulate(pts)
     A, D = _flux_blocks(flux, params.tau, w, vals, divs)
-    locB = np.einsum("q,jq,tmq,t->tjm", w, dpres.values(pts), divs,
-                     flux.geom.det)
+    locB = flux.geom.det[:, None, None] \
+        * ((dpres.values(pts) * w) @ np.swapaxes(divs, 1, 2))
     B = _scatter(dpres.cell_dofs, flux.cell_dofs, locB, (dpres.ndof, flux.ndof))
     M = scalar_mass(dpres)
     return A, B, D, M
@@ -157,7 +186,7 @@ def assemble_interface(vel, flux, trace):
     # v.n = -v_y for the fixed interface normal (0, -1); trace basis
     # functions (1 - s, s) from the left endpoint
     mu = np.stack([1 - s, s])
-    loc = -sig.length[:, None, None] * np.einsum("q,iq,elq->eil", sw, mu, bv)
+    loc = -sig.length[:, None, None] * ((mu * sw) @ np.swapaxes(bv, 1, 2))
     k = 2 * np.arange(len(rows))
     T = _scatter(np.column_stack([k, k + 1]), 2 * sc.cell_dofs[rows] + 1,
                  loc, (trace.ndim, vel.ndof))
@@ -173,14 +202,14 @@ def stokes_load(vel, case, params):
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(LOAD_QDEG)
     f = sc.geom.evaluate(case.f_S, pts)
-    loc = np.einsum("q,t,tqc,lq->tlc", w, sc.geom.det, f, sc.values(pts))
+    loc = sc.geom.det[:, None, None] * ((sc.values(pts) * w) @ f)
     F = np.zeros(vel.ndof)
     np.add.at(F, 2 * sc.cell_dofs[:, :, None] + np.arange(2), loc)
 
     sig, rows, s, sw, bv = _interface_values(sc, 6)
     x = sig.points(s)[..., 0]
     g = case.g_sigma(x.ravel()).reshape(x.shape + (2,))
-    loc = sig.length[:, None, None] * np.einsum("q,eqc,elq->elc", sw, g, bv)
+    loc = sig.length[:, None, None] * ((bv * sw) @ g)
     np.add.at(F, 2 * sc.cell_dofs[rows][:, :, None] + np.arange(2), loc)
     return F
 
@@ -195,5 +224,5 @@ def darcy_load(dpres, case):
                                "porous region, got %.3e" % total)
     G = np.zeros(dpres.ndof)
     np.add.at(G, dpres.cell_dofs,
-              np.einsum("q,tq,lq->tl", w, fdet, dpres.values(pts)))
+              fdet @ (dpres.values(pts) * w).T)
     return G

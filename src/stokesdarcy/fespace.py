@@ -387,8 +387,10 @@ class FluxSpace:
         Returns vals (nt, nloc, np, 2) and divs (nt, nloc, np).
         """
         mono, mdiv = self._local_monomials(ref_pts)
-        vals = np.einsum("tml,tmpc->tlpc", self.coeff, mono)
-        divs = np.einsum("tml,tmp->tlp", self.coeff, mdiv) / self.hscale[:, None, None]
+        nt, nm = mdiv.shape[:2]
+        cT = np.swapaxes(self.coeff, 1, 2)
+        vals = (cT @ mono.reshape(nt, nm, -1)).reshape(nt, -1, *mono.shape[2:])
+        divs = (cT @ mdiv) / self.hscale[:, None, None]
         return vals, divs
 
     def evaluate_at(self, coeffs, tri_local, phys_pts):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from . import quadrature
+from .fespace import ref_basis
 
 ERROR_QDEG = 10
 
@@ -41,11 +42,17 @@ def _integral(space, w, vals):
 def velocity_h1_error(vel, coeffs, u_exact, grad_exact):
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(ERROR_QDEG)
-    c = coeffs[vel.cell_dofs].reshape(len(sc.tris), -1, 2)  # (nt, nloc, 2)
-    eu = sc.geom.evaluate(u_exact, pts) \
-        - np.einsum("tlc,lq->tqc", c, sc.values(pts))
+    vals, grads = ref_basis(sc.family, pts)
+    nt, nq = len(sc.tris), len(w)
+    c = coeffs[vel.cell_dofs].reshape(nt, -1, 2)  # (nt, nloc, 2)
+    eu = sc.geom.evaluate(u_exact, pts) - vals.T @ c
+    # reference gradients of both components first, the affine map last:
+    # rows (component, point), columns the reference, then the physical
+    # direction
+    ref = np.swapaxes(c, 1, 2) @ grads.reshape(len(vals), -1)
+    uh = ref.reshape(nt, 2 * nq, 2) @ np.swapaxes(sc.geom.invJT, 1, 2)
     eg = sc.geom.evaluate(grad_exact, pts) \
-        - np.einsum("tlc,tlqa->tqca", c, sc.gradients(pts))
+        - np.swapaxes(uh.reshape(nt, 2, nq, 2), 1, 2)
     return math.sqrt(_integral(sc, w, (eu ** 2).sum(-1)
                                + (eg ** 2).sum((-2, -1))))
 
@@ -60,9 +67,10 @@ def scalar_l2_error(space, coeffs, exact):
 def flux_hdiv_error(flux, coeffs, u_exact, div_exact):
     pts, w = quadrature.triangle_rule(ERROR_QDEG)
     vals, divs = flux.tabulate(pts)
-    c = coeffs[flux.cell_dofs]
-    eu = flux.geom.evaluate(u_exact, pts) - np.einsum("tl,tlqc->tqc", c, vals)
-    ed = flux.geom.evaluate(div_exact, pts) - np.einsum("tl,tlq->tq", c, divs)
+    c = coeffs[flux.cell_dofs][:, None]
+    uh = (c @ vals.reshape(vals.shape[:2] + (-1,))).reshape(len(c), -1, 2)
+    eu = flux.geom.evaluate(u_exact, pts) - uh
+    ed = flux.geom.evaluate(div_exact, pts) - (c @ divs)[:, 0]
     return math.sqrt(_integral(flux, w, (eu ** 2).sum(-1) + ed ** 2))
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from stokesdarcy import InvalidCaseError, PhysicalParams, Problem, precond
+from stokesdarcy import (PAIRS, CoupledMesh, InvalidCaseError, PhysicalParams,
+                         Problem, build_unit_square, canonical_pair, precond)
 from stokesdarcy import assembly as asm
 from stokesdarcy import quadrature as quad
-from stokesdarcy.fespace import DROP_RTOL, ref_basis
+from stokesdarcy.fespace import (DROP_RTOL, REGION_D, REGION_S, FluxSpace,
+                                 Space, VectorSpace, ref_basis)
 from stokesdarcy.manufactured import ManufacturedCase, ZeroCase
 
 params = PhysicalParams()
@@ -309,3 +311,140 @@ def test_assembled_forms_store_no_roundoff(pair, monkeypatch, undropped):
                       <= 1e-13 * scale[~stored]), name
         dropped += P.nnz - A.nnz
     assert dropped > 0
+
+
+def _jittered_mesh(n, seed):
+    """The n x n mesh with every vertex off the outer boundary and off
+    y = 1/2 moved by up to h/5 in each coordinate, so the Jacobians of
+    all triangles but those with every vertex fixed are general."""
+    base = build_unit_square(n)
+    v = base.vertices.copy()
+    x, y = v[:, 0], v[:, 1]
+    inner = (x > 0) & (x < 1) & (y > 0) & (y < 1) & (np.abs(y - 0.5) > 1e-12)
+    v[inner] += np.random.default_rng(seed).uniform(
+        -0.2, 0.2, (inner.sum(), 2)) / n
+    return CoupledMesh(n, v, base.triangles, base.tri_region)
+
+
+def _pointwise_gradients(space, pts):
+    """Physical basis gradients (nt, nloc, nq, 2) at every quadrature
+    point, from an independent inverse of each Jacobian."""
+    invJT = np.swapaxes(np.linalg.inv(space.geom.J), 1, 2)
+    return np.einsum("tab,lqb->tlqa", invJT, ref_basis(space.family, pts)[1])
+
+
+def _pointwise_forms(vel, pres, flux, dpres, p1, p2, prm, case):
+    """Every form assembled from pointwise physical gradients and basis
+    values, contracted per triangle and quadrature point by einsum."""
+    sc = vel.scalar
+    nt, nloc = len(sc.tris), sc.nloc
+    out = {}
+
+    def sq(space):
+        return space.ndof, space.ndof
+
+    def stiffness(space):
+        pts, w = quad.triangle_rule(asm._QDEG[space.family])
+        g = _pointwise_gradients(space, pts)
+        return np.einsum("q,tlqa,tmqa,t->tlm", w, g, g, space.geom.det)
+
+    def mass(space):
+        pts, w = quad.triangle_rule(asm._QDEG[space.family])
+        vals = space.values(pts)
+        return asm._scatter(space.cell_dofs, space.cell_dofs, np.einsum(
+            "q,lq,mq,t->tlm", w, vals, vals, space.geom.det), sq(space))
+
+    pts, w = quad.triangle_rule(asm._QDEG[sc.family])
+    g = _pointwise_gradients(sc, pts)
+    cross = np.einsum("q,tlqa,tmqb,t->tlmab", w, g, g, sc.geom.det)
+    locA = prm.nu * cross.transpose(0, 1, 4, 2, 3) + prm.nu \
+        * stiffness(sc)[:, :, None, :, None] * np.eye(2)[:, None, :]
+    sig, rows, _, sw, bv = asm._interface_values(sc, 4)
+    fric = (prm.kappa * sig.length)[:, None, None] \
+        * np.einsum("q,elq,emq->elm", sw, bv, bv)
+    dofs = 2 * sc.cell_dofs[rows]
+    out["A_S"] = asm._scatter(vel.cell_dofs, vel.cell_dofs,
+                              locA.reshape(nt, 2 * nloc, 2 * nloc),
+                              sq(vel)) + asm._scatter(dofs, dofs, fric,
+                                                      sq(vel))
+
+    pts, w = quad.triangle_rule(max(asm._QDEG[sc.family],
+                                    asm._QDEG[pres.family]))
+    pvals = pres.values(pts)
+    locB = np.einsum("q,jq,tmqb,t->tjmb", w, pvals,
+                     _pointwise_gradients(sc, pts), sc.geom.det)
+    out["B_S"] = asm._scatter(pres.cell_dofs, vel.cell_dofs,
+                              locB.reshape(nt, len(pvals), vel.nloc),
+                              (pres.ndof, vel.ndof))
+    out["M_S"] = mass(pres)
+
+    pts, w = quad.triangle_rule(max(asm._QDEG[flux.family],
+                                    asm._QDEG[dpres.family]))
+    mono, mdiv = flux._local_monomials(pts)
+    vals = np.einsum("tml,tmpc->tlpc", flux.coeff, mono)
+    divs = np.einsum("tml,tmp->tlp", flux.coeff, mdiv) \
+        / flux.hscale[:, None, None]
+    det = flux.geom.det
+    for name, loc in (
+            ("A_D", prm.tau * np.einsum("q,tlqc,tmqc,t->tlm", w, vals, vals,
+                                        det)),
+            ("D_D", np.einsum("q,tlq,tmq,t->tlm", w, divs, divs, det))):
+        out[name] = asm._scatter(flux.cell_dofs, flux.cell_dofs, loc,
+                                 sq(flux))
+    out["B_D"] = asm._scatter(dpres.cell_dofs, flux.cell_dofs, np.einsum(
+        "q,jq,tmq,t->tjm", w, dpres.values(pts), divs, det),
+        (dpres.ndof, flux.ndof))
+    out["M_D"] = mass(dpres)
+    for name, space in (("K_p1", p1), ("K_p2", p2)):
+        out[name] = asm._scatter(space.cell_dofs, space.cell_dofs,
+                                 stiffness(space), sq(space))
+
+    pts, w = quad.triangle_rule(asm.LOAD_QDEG)
+    f = sc.geom.evaluate(case.f_S, pts)
+    loc = np.einsum("q,t,tqc,lq->tlc", w, sc.geom.det, f, sc.values(pts))
+    F = np.zeros(vel.ndof)
+    np.add.at(F, 2 * sc.cell_dofs[:, :, None] + np.arange(2), loc)
+    sig, rows, s, sw, bv = asm._interface_values(sc, 6)
+    x = sig.points(s)[..., 0]
+    gs = case.g_sigma(x.ravel()).reshape(x.shape + (2,))
+    loc = sig.length[:, None, None] * np.einsum("q,eqc,elq->elc", sw, gs, bv)
+    np.add.at(F, 2 * sc.cell_dofs[rows][:, :, None] + np.arange(2), loc)
+    out["F_S"] = F
+    return out
+
+
+@pytest.mark.parametrize("pair", ["mini", "iso", "th"])
+def test_forms_match_pointwise_quadrature(pair):
+    """On a mesh with general affine maps, every form assembled from the
+    reference tensors (nodal families) or by batched products over
+    triangles (flux families) equals the pointwise-gradient quadrature of
+    the same integrand, and stores the same entries."""
+    vfam, pfam, ffam, qfam = PAIRS[canonical_pair(pair)]
+    mesh = _jittered_mesh(8, seed=3)
+    assert mesh.geometry().det.min() > 0
+    vel = VectorSpace(Space(mesh, vfam, REGION_S))
+    pres = Space(mesh, pfam, REGION_S)
+    flux, dpres = FluxSpace(mesh, ffam), Space(mesh, qfam, REGION_D)
+    p1, p2 = Space(mesh, "p1", REGION_D), Space(mesh, "p2", REGION_D)
+    prm = PhysicalParams(nu=0.7, kappa=1.3, tau=2.5)
+    case = ManufacturedCase()
+    got = {"A_S": asm.stokes_velocity_matrix(vel, prm),
+           "B_S": asm.divergence_matrix(vel, pres),
+           "M_S": asm.scalar_mass(pres),
+           "K_p1": asm.scalar_stiffness(p1),
+           "K_p2": asm.scalar_stiffness(p2),
+           "F_S": asm.stokes_load(vel, case, params)}
+    got.update(zip(("A_D", "B_D", "D_D", "M_D"),
+                   asm.assemble_darcy(flux, dpres, prm)))
+    want = _pointwise_forms(vel, pres, flux, dpres, p1, p2, prm, case)
+    assert got.keys() == want.keys()
+    for name, A in got.items():
+        W = want[name]
+        if name == "F_S":
+            assert np.abs(A - W).max() <= 1e-14 * np.abs(W).max()
+            continue
+        A, W = A.tocsr(), W.tocsr()
+        assert np.array_equal(A.indptr, W.indptr), name
+        assert np.array_equal(A.indices, W.indices), name
+        assert np.abs(A.data - W.data).max() <= 1e-14 * np.abs(W.data).max(), \
+            name
