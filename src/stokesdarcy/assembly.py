@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .fespace import csr_from_triplets, ref_basis
+from .fespace import csr_from_triplets, drop_roundoff, ref_basis
 
 # quadrature degree 2*(basis degree)+2 per family
 _QDEG = {"p1": 4, "p1dc": 4, "p0dc": 2, "p2": 6, "p1b": 8, "bdm1": 4, "rt1": 6}
@@ -179,7 +179,8 @@ def assemble_interface(vel, flux, trace):
 
     Returns (T, R): T[mu, v] = <v.n, mu> over the interface, R = Q^{-1} T
     (Q the trace-space mass) the matrix of the projection of Stokes
-    normal traces onto the Darcy trace space.
+    normal traces onto the Darcy trace space, without its roundoff
+    entries.
     """
     sc = vel.scalar
     sig, rows, s, sw, bv = _interface_values(sc, 4)
@@ -191,7 +192,7 @@ def assemble_interface(vel, flux, trace):
     T = _scatter(np.column_stack([k, k + 1]), 2 * sc.cell_dofs[rows] + 1,
                  loc, (trace.ndim, vel.ndof))
     Qinv = sp.block_diag(np.linalg.inv(trace.mass_blocks()), format="csr")
-    R = (Qinv @ T).tocsr()
+    R = drop_roundoff(Qinv @ T)
     return T, R
 
 

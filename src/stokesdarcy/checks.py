@@ -47,8 +47,7 @@ def run_all(seed=0):
         ci = flux.canonical_interpolation(field)
         pts, w = quadrature.triangle_rule(8)
         pvals = dpres.values(pts)
-        _, divs = flux.tabulate(pts)
-        dh = np.einsum("tl,tlq->tq", ci[flux.cell_dofs], divs)
+        dh = flux.field(ci, pts)[1]
         # L2 projection of div(field) onto the pressure space, elementwise
         nloc = pvals.shape[0]
         Mloc = np.einsum("q,lq,mq->lm", w, pvals, pvals)
@@ -61,7 +60,7 @@ def run_all(seed=0):
 
         # div H in L: divergence of every flux basis function reproduced
         c = rng.standard_normal(flux.ndof)
-        dh = np.einsum("tl,tlq->tq", c[flux.cell_dofs], divs)
+        dh = flux.field(c, pts)[1]
         proj = np.linalg.solve(np.broadcast_to(Mloc, (len(dpres.tris), nloc, nloc)),
                                np.einsum("q,tq,lq->tl", w, dh, pvals)[..., None])[..., 0]
         back = np.einsum("tl,lq->tq", proj, pvals)

@@ -393,6 +393,16 @@ class FluxSpace:
         divs = (cT @ mdiv) / self.hscale[:, None, None]
         return vals, divs
 
+    def field(self, coeffs, ref_pts):
+        """Values (nt, np, 2) and divergences (nt, np) of the field with
+        coefficients coeffs at mapped points, built without a basis table."""
+        mono, mdiv = self._local_monomials(ref_pts)
+        nt, nm = mdiv.shape[:2]
+        m = coeffs[self.cell_dofs][:, None] @ np.swapaxes(self.coeff, 1, 2)
+        vals = (m @ mono.reshape(nt, nm, -1)).reshape(nt, -1, 2)
+        divs = (m @ mdiv)[:, 0] / self.hscale[:, None]
+        return vals, divs
+
     def evaluate_at(self, coeffs, tri_local, phys_pts):
         """Field values at physical points, one owning triangle per point.
 
@@ -532,5 +542,5 @@ def nodal_prolongation(coarse, fine):
 
 
 def vector_expand(P):
-    """Scalar-node prolongation -> interleaved vector prolongation."""
+    """Scalar-node matrix -> interleaved vector matrix, kron(P, I_2)."""
     return sp.kron(P, sp.eye(2), format="csr")

@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.blas import daxpy, dscal
 
 
 class IndefinitePreconditioner(RuntimeError):
@@ -88,9 +89,11 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500):
         raise ValueError("rtol must lie in (0, 1)")
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
 
-    v_new = b - A(x) if x0 is not None else b.astype(float).copy()
-    z_new = Pinv(v_new)
-    g2 = v_new @ z_new
+    # v, v_old, w, w_old, zhat and x are this solve's buffers, updated in
+    # place; what A and Pinv return (possibly their input) is only read
+    v = b - A(x) if x0 is not None else np.array(b, dtype=float)
+    z = Pinv(v)
+    g2 = v @ z
     if g2 < 0:
         raise IndefinitePreconditioner("<r, Pinv r> = %.3e < 0" % g2)
     gamma_new = np.sqrt(g2)
@@ -99,25 +102,26 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500):
     if gamma_new == 0.0:
         return x, SolveStats(0, residuals, True, time.perf_counter() - t0)
 
-    v, v_old = v_new, np.zeros(n)
-    z = z_new
+    v_old, w, w_old, zhat = (np.zeros(n) for _ in range(4))
     gamma, gamma_old = gamma_new, 1.0
     eta = gamma_new
     s_prev = s_curr = 0.0
     c_prev = c_curr = 1.0
-    w = np.zeros(n)
-    w_old = np.zeros(n)
     converged = False
     it = 0
 
     while it < maxit:
         it += 1
-        zhat = z / gamma
+        np.divide(z, gamma, out=zhat)
         Az = A(zhat)
         delta = zhat @ Az
-        v_new = Az - (delta / gamma) * v - (gamma / gamma_old) * v_old
-        z_new = Pinv(v_new)
-        g2 = v_new @ z_new
+        # v_old becomes Az - (delta / gamma) v - (gamma / gamma_old) v_old
+        dscal(-gamma / gamma_old, v_old)
+        daxpy(v, v_old, a=-delta / gamma)
+        daxpy(Az, v_old)
+        v_old, v = v, v_old
+        z = Pinv(v)
+        g2 = v @ z
         if g2 < 0:
             raise IndefinitePreconditioner("<r, Pinv r> = %.3e < 0" % g2)
         gamma_new = np.sqrt(g2)
@@ -129,14 +133,15 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500):
         c_new = a0 / a1
         s_new = gamma_new / a1
 
-        w_new = (zhat - a3 * w_old - a2 * w) / a1
-        x += (c_new * eta) * w_new
+        # w_old becomes (zhat - a3 w_old - a2 w) / a1
+        dscal(-a3 / a1, w_old)
+        daxpy(w, w_old, a=-a2 / a1)
+        daxpy(zhat, w_old, a=1.0 / a1)
+        w_old, w = w, w_old
+        daxpy(w, x, a=c_new * eta)
         eta = -s_new * eta
         residuals.append(abs(eta))
 
-        w_old, w = w, w_new
-        v_old, v = v, v_new
-        z = z_new
         gamma_old, gamma = gamma, gamma_new
         c_prev, c_curr = c_curr, c_new
         s_prev, s_curr = s_curr, s_new

@@ -2,13 +2,15 @@
 multilevel additive (BPX) operators and the two-dimensional nodal
 auxiliary-space preconditioner for the div-elliptic Darcy block."""
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from . import assembly, quadrature
-from .fespace import Space, VectorSpace, nodal_prolongation
+from .fespace import Space, VectorSpace, nodal_prolongation, vector_expand
 from .krylov import LinOp
 from .mesh import mesh_hierarchy
 
@@ -23,8 +25,7 @@ def direct_inverse(M):
     The factorization is Cholesky-like: a symmetric minimum-degree
     ordering of M + M^T applied to rows and columns alike, with diagonal
     pivots.  Dropping row pivoting is safe only for SPD matrices, which
-    the symmetry check and the positivity probes below enforce.  The
-    returned operator also solves an (n, k) block column by column.
+    the symmetry check and the positivity probes below enforce.
     """
     M = sp.csc_matrix(M)
     n = M.shape[0]
@@ -146,8 +147,7 @@ def build_bpx(mats, prolongs):
     mats[0..L] are the level operators (coarsest first) restricted to free
     DOFs; prolongs[l] maps level l to level l+1.  The coarsest level is
     inverted directly, finer levels are diagonally (Jacobi) scaled.  With a
-    single level this is the direct coarse inverse.  The returned operator
-    also applies column by column to an (n, k) block.
+    single level this is the direct coarse inverse.
     """
     if len(mats) != len(prolongs) + 1:
         raise ValueError("need one prolongation between consecutive levels")
@@ -158,27 +158,42 @@ def build_bpx(mats, prolongs):
     coarse = direct_inverse(mats[0])
     inv_diags = [1.0 / m.diagonal() for m in mats[1:]]
     restricts = [P.T.tocsr() for P in prolongs]
-    L = len(prolongs)
 
     def apply(r):
-        res = [None] * (L + 1)
-        res[L] = r
-        for l in range(L, 0, -1):
-            res[l - 1] = restricts[l - 1] @ res[l]
-        x = coarse(res[0])
-        for l in range(1, L + 1):
-            x = prolongs[l - 1] @ x + (inv_diags[l - 1] * res[l].T).T
+        res = [r]
+        for R in reversed(restricts):
+            res.append(R @ res[-1])
+        x = coarse(res.pop())
+        for P, d in zip(prolongs, inv_diags):
+            x = P @ x + d * res.pop()
         return x
 
     return LinOp(mats[-1].shape[0], apply)
 
 
-def nodal_bpx(meshes, space, top, matrix, free, family=None):
-    """BPX over nested meshes (coarsest first) up to `space`, a scalar or
-    vector nodal space on meshes[-1] with the caller's block `top` on
+class Levels:
+    """Level data of a nested hierarchy: the level operators mats
+    (coarsest first, on free DOFs) and the prolongations prolongs[l] from
+    level l to level l+1.  Called, it applies its additive operator."""
+
+    def __init__(self, mats, prolongs):
+        self.mats, self.prolongs = mats, prolongs
+
+    @functools.cached_property
+    def bpx(self):
+        """build_bpx of the levels, built on first use."""
+        return build_bpx(self.mats, self.prolongs)
+
+    def __call__(self, r):
+        return self.bpx(r)
+
+
+def nodal_levels(meshes, space, top, matrix, free, family=None):
+    """Levels over nested meshes (coarsest first) up to `space`, a scalar
+    or vector nodal space on meshes[-1] with the caller's block `top` on
     free(space).  Coarser levels are spaces of `family` (default: the
     space's), matrix(level) on free(level); another family also gets a
-    level on the top mesh.  One level solves directly."""
+    level on the top mesh."""
     scalar = getattr(space, "scalar", space)
     family = family or scalar.family
     coarse = meshes if family != scalar.family else meshes[:-1]
@@ -191,7 +206,7 @@ def nodal_bpx(meshes, space, top, matrix, free, family=None):
             for s, f in zip(spaces[:-1], frees)] + [top]
     prolongs = [nodal_prolongation(c, f)[ff][:, fc].tocsr()
                 for c, f, fc, ff in zip(spaces, spaces[1:], frees, frees[1:])]
-    return build_bpx(mats, prolongs)
+    return Levels(mats, prolongs)
 
 
 class HXTransfer:
@@ -297,56 +312,48 @@ def curl_representation_residual(flux, scalar, C):
     """
     pts, w = quadrature.triangle_rule(3)
     grads = scalar.gradients(pts)
-    fvals, _ = flux.tabulate(pts)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(3):
         z = rng.standard_normal(scalar.ndof)
         g = np.einsum("tl,tlqc->tqc", z[scalar.cell_dofs], grads)
         curl = np.stack([g[:, :, 1], -g[:, :, 0]], axis=-1)
-        cz = np.asarray(C @ z).ravel()
-        expansion = np.einsum("tl,tlqc->tqc", cz[flux.cell_dofs], fvals)
+        expansion = flux.field(C @ z, pts)[0]
         scale = max(np.abs(curl).max(), 1.0)
         worst = max(worst, np.abs(curl - expansion).max() / scale)
     return worst
 
 
 def build_hx_precond(transfer, n_coarsest):
-    """Three-term additive auxiliary-space preconditioner S^{-1} + Idiv
-    Linv Idiv^T + (1/tau) C Dinv C^T, the nodal solves by BPX from
-    n_coarsest up (see hx_nodal_hierarchy; one level solves exactly).
-
-    Both transfers are stacked: one restriction [Idiv^T; C^T] and one
-    prolongation [Idiv, C/tau], two sparse products per apply."""
-    Sinv = 1.0 / transfer.Sdiv
-    C, Idiv = transfer.C, transfer.Idiv
-    restrict = sp.vstack([Idiv.T, C.T], format="csr")
-    prolong = sp.hstack([Idiv, C / transfer.tau], format="csr")
-    nvec = Idiv.shape[1]
-    Linv_sc, Dinv = hx_nodal_hierarchy(transfer, n_coarsest)
-
-    def apply(r):
-        s = restrict @ r
-        # the interleaved vector nodal solve is one two-column block solve
-        y = np.concatenate([Linv_sc(s[:nvec].reshape(-1, 2)).ravel(),
-                            Dinv(s[nvec:])])
-        return Sinv * r + prolong @ y
-
-    return LinOp(len(Sinv), apply)
+    """Auxiliary-space preconditioner S^{-1} + Idiv BPX(L) Idiv^T
+    + (1/tau) C BPX(Delta) C^T as one BPX: the two nodal hierarchies
+    stacked level by level, block_diag(kron(L_l, I_2), tau Delta_l) with
+    prolongations block_diag(kron(P_l, I_2), P_l), under the flux level
+    (Jacobi by S = diag(Adiv_f), transfer [Idiv, C]).  With one nodal
+    level the stacked block is factored once and solved directly."""
+    nodal, potential = hx_nodal_hierarchy(transfer, n_coarsest)
+    mats = [sp.block_diag([vector_expand(L), transfer.tau * D], format="csr")
+            for L, D in zip(nodal.mats, potential.mats)]
+    prolongs = [sp.block_diag([vector_expand(P), Q], format="csr")
+                for P, Q in zip(nodal.prolongs, potential.prolongs)]
+    mats.append(sp.diags(transfer.Sdiv, format="csr"))
+    prolongs.append(sp.hstack([transfer.Idiv, transfer.C], format="csr"))
+    return build_bpx(mats, prolongs)
 
 
 def hx_nodal_hierarchy(transfer, n_coarsest):
-    """BPX solves (Linv, Dinv) of the zero-boundary auxiliary-space nodal
-    blocks, coarsest level n_coarsest; the finest levels are transfer.L
-    and transfer.Delta on transfer.nodal and transfer.potential."""
+    """Levels (nodal, potential) of the zero-boundary auxiliary-space
+    nodal hierarchies, coarsest level n_coarsest; the finest levels are
+    transfer.L and transfer.Delta on transfer.nodal and
+    transfer.potential."""
     tau = transfer.tau
     meshes = mesh_hierarchy(transfer.nodal.mesh, n_coarsest)
 
     def free(s):
         return np.where(~s.on_boundary)[0]
 
-    return (nodal_bpx(meshes, transfer.nodal, transfer.L,
-                      lambda s: assembly.scalar_stiffness(s)
-                      + tau * assembly.scalar_mass(s), free),
-            nodal_bpx(meshes, transfer.potential, transfer.Delta,
-                      assembly.scalar_stiffness, free))
+    return (nodal_levels(meshes, transfer.nodal, transfer.L,
+                         lambda s: assembly.scalar_stiffness(s)
+                         + tau * assembly.scalar_mass(s), free),
+            nodal_levels(meshes, transfer.potential, transfer.Delta,
+                         assembly.scalar_stiffness, free))

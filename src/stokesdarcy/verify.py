@@ -66,11 +66,9 @@ def scalar_l2_error(space, coeffs, exact):
 
 def flux_hdiv_error(flux, coeffs, u_exact, div_exact):
     pts, w = quadrature.triangle_rule(ERROR_QDEG)
-    vals, divs = flux.tabulate(pts)
-    c = coeffs[flux.cell_dofs][:, None]
-    uh = (c @ vals.reshape(vals.shape[:2] + (-1,))).reshape(len(c), -1, 2)
+    uh, dh = flux.field(coeffs, pts)
     eu = flux.geom.evaluate(u_exact, pts) - uh
-    ed = flux.geom.evaluate(div_exact, pts) - (c @ divs)[:, 0]
+    ed = flux.geom.evaluate(div_exact, pts) - dh
     return math.sqrt(_integral(flux, w, (eu ** 2).sum(-1) + ed ** 2))
 
 

@@ -8,7 +8,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from stokesdarcy import Problem, fespace, solver  # noqa: E402
+from stokesdarcy import Problem, assembly, fespace, solver  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +50,7 @@ def undropped(monkeypatch):
     @contextlib.contextmanager
     def plain():
         with monkeypatch.context() as m:
-            for module in (fespace, solver):
+            for module in (fespace, solver, assembly):
                 m.setattr(module, "drop_roundoff", lambda A: A.tocsr())
             yield
     return plain

@@ -255,8 +255,9 @@ def _roundoff_scale(A):
 
 def _forms(pair, monkeypatch):
     """The assembled forms of a pair at n = 16, the auxiliary-space
-    transfers and blocks, and the coarsest level of the potential BPX
-    hierarchy."""
+    transfers and blocks, and the potential block of the coarsest level
+    of the stacked auxiliary-space hierarchy (tau = 1, so it is the coarse
+    Delta itself)."""
     pr = Problem(pair, 16)
     t = precond.build_hx_transfers(pr)
     levels = []
@@ -268,11 +269,13 @@ def _forms(pair, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(precond, "build_bpx", record)
-        precond.hx_nodal_hierarchy(t, 8)
+        precond.build_hx_precond(t, 8)
+    nodal, _ = precond.hx_nodal_hierarchy(t, 8)
+    nvec = 2 * nodal.mats[0].shape[0]
     forms = {k: getattr(pr, k) for k in ("A_S", "B_S", "M_S", "A_D", "B_D",
-                                         "D_D", "M_D")}
+                                         "D_D", "M_D", "R")}
     forms.update(C=t.C, Idiv=t.Idiv, L=t.L, Delta=t.Delta,
-                 coarse_Delta=levels[1])
+                 coarse_Delta=levels[0][nvec:, nvec:])
     return {k: A.tocsr() for k, A in forms.items()}
 
 

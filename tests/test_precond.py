@@ -351,58 +351,33 @@ def test_hx_spectral_equivalence(problem_cache, fam, family):
 
 
 def test_hx_bpx_mode_spd(problem_cache, rng, monkeypatch):
-    """SPD, and one apply costs exactly one vector nodal (two-column block)
-    solve and one potential solve, with one level and with BPX."""
+    """SPD, and one apply is one stacked multilevel apply: a single coarse
+    solve, on the vector nodal and the potential coarse blocks together,
+    with one level and with BPX."""
     pr = problem_cache("mini", 16)
     t = precond.build_hx_transfers(pr)
-    hierarchy = precond.hx_nodal_hierarchy
+    direct = precond.direct_inverse
+    calls = []
 
-    def counter(solve, key):
+    def counted(M):
+        solve = direct(M)
+
         def apply(x):
-            calls[key].append(x.shape)
+            calls.append(x.shape)
             return solve(x)
         return LinOp(solve.n, apply)
 
-    def counted(transfer, n_coarsest):
-        Linv, Dinv = hierarchy(transfer, n_coarsest)
-        return counter(Linv, "L"), counter(Dinv, "D")
-
-    monkeypatch.setattr(precond, "hx_nodal_hierarchy", counted)
+    monkeypatch.setattr(precond, "direct_inverse", counted)
     for n_coarsest in (16, 8):
-        calls = {"L": [], "D": []}
+        nodal, potential = precond.hx_nodal_hierarchy(t, n_coarsest)
         op = precond.build_hx_precond(t, n_coarsest)
+        calls.clear()
         op(rng.standard_normal(op.n))
-        assert calls == {"L": [(t.L.shape[0], 2)],
-                         "D": [(t.Delta.shape[0],)]}
+        assert calls == [(2 * nodal.mats[0].shape[0]
+                          + potential.mats[0].shape[0],)]
         for _ in range(10):
             x = rng.standard_normal(op.n)
             assert x @ op(x) > 0
-
-
-@pytest.mark.parametrize("family", ["p1", "p2"])
-def test_bpx_block_apply_matches_columns(problem_cache, rng, monkeypatch,
-                                         family):
-    """An (n, 2) block is preconditioned column by column, bitwise, for
-    the nodal hierarchies of the bdm1 (p1) and rt1 (p2) flux spaces."""
-    depths = []
-    build_bpx = precond.build_bpx
-
-    def recorded(mats, prolongs):
-        depths.append(len(prolongs))
-        return build_bpx(mats, prolongs)
-
-    monkeypatch.setattr(precond, "build_bpx", recorded)
-    pair = {"p1": "mini", "p2": "th"}[family]
-    t = precond.build_hx_transfers(problem_cache(pair, 32))
-    assert t.nodal.family == family
-    solves = precond.hx_nodal_hierarchy(t, 8)
-    assert depths == [2, 2]
-    for op in solves:
-        R = rng.standard_normal((op.n, 2))
-        Y = op(R)
-        assert Y.shape == (op.n, 2)
-        for k in range(2):
-            assert np.array_equal(Y[:, k], op(np.ascontiguousarray(R[:, k])))
 
 
 @pytest.mark.parametrize("mode", ["direct", "bpx"])

@@ -95,3 +95,24 @@ def test_taylor_hood_h16_pressure_error(problem_cache):
     pr = problem_cache("th", 16)
     rep = solve_coupled(pr, SolveConfig("th", 16))
     assert compute_errors(rep).e_pD == pytest.approx(1.1072e-02, rel=0.01)
+
+
+@pytest.mark.parametrize("pair", ["mini", "iso", "th"])
+def test_flux_error_matches_basis_first_formula(problem_cache, pair):
+    """The flux error, which contracts the coefficients with the monomial
+    coefficients first, equals the formula through the tabulated basis."""
+    from stokesdarcy import quadrature
+    from stokesdarcy.verify import ERROR_QDEG, _integral, flux_hdiv_error
+    pr = problem_cache(pair, 8)
+    flux, case = pr.flux, ManufacturedCase()
+    c = np.random.default_rng(5).standard_normal(flux.ndof)
+    pts, w = quadrature.triangle_rule(ERROR_QDEG)
+    vals, divs = flux.tabulate(pts)
+    cl = c[flux.cell_dofs]
+    eu = flux.geom.evaluate(case.u_D, pts) \
+        - np.einsum("tl,tlqc->tqc", cl, vals)
+    ed = flux.geom.evaluate(case.div_u_D, pts) \
+        - np.einsum("tl,tlq->tq", cl, divs)
+    want = math.sqrt(_integral(flux, w, (eu ** 2).sum(-1) + ed ** 2))
+    got = flux_hdiv_error(flux, c, case.u_D, case.div_u_D)
+    assert got == pytest.approx(want, rel=1e-14)
