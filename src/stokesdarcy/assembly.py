@@ -174,7 +174,7 @@ def assemble_darcy(flux, dpres, params):
     return A, B, D, M
 
 
-def assemble_interface(vel, flux, trace):
+def assemble_interface(vel, trace):
     """Mixed trace matrix and the L2 trace projection.
 
     Returns (T, R): T[mu, v] = <v.n, mu> over the interface, R = Q^{-1} T

@@ -91,10 +91,13 @@ def _parse_args(argv):
 
 
 class ExperimentSpec:
-    """Resolved experiment parameters (defaults, config file, flags).
+    """Resolved and checked experiment parameters (defaults, config file,
+    flags).
 
     Raises UsageError for a config key the verb does not read and for
-    more than one combo where the verb solves one."""
+    more than one combo where the verb solves one, and ValueError for a
+    tolerance outside (0, 1), an empty mesh-size range or a size the pair
+    cannot be built at; so a bad run stops before any solve."""
 
     def __init__(self, args):
         cfg = read_config(args.config) if args.config else {}
@@ -131,43 +134,32 @@ class ExperimentSpec:
         if len(self.combos) > 1 and args.command != "iterations":
             raise UsageError("%s solves one combo, got %d"
                              % (args.command, len(self.combos)))
-
-    def mesh_sizes(self):
-        """The doublings nmin * 2^k <= nmax; raises on an empty range or
-        on a size the pair cannot be built at."""
-        if self.nmin < 1:
-            raise ValueError("--nmin must be positive, got %d" % self.nmin)
-        ns = []
-        n = self.nmin
-        while n <= self.nmax:
-            check_mesh_size(self.pair, n)
-            ns.append(n)
-            n *= 2
-        if not ns:
-            raise ValueError("empty mesh-size range [%d, %d]"
-                             % (self.nmin, self.nmax))
-        return ns
-
-    def oracle_size(self):
-        """Mesh size of the oracle comparison: nmin, at least 8."""
-        n = max(self.nmin, 8)
-        check_mesh_size(self.pair, n)
-        return n
+        check_tolerances(self.outer_rtol, self.inner_rtol)
+        if args.command in ("converge", "iterations"):
+            # the doublings nmin * 2^k <= nmax
+            self.sizes, n = [], self.nmin
+            while n <= self.nmax:
+                check_mesh_size(self.pair, n)
+                self.sizes.append(n)
+                n *= 2
+            if not self.sizes:
+                raise ValueError("empty mesh-size range [%d, %d]"
+                                 % (self.nmin, self.nmax))
+        else:  # the oracle compares at nmin, at least 8
+            self.sizes = [max(self.nmin, 8)]
+            check_mesh_size(self.pair, self.sizes[0])
 
     def n_values(self):
         """Mesh sizes of a table, capped for direct factorizations unless
         --nmax was given."""
-        ns = self.mesh_sizes()
         has_direct = any(KINDS[k].direct for c in self.combos for k in c)
-        if has_direct and not self.nmax_explicit:
-            capped = [n for n in ns if n <= DIRECT_CAP]
-            if capped != ns:
-                sys.stderr.write(
-                    "warning: capping the mesh range at n=%d for combos "
-                    "with direct factorizations (pass --nmax to "
-                    "override)\n" % DIRECT_CAP)
-                ns = capped
-        return ns
+        if has_direct and not self.nmax_explicit \
+                and self.sizes[-1] > DIRECT_CAP:
+            sys.stderr.write("warning: capping the mesh range at n=%d for "
+                             "combos with direct factorizations (pass --nmax "
+                             "to override)\n" % DIRECT_CAP)
+            return [n for n in self.sizes if n <= DIRECT_CAP]
+        return self.sizes
 
     def out_path(self, default_name):
         outdir = os.environ.get(ENV_OUTDIR, ".")
@@ -175,10 +167,6 @@ class ExperimentSpec:
             return self.out if os.path.isabs(self.out) \
                 else os.path.join(outdir, self.out)
         return os.path.join(outdir, default_name)
-
-
-def _fmt(x):
-    return "%.3e" % x
 
 
 def _fmt_rate(r):
@@ -200,73 +188,72 @@ def write_table(path, header, rows, fmt):
 
 
 def _solve_cell(problem, config):
-    """The report of one table cell, or None when an inner solve failed
-    (the reason goes to stderr)."""
+    """The report of one cell, or None when the cell failed: its inner
+    solve raised, or its outer solve did not converge.  A failed cell
+    writes one reason line to stderr."""
     try:
-        return solve_coupled(problem, config)
+        report = solve_coupled(problem, config)
     except (SolverFailure, IndefinitePreconditioner) as exc:
-        sys.stderr.write("stokesdarcy: n=%d %s failed: %s\n"
-                         % (config.n, combo_label(config.combo), exc))
-        return None
+        reason = exc
+    else:
+        if report.converged:
+            return report
+        reason = "outer MINRES did not converge in %d iterations" \
+            % report.outer_iterations
+    sys.stderr.write("stokesdarcy: n=%d %s failed: %s\n"
+                     % (config.n, combo_label(config.combo), reason))
+    return None
 
 
-def run_convergence(spec):
-    """Error/rate table over the mesh family; returns (path, all_converged)."""
-    header = ["DOF", "h", "e(u_S)", "r(u_S)", "e(p_S)", "r(p_S)",
-              "e(u_D)", "r(u_D)", "e(p_D)", "r(p_D)"]
+def _run_table(spec, name, header, row):
+    """One table over the mesh sizes: one Problem per size, one cell per
+    combo and one row per size, whose cells after DOF and h are
+    row(reports) (None for a failed cell).  Writes the table to the
+    verb's output name and returns whether every cell converged."""
     rows = []
     ok = True
+    for n in spec.n_values():
+        problem = Problem(spec.pair, n)
+        reports = [_solve_cell(problem, SolveConfig(
+            spec.pair, n, outer_rtol=spec.outer_rtol,
+            inner_rtol=spec.inner_rtol, combo=combo))
+            for combo in spec.combos]
+        ok = ok and None not in reports
+        rows.append([str(problem.dof_total), "1/%d" % n] + row(reports))
+    ext = "csv" if spec.format == "csv" else "md"
+    path = spec.out_path("%s_%s.%s" % (name, spec.pair, ext))
+    write_table(path, ["DOF", "h"] + header, rows, spec.format)
+    print("wrote", path)
+    return ok
+
+
+_FIELDS = ("u_S", "p_S", "u_D", "p_D")
+
+
+def _error_row():
+    """The row format of converge: the errors of its one cell, each with
+    its rate against the previous row, if that one converged."""
     prev = None
-    for n in spec.n_values():
-        problem = Problem(spec.pair, n)
-        config = SolveConfig(spec.pair, n, outer_rtol=spec.outer_rtol,
-                             inner_rtol=spec.inner_rtol,
-                             combo=spec.combos[0])
-        report = _solve_cell(problem, config)
-        if report is None or not report.converged:
-            ok = False
-            rows.append([str(problem.dof_total), "1/%d" % n, "FAILED"]
-                        + [""] * 7)
+
+    def row(reports):
+        nonlocal prev
+        if reports[0] is None:
             prev = None
-            continue
-        rec = verify.compute_errors(report)
-        rates = verify.compute_rates(prev, rec) if prev is not None else None
-        rr = rates.as_tuple() if rates else (None,) * 4
-        rows.append([str(rec.dof), "1/%d" % n,
-                     _fmt(rec.e_uS), _fmt_rate(rr[0]),
-                     _fmt(rec.e_pS), _fmt_rate(rr[1]),
-                     _fmt(rec.e_uD), _fmt_rate(rr[2]),
-                     _fmt(rec.e_pD), _fmt_rate(rr[3])])
+            return ["FAILED"] + [""] * 7
+        rec = verify.compute_errors(reports[0])
+        rates = (None,) * 4 if prev is None \
+            else verify.compute_rates(prev, rec).as_tuple()
         prev = rec
-    path = spec.out_path("convergence_%s.%s"
-                         % (spec.pair, "csv" if spec.format == "csv" else "md"))
-    write_table(path, header, rows, spec.format)
-    return path, ok
+        return [cell for e, r in zip(rec.as_tuple(), rates)
+                for cell in ("%.3e" % e, _fmt_rate(r))]
+
+    return row
 
 
-def run_iterations(spec):
-    """Iteration-count table: one column per preconditioner combo."""
-    header = ["DOF", "h"] + [combo_label(c) for c in spec.combos]
-    rows = []
-    ok = True
-    for n in spec.n_values():
-        problem = Problem(spec.pair, n)
-        cells = []
-        for combo in spec.combos:
-            config = SolveConfig(spec.pair, n, outer_rtol=spec.outer_rtol,
-                                 inner_rtol=spec.inner_rtol, combo=combo)
-            report = _solve_cell(problem, config)
-            if report is None or not report.converged:
-                ok = False
-                cells.append('"FAILED"')
-            else:
-                cells.append('"%d(%d)"' % (report.outer_iterations,
-                                           int(round(report.mean_inner))))
-        rows.append([str(problem.dof_total), "1/%d" % n] + cells)
-    path = spec.out_path("iterations_%s.%s"
-                         % (spec.pair, "csv" if spec.format == "csv" else "md"))
-    write_table(path, header, rows, spec.format)
-    return path, ok
+def _iteration_row(reports):
+    """The row format of iterations: "outer(mean inner)" per combo."""
+    return ['"FAILED"' if r is None else '"%d(%d)"' % (
+        r.outer_iterations, int(round(r.mean_inner))) for r in reports]
 
 
 def run_check(spec):
@@ -283,7 +270,7 @@ def run_check(spec):
 def run_oracle(spec):
     """Nested solve with tightened tolerances against the factorized
     monolithic solve, per element pair."""
-    n = spec.oracle_size()
+    n = spec.sizes[0]
     problem = Problem(spec.pair, n)
     config = SolveConfig(spec.pair, n, outer_rtol=1e-10, inner_rtol=1e-12,
                          combo=spec.combos[0], maxit_inner=5000)
@@ -291,45 +278,37 @@ def run_oracle(spec):
     if nested is None:
         return False
     mono = solve_monolithic_oracle(problem)
-
-    def rel(a, b):
-        return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
-
-    diffs = {"u_S": rel(nested.u_S, mono.u_S),
-             "p_S": rel(nested.p_S, mono.p_S),
-             "u_D": rel(nested.u_D, mono.u_D),
-             "p_D": rel(nested.p_D, mono.p_D)}
+    diffs = {}
+    for f in _FIELDS:
+        a, b = getattr(nested, f), getattr(mono, f)
+        diffs[f] = np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+        print("%s: relative difference %.3e" % (f, diffs[f]))
     worst = max(diffs.values())
-    for k, v in diffs.items():
-        print("%s: relative difference %.3e" % (k, v))
     print("oracle comparison %s (worst %.3e, tolerance 1e-6)"
           % ("PASS" if worst <= 1e-6 else "FAIL", worst))
     return worst <= 1e-6
+
+
+_VERBS = {
+    "converge": lambda spec: _run_table(
+        spec, "convergence",
+        ["%s(%s)" % (m, f) for f in _FIELDS for m in "er"], _error_row()),
+    "iterations": lambda spec: _run_table(
+        spec, "iterations", [combo_label(c) for c in spec.combos],
+        _iteration_row),
+    "check": run_check,
+    "oracle": run_oracle,
+}
 
 
 def main(argv=None):
     try:
         args = _parse_args(argv if argv is not None else sys.argv[1:])
         spec = ExperimentSpec(args)
-        if args.command in ("converge", "iterations"):
-            spec.mesh_sizes()
-            check_tolerances(spec.outer_rtol, spec.inner_rtol)
-        elif args.command == "oracle":
-            spec.oracle_size()
     except ValueError as exc:
         sys.stderr.write("stokesdarcy: error: %s\n" % exc)
         return 2
-    if args.command == "converge":
-        path, ok = run_convergence(spec)
-        print("wrote", path)
-    elif args.command == "iterations":
-        path, ok = run_iterations(spec)
-        print("wrote", path)
-    elif args.command == "check":
-        ok = run_check(spec)
-    else:
-        ok = run_oracle(spec)
-    return 0 if ok else 1
+    return 0 if _VERBS[args.command](spec) else 1
 
 
 if __name__ == "__main__":

@@ -176,7 +176,6 @@ class CouplingOperator:
         self.R = R_free.tocsr()
         self.RT = self.R.T.tocsr()
         self.subsolver = subsolver
-        self.n = self.R.shape[1]
 
     def __call__(self, u):
         phi = np.asarray(self.R @ u).ravel()

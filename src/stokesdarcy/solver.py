@@ -62,12 +62,10 @@ class Problem:
         self.mesh = build_unit_square(n)
         self.vel = VectorSpace(Space(self.mesh, vfam, REGION_S))
         if pair == "p2isop1-bdm1":
-            self.pres_mesh = build_unit_square(n // 2)
-            self.pres = Space(self.pres_mesh, pfam, REGION_S)
+            self.pres = Space(build_unit_square(n // 2), pfam, REGION_S)
             fine_p = Space(self.mesh, pfam, REGION_S)
             self.pres_embed = nodal_prolongation(self.pres, fine_p)
         else:
-            self.pres_mesh = self.mesh
             self.pres = Space(self.mesh, pfam, REGION_S)
             self.pres_embed = None
         self.flux = FluxSpace(self.mesh, ffam)
@@ -88,8 +86,7 @@ class Problem:
             self.M_S = drop_roundoff(E.T @ Mf @ E)
         self.A_D, self.B_D, self.D_D, self.M_D = assembly.assemble_darcy(
             self.flux, self.dpres, p)
-        self.T_SD, self.R = assembly.assemble_interface(
-            self.vel, self.flux, self.trace)
+        self.T_SD, self.R = assembly.assemble_interface(self.vel, self.trace)
 
         self.free_vel = np.where(~self.vel.on_gamma)[0]
         self.free_flux = np.where(~self.flux.on_boundary)[0]
@@ -321,41 +318,34 @@ def solve_coupled(problem, config=None):
 
 
 def solve_monolithic_oracle(problem):
-    """Direct factorized solve of the fully coupled discrete system with
-    the interface constraint eliminated through the trace projection."""
-    fidx = problem.free_vel
-    iidx = problem.free_flux
-    E = (problem.lift @ problem.R).tocsr()[:, fidx]
-    A_D, B_D = problem.A_D, problem.B_D
-    Kss = problem.A_ff + E.T @ A_D @ E
-    Ksi = (E.T @ A_D[:, iidx]).tocsr()
-    Aii = A_D[np.ix_(iidx, iidx)].tocsr()
-    BSf = problem.B_Sf
-    BDi = B_D[:, iidx].tocsr()
-    BDE = (B_D @ E).tocsr()
-    mcol = sp.csc_matrix(problem.mvec[:, None])
-    K = sp.bmat([[Kss, Ksi, -BSf.T, -BDE.T, None],
-                 [Ksi.T, Aii, None, -BDi.T, None],
-                 [-BSf, None, None, None, None],
-                 [-BDE, -BDi, None, None, mcol],
-                 [None, None, None, mcol.T, None]], format="csc")
-    rhs = np.concatenate([problem.F_S[fidx], np.zeros(len(iidx)),
-                          np.zeros(problem.pres.ndof), -problem.G_D, [0.0]])
+    """Direct factorized solve of the fully coupled discrete system, in
+    the free velocity and interior flux DOFs and both pressures, bordered
+    by the mean of p_D.  S maps the velocity unknowns onto the free
+    velocity DOFs, the glue Z onto all flux DOFs (the interface ones
+    through the trace projection, lift @ R_f)."""
     t0 = time.perf_counter()
+    nf, ni = len(problem.free_vel), len(problem.free_flux)
+    nps = problem.pres.ndof
+    S = sp.eye(nf, nf + ni, format="csr")
+    I_i = sp.eye(problem.flux.ndof, format="csr")[:, problem.free_flux]
+    Z = sp.hstack([problem.lift @ problem.R_f, I_i], format="csr")
+    A = S.T @ problem.A_ff @ S + Z.T @ problem.A_D @ Z
+    B = sp.vstack([problem.B_Sf @ S, problem.B_D @ Z])
+    m = sp.csc_matrix(np.concatenate([np.zeros(nps), problem.mvec])[:, None])
+    K = sp.bmat([[A, -B.T, None], [-B, None, m], [None, m.T, None]],
+                format="csc")
+    rhs = np.concatenate([problem.F_S[problem.free_vel], np.zeros(ni + nps),
+                          -problem.G_D, [0.0]])
     x = spla.spsolve(K, rhs)
     if not np.all(np.isfinite(x)):
         raise RuntimeError("monolithic system is singular; the interface "
                            "constraint elimination is inconsistent")
-    nf, ni, nps = len(fidx), len(iidx), problem.pres.ndof
     u_S = np.zeros(problem.vel.ndof)
-    u_S[fidx] = x[:nf]
-    u_D = np.asarray(E @ x[:nf]).ravel()
-    u_D[iidx] += x[nf:nf + ni]
-    p_S = x[nf + ni:nf + ni + nps]
-    p_D = x[nf + ni + nps:-1]
-    config = SolveConfig(problem.pair, problem.n)
-    return SolveReport(problem, config, u_S, p_S, u_D, p_D, 0, [],
-                       [0.0], True, time.perf_counter() - t0)
+    u_S[problem.free_vel] = x[:nf]
+    p_S, p_D = x[nf + ni:nf + ni + nps], x[nf + ni + nps:-1]
+    return SolveReport(problem, SolveConfig(problem.pair, problem.n), u_S,
+                       p_S, Z @ x[:nf + ni], p_D, 0, [], [0.0], True,
+                       time.perf_counter() - t0)
 
 
 def _infsup_from_matrices(B, X, M, mvec):

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from stokesdarcy import SolveConfig
+from stokesdarcy import SolveConfig, solve_monolithic_oracle
 from stokesdarcy.cli import ExperimentSpec, _parse_args, main, read_config
 from stokesdarcy.ftp import SolverFailure
 from stokesdarcy.krylov import IndefinitePreconditioner
@@ -118,7 +118,28 @@ def test_oracle_inner_failure_exits_1(capsys, monkeypatch, error):
     assert "failed: inner MINRES stalled" in err[0]
 
 
-def test_failure_marker_and_exit_code(tmp_path, monkeypatch):
+def test_oracle_unconverged_nested_solve_exits_1(capsys, monkeypatch):
+    """A nested solve that reports converged == False fails the oracle
+    comparison, even when its fields match the monolithic ones."""
+    import stokesdarcy.cli as cli
+
+    def unconverged(problem, config):
+        report = solve_monolithic_oracle(problem)
+        report.converged = False
+        return report
+
+    monkeypatch.setattr(cli, "solve_coupled", unconverged)
+    assert main(["oracle", "--pair", "mini-bdm1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("stokesdarcy: n=8 ")
+    assert "failed: outer MINRES did not converge" in err[0]
+
+
+@pytest.mark.parametrize("verb", ["converge", "iterations"])
+def test_failure_marker_and_exit_code(tmp_path, capsys, monkeypatch, verb):
+    """An outer solve that did not converge fails its cell: FAILED in
+    the table, exit 1, and one reason line per failed cell."""
     import stokesdarcy.cli as cli
 
     class FailedReport:
@@ -129,10 +150,16 @@ def test_failure_marker_and_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "solve_coupled",
                         lambda problem, config: FailedReport())
     out = tmp_path / "fail.csv"
-    code = main(["iterations", "--pair", "mini-bdm1", "--nmin", "8",
-                 "--nmax", "8", "--out", str(out)])
+    code = main([verb, "--pair", "mini-bdm1", "--nmin", "8",
+                 "--nmax", "16", "--out", str(out)])
     assert code == 1
-    assert "FAILED" in out.read_text()
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 2 and all("FAILED" in row for row in rows)
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("stokesdarcy: n=%d " % n)
+               and "failed: outer MINRES did not converge" in line
+               for n, line in zip((8, 16), err))
 
 
 @pytest.mark.parametrize("verb", ["converge", "iterations"])
