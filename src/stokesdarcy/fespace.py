@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .mesh import GAMMA_D, REF_VERTICES, SIGMA, segment_points
+from .mesh import GAMMA_D, REF_VERTICES, SIGMA, row_blocks, segment_points
 
 REGION_S = 0
 REGION_D = 1
@@ -373,12 +373,14 @@ class FluxSpace:
                                  local / self._owners[rows],
                                  (self.ndof, ncols))
 
-    def _local_monomials(self, ref_pts):
+    def _local_monomials(self, ref_pts, rows=slice(None)):
         """Monomial values (nt, nmono, np, 2) and local-coordinate
-        divergences (nt, nmono, np) at mapped reference points."""
-        pts = self.geom.map_points(ref_pts)
-        X = (pts[..., 0] - self.centers[:, None, 0]) / self.hscale[:, None]
-        Y = (pts[..., 1] - self.centers[:, None, 1]) / self.hscale[:, None]
+        divergences (nt, nmono, np) at mapped reference points, on the
+        triangles of ``rows``."""
+        pts = self.geom.map_points(ref_pts, rows)
+        c, h = self.centers[rows, None], self.hscale[rows, None]
+        X = (pts[..., 0] - c[..., 0]) / h
+        Y = (pts[..., 1] - c[..., 1]) / h
         return _monomials(self.family, X, Y)
 
     def tabulate(self, ref_pts):
@@ -395,12 +397,17 @@ class FluxSpace:
 
     def field(self, coeffs, ref_pts):
         """Values (nt, np, 2) and divergences (nt, np) of the field with
-        coefficients coeffs at mapped points, built without a basis table."""
-        mono, mdiv = self._local_monomials(ref_pts)
-        nt, nm = mdiv.shape[:2]
+        coefficients coeffs at mapped points, built without a basis table
+        and one block of triangles at a time."""
         m = coeffs[self.cell_dofs][:, None] @ np.swapaxes(self.coeff, 1, 2)
-        vals = (m @ mono.reshape(nt, nm, -1)).reshape(nt, -1, 2)
-        divs = (m @ mdiv)[:, 0] / self.hscale[:, None]
+        nt, npts = len(m), len(ref_pts)
+        vals, divs = np.empty((nt, npts, 2)), np.empty((nt, npts))
+        for rows in row_blocks(nt):
+            mono, mdiv = self._local_monomials(ref_pts, rows)
+            mr = m[rows]
+            vals[rows] = (mr @ mono.reshape(len(mr), -1, 2 * npts)).reshape(
+                -1, npts, 2)
+            divs[rows] = (mr @ mdiv)[:, 0] / self.hscale[rows, None]
         return vals, divs
 
     def evaluate_at(self, coeffs, tri_local, phys_pts):

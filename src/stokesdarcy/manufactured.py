@@ -15,131 +15,140 @@ import numpy as np
 PI = np.pi
 
 
-def _sc(x):
-    s = np.sin(2 * PI * x)
-    c = np.cos(2 * PI * x)
-    return s, c
+class _Factors:
+    """Points X (..., 2) and the factors of the closed-form fields there,
+    each computed on first use and kept."""
+
+    _DEFS = dict(
+        s=lambda f: np.sin(2 * PI * f.x), c=lambda f: np.cos(2 * PI * f.x),
+        sy=lambda f: np.sin(2 * PI * f.y), cy=lambda f: np.cos(2 * PI * f.y),
+        sh=lambda f: np.sin(PI * f.x / 2), ch=lambda f: np.cos(PI * f.x / 2),
+        spy=lambda f: np.sin(PI * f.y), cpy=lambda f: np.cos(PI * f.y),
+        # products, not integer powers: those call pow() per element
+        s3=lambda f: f.s * f.s * f.s, c3=lambda f: f.c * f.c * f.c,
+        s2c=lambda f: f.s * f.s * f.c,
+        # d(s^2 c)/dx / (2 pi), and the y factor of the porous pressure
+        ds2c=lambda f: 2 * f.s * f.c * f.c - f.s3,
+        w=lambda f: 3 * PI * f.y - 1.5 * f.sy)
+
+    def __init__(self, X):
+        self.x, self.y = X[..., 0], X[..., 1]
+
+    def __getattr__(self, name):
+        if name not in self._DEFS:
+            raise AttributeError(name)
+        value = self._DEFS[name](self)
+        setattr(self, name, value)
+        return value
+
+
+class StokesFields(_Factors):
+    """Free-flow velocity u, its gradient grad_u ([..., i, j] = d u_i/d x_j),
+    pressure p and momentum source f = -div(2 eps(u)) + grad p."""
+
+    @property
+    def u(self):
+        return np.stack([PI * self.sy * self.s3,
+                         -3 * PI * self.s2c * (1 - self.cy)], -1)
+
+    @property
+    def grad_u(self):
+        g = np.empty(self.x.shape + (2, 2))
+        g[..., 0, 0] = 6 * PI ** 2 * self.sy * self.s2c
+        g[..., 0, 1] = 2 * PI ** 2 * self.cy * self.s3
+        g[..., 1, 0] = -6 * PI ** 2 * (1 - self.cy) * self.ds2c
+        g[..., 1, 1] = -g[..., 0, 0]
+        return g
+
+    @property
+    def p(self):
+        return -(PI / 4) * self.ch * (self.y - 0.5 + self.spy)
+
+    @property
+    def f(self):
+        lap1 = 4 * PI ** 3 * self.sy * (6 * self.s - 10 * self.s3)
+        lap2 = -12 * PI ** 3 * ((1 - self.cy) * (2 * self.c3 - 7 * self.s2c)
+                                + self.s2c * self.cy)
+        return np.stack([
+            -lap1 + (PI ** 2 / 8) * self.sh * (self.y - 0.5 + self.spy),
+            -lap2 - (PI / 4) * self.ch * (1 + PI * self.cpy)], -1)
+
+
+class DarcyFields(_Factors):
+    """Porous pressure p, flux u = -grad p and source f = div u = -lap p,
+    which integrates to zero over the porous half."""
+
+    @property
+    def p(self):
+        return self.w * self.s2c
+
+    @property
+    def u(self):
+        return np.stack([-self.w * 2 * PI * self.ds2c,
+                         -3 * PI * (1 - self.cy) * self.s2c], -1)
+
+    @property
+    def f(self):
+        return (-self.w * 4 * PI ** 2 * (2 * self.c3 - 7 * self.s2c)
+                - 6 * PI ** 2 * self.sy * self.s2c)
+
+    div_u = f
+
+
+def _view(region, field):
+    return lambda self, p: getattr(getattr(self, region)(p), field)
 
 
 class ManufacturedCase:
-    """Reference fields and derived data, all vectorized over (n, 2) points."""
+    """Reference fields and derived data.  `stokes(X)` and `darcy(X)`
+    evaluate one region's fields at points X (..., 2); every other method
+    reads them, so a case with other fields overrides these two."""
 
     nu = 1.0
     kappa = 1.0
     tau = 1.0
 
-    # --- Stokes fields -------------------------------------------------
-    def u_S(self, p):
-        x, y = p[:, 0], p[:, 1]
-        s, c = _sc(x)
-        out = np.empty_like(p)
-        out[:, 0] = PI * np.sin(2 * PI * y) * s ** 3
-        out[:, 1] = -3 * PI * s ** 2 * c * (1 - np.cos(2 * PI * y))
-        return out
+    stokes = StokesFields
+    darcy = DarcyFields
 
-    def grad_u_S(self, p):
-        """Gradient with layout (n, 2, 2), entry [i, j] = d u_i / d x_j."""
-        x, y = p[:, 0], p[:, 1]
-        s, c = _sc(x)
-        sy, cy = np.sin(2 * PI * y), np.cos(2 * PI * y)
-        g = np.empty((len(p), 2, 2))
-        g[:, 0, 0] = 6 * PI ** 2 * sy * s ** 2 * c
-        g[:, 0, 1] = 2 * PI ** 2 * cy * s ** 3
-        g[:, 1, 0] = -6 * PI ** 2 * (1 - cy) * (2 * s * c ** 2 - s ** 3)
-        g[:, 1, 1] = -6 * PI ** 2 * sy * s ** 2 * c
-        return g
+    u_S, grad_u_S = _view("stokes", "u"), _view("stokes", "grad_u")
+    p_S, f_S = _view("stokes", "p"), _view("stokes", "f")
+    u_D, p_D = _view("darcy", "u"), _view("darcy", "p")
+    f_D = div_u_D = _view("darcy", "f")
 
-    def p_S(self, p):
-        x, y = p[:, 0], p[:, 1]
-        return -(PI / 4) * np.cos(PI * x / 2) * (y - 0.5 + np.sin(PI * y))
-
-    def f_S(self, p):
-        """Momentum source -div(2 eps(u_S)) + grad p_S."""
-        x, y = p[:, 0], p[:, 1]
-        s, c = _sc(x)
-        sy, cy = np.sin(2 * PI * y), np.cos(2 * PI * y)
-        lap1 = 4 * PI ** 3 * sy * (6 * s - 10 * s ** 3)
-        lap2 = -12 * PI ** 3 * ((1 - cy) * (2 * c ** 3 - 7 * s ** 2 * c)
-                                + s ** 2 * c * cy)
-        out = np.empty_like(p)
-        out[:, 0] = -lap1 + (PI ** 2 / 8) * np.sin(PI * x / 2) * (y - 0.5 + np.sin(PI * y))
-        out[:, 1] = -lap2 - (PI / 4) * np.cos(PI * x / 2) * (1 + PI * np.cos(PI * y))
-        return out
-
-    # --- Darcy fields --------------------------------------------------
-    def p_D(self, p):
-        x, y = p[:, 0], p[:, 1]
-        s, c = _sc(x)
-        return (3 * PI * y - 1.5 * np.sin(2 * PI * y)) * s ** 2 * c
-
-    def u_D(self, p):
-        x, y = p[:, 0], p[:, 1]
-        s, c = _sc(x)
-        w = 3 * PI * y - 1.5 * np.sin(2 * PI * y)
-        out = np.empty_like(p)
-        out[:, 0] = -w * 2 * PI * (2 * s * c ** 2 - s ** 3)
-        out[:, 1] = -3 * PI * (1 - np.cos(2 * PI * y)) * s ** 2 * c
-        return out
-
-    def f_D(self, p):
-        """div u_D = -lap p_D; integrates to zero over the porous half."""
-        x, y = p[:, 0], p[:, 1]
-        s, c = _sc(x)
-        w = 3 * PI * y - 1.5 * np.sin(2 * PI * y)
-        return (-w * 4 * PI ** 2 * (2 * c ** 3 - 7 * s ** 2 * c)
-                - 6 * PI ** 2 * np.sin(2 * PI * y) * s ** 2 * c)
-
-    div_u_D = f_D
-
-    # --- interface data -------------------------------------------------
+    # --- interface data, from both regions' fields at y = 1/2 ----------
     def g_sigma(self, x):
         """Residual of the interface stress balance at y = 1/2.
 
         g = 2 eps(u_S) n - p_S n + pi_t(u_S) + p_D n, with n = (0, -1);
         vanishing g would mean the fields satisfy the homogeneous balance.
         """
-        x = np.asarray(x, dtype=float)
-        s, c = _sc(x)
-        out = np.empty((len(x), 2))
-        out[:, 0] = 24 * PI ** 2 * s * c ** 2 - 10 * PI ** 2 * s ** 3
-        out[:, 1] = -(PI / 4) * np.cos(PI * x / 2) - 1.5 * PI * s ** 2 * c
-        return out
+        P = np.column_stack([x, np.full(np.shape(x), 0.5)])
+        S = self.stokes(P)
+        G = S.grad_u
+        return np.column_stack([S.u[:, 0] - G[:, 0, 1] - G[:, 1, 0],
+                                S.p - 2 * G[:, 1, 1] - self.darcy(P).p])
 
     def sigma_flux(self, x):
         """Common normal trace u_S.n = u_D.n on the interface."""
-        x = np.asarray(x, dtype=float)
-        s, c = _sc(x)
-        return 6 * PI * s ** 2 * c
+        P = np.column_stack([x, np.full(np.shape(x), 0.5)])
+        return -self.stokes(P).u[:, 1]
+
+
+def _zeros(*tail):
+    return property(lambda self: np.zeros(self.shape + tail))
 
 
 class ZeroCase(ManufacturedCase):
     """Identically zero fields; handy for degenerate-path tests."""
 
-    def u_S(self, p):
-        return np.zeros_like(p)
+    class stokes:
+        def __init__(self, X):
+            self.shape = np.shape(X)[:-1]
 
-    def grad_u_S(self, p):
-        return np.zeros((len(p), 2, 2))
+        u = f = _zeros(2)
+        grad_u = _zeros(2, 2)
+        p = _zeros()
 
-    def p_S(self, p):
-        return np.zeros(len(p))
-
-    def f_S(self, p):
-        return np.zeros_like(p)
-
-    def p_D(self, p):
-        return np.zeros(len(p))
-
-    def u_D(self, p):
-        return np.zeros_like(p)
-
-    def f_D(self, p):
-        return np.zeros(len(p))
-
-    div_u_D = f_D
-
-    def g_sigma(self, x):
-        return np.zeros((len(np.asarray(x)), 2))
-
-    def sigma_flux(self, x):
-        return np.zeros(len(np.asarray(x)))
+    class darcy(stokes):
+        p = f = div_u = _zeros()

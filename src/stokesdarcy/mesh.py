@@ -18,6 +18,15 @@ SIGMA = 4
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
+# triangles per block of a field evaluated at many points per triangle:
+# bounds the temporaries of the evaluation
+EVAL_ROWS = 1024
+
+
+def row_blocks(nt):
+    """Slices of consecutive triangles, EVAL_ROWS at a time."""
+    return (slice(a, a + EVAL_ROWS) for a in range(0, nt, EVAL_ROWS))
+
 
 class AffineGeometry:
     """Affine maps x = origin + J xi from the reference triangle onto
@@ -49,19 +58,32 @@ class AffineGeometry:
         invJT /= det[:, None, None]
         self.J, self.det, self.invJT = J, det, invJT
 
-    def map_points(self, ref_pts):
-        """Physical images (nt, np, 2) of reference points (np, 2)."""
+    def map_points(self, ref_pts, rows=slice(None)):
+        """Physical images (nt, np, 2) of reference points (np, 2), on the
+        triangles of ``rows`` (all by default)."""
         ref = np.asarray(ref_pts, dtype=float)
-        cols = self.J[:, None]
-        return (self.origin[:, None, :] + cols[..., 0] * ref[None, :, 0, None]
-                + cols[..., 1] * ref[None, :, 1, None])
+        o, J = self.origin[rows, None], self.J[rows, None]
+        out = np.empty((len(o), len(ref), 2))
+        # one physical coordinate at a time: the point axis stays innermost
+        for d in range(2):
+            out[..., d] = o[..., d] + J[..., d, 0] * ref[:, 0] \
+                + J[..., d, 1] * ref[:, 1]
+        return out
 
     def evaluate(self, f, ref_pts):
         """A pointwise function f((N, 2) points) at the images of reference
-        points, as an (nt, np, ...) array."""
-        X = self.map_points(ref_pts)
-        vals = np.asarray(f(X.reshape(-1, 2)), dtype=float)
-        return vals.reshape(X.shape[:2] + vals.shape[1:])
+        points, as an (nt, np, ...) array, or a tuple of them where f
+        returns a tuple.  f sees one block of triangles at a time."""
+        nt, npts = len(self.det), len(ref_pts)
+        out = None
+        for rows in row_blocks(nt):
+            got = f(self.map_points(ref_pts, rows).reshape(-1, 2))
+            vals = got if isinstance(got, tuple) else (got,)
+            if out is None:
+                out = [np.empty((nt, npts) + np.shape(v)[1:]) for v in vals]
+            for o, v in zip(out, vals):
+                o[rows] = np.reshape(v, o[rows].shape)
+        return tuple(out) if isinstance(got, tuple) else out[0]
 
     def pull_back(self, rows, phys_pts):
         """Reference coordinates of physical points (np, 2), point i taken

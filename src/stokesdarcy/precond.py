@@ -14,18 +14,21 @@ from .fespace import Space, VectorSpace, nodal_prolongation, vector_expand
 from .krylov import LinOp
 from .mesh import mesh_hierarchy
 
-# largest graph component, in DOFs, of a matrix whose Gauss-Seidel sweep
-# is assembled explicitly instead of applied by triangular solves
+# largest graph component, in DOFs, whose Gauss-Seidel sweep or inverse
+# is assembled explicitly instead of applied by sparse triangular solves
 SWEEP_BLOCK_MAX = 8
 
 
 def direct_inverse(M):
-    """Exact inverse of an SPD sparse matrix via a cached factorization.
+    """Exact inverse of an SPD sparse matrix.
 
-    The factorization is Cholesky-like: a symmetric minimum-degree
-    ordering of M + M^T applied to rows and columns alike, with diagonal
-    pivots.  Dropping row pivoting is safe only for SPD matrices, which
-    the symmetry check and the positivity probes below enforce.
+    Graph components of at most SWEEP_BLOCK_MAX DOFs (the MINI bubbles)
+    are inverted as dense blocks in one batch and applied as one sparse
+    product: a sparse LU would spend a supernode on each.  The rest is
+    factored Cholesky-like: a symmetric minimum-degree ordering of
+    M + M^T applied to rows and columns alike, with diagonal pivots.
+    Dropping row pivoting is safe only for SPD matrices, which the
+    symmetry check and the positivity probes below enforce.
     """
     M = sp.csc_matrix(M)
     n = M.shape[0]
@@ -33,14 +36,45 @@ def direct_inverse(M):
     scale = max(abs(M).max(), 1e-300)
     if asym > 1e-10 * scale:
         raise ValueError("matrix is not symmetric (|M - M^T| = %.2e)" % asym)
-    lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    labels, sizes = _components(M)
+    small = sizes[labels] <= SWEEP_BLOCK_MAX
+    apply = _split_inverse(M, small, labels) if small.any() else _lu(M).solve
     rng = np.random.default_rng(12345)
     for _ in range(3):
         x = rng.standard_normal(n)
-        if x @ (M @ x) <= 0 or x @ lu.solve(x) <= 0:
+        if x @ (M @ x) <= 0 or x @ apply(x) <= 0:
             raise ValueError("matrix is not positive definite")
-    return LinOp(n, lu.solve)
+    return LinOp(n, apply)
+
+
+def _lu(M):
+    return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
+
+
+def _components(M):
+    """Graph component label of each DOF, and the component sizes."""
+    ncomp, labels = connected_components(M, directed=False)
+    return labels, np.bincount(labels, minlength=ncomp)
+
+
+def _split_inverse(M, small, labels):
+    """Apply of M^{-1}: the DOFs of small components (mask `small`) by
+    batched dense inverses, the others by one factorization."""
+    S, L = np.flatnonzero(small), np.flatnonzero(~small)
+    _, local, sizes = np.unique(labels[S], return_inverse=True,
+                                return_counts=True)
+    G = _blockwise(M[S][:, S], local, sizes, np.linalg.inv)
+    lu = _lu(M[L][:, L]) if len(L) else None
+
+    def apply(r):
+        out = np.empty(len(r))
+        out[S] = G @ r[S]
+        if lu is not None:
+            out[L] = lu.solve(r[L])
+        return out
+
+    return apply
 
 
 def gs_sweep(M):
@@ -58,10 +92,9 @@ def gs_sweep(M):
     d = M.diagonal()
     if np.any(d <= 0):
         raise ValueError("nonpositive diagonal entry")
-    ncomp, labels = connected_components(M, directed=False)
-    sizes = np.bincount(labels, minlength=ncomp)
+    labels, sizes = _components(M)
     if sizes.max(initial=0) <= SWEEP_BLOCK_MAX:
-        G = _block_sweep_matrix(M, labels, sizes)
+        G = _blockwise(M, labels, sizes, _sweep)
         return LinOp(M.shape[0], lambda r: G @ r)
     lower = spla.splu(sp.csc_matrix(sp.tril(M)),
                       permc_spec="NATURAL", options={"SymmetricMode": False})
@@ -75,14 +108,22 @@ def gs_sweep(M):
     return LinOp(M.shape[0], apply)
 
 
-def _block_sweep_matrix(M, labels, sizes):
-    """The sweep inv(D+U) D inv(D+L) of a matrix whose graph components
-    (labels, sizes) are small, as one CSR matrix.
+def _sweep(B):
+    """The sweep inv(D+U) D inv(D+L) of each block of a stack."""
+    d = np.diagonal(B, axis1=1, axis2=2)
+    return np.linalg.inv(np.triu(B)) @ (d[:, :, None]
+                                        * np.linalg.inv(np.tril(B)))
+
+
+def _blockwise(M, labels, sizes, fn):
+    """fn of the dense blocks of a matrix whose graph components (labels,
+    sizes) are small, as one CSR matrix.
 
     Each component keeps its DOFs in ascending global order, so its local
     triangles are the restrictions of the global ones and the blocks may
     interleave or differ in size.  Blocks are padded to a common size
-    with the identity and inverted in one batch.
+    with the identity and passed to fn as one stack; fn must keep the
+    padding apart, as inverses and triangular sweeps do.
     """
     n = M.shape[0]
     m = sizes.max(initial=0)
@@ -98,8 +139,7 @@ def _block_sweep_matrix(M, labels, sizes):
     B[:, np.arange(m), np.arange(m)] = pad
     A = M.tocoo()
     np.add.at(B, (labels[A.row], local[A.row], local[A.col]), A.data)
-    d = np.diagonal(B, axis1=1, axis2=2)
-    G = np.linalg.inv(np.triu(B)) @ (d[:, :, None] * np.linalg.inv(np.tril(B)))
+    G = fn(B)
 
     c, i, j = np.nonzero(~pad[:, :, None] & ~pad[:, None, :])
     return sp.csr_matrix((G[c, i, j], (glob[c, i], glob[c, j])),

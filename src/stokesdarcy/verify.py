@@ -39,49 +39,60 @@ def _integral(space, w, vals):
     return np.einsum("q,t,tq->", w, space.geom.det, vals)
 
 
-def velocity_h1_error(vel, coeffs, u_exact, grad_exact):
+def velocity_h1_error(vel, coeffs, u, grad):
+    """H1 error against exact values u and gradients grad (nt, nq, ...)."""
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(ERROR_QDEG)
     vals, grads = ref_basis(sc.family, pts)
     nt, nq = len(sc.tris), len(w)
     c = coeffs[vel.cell_dofs].reshape(nt, -1, 2)  # (nt, nloc, 2)
-    eu = sc.geom.evaluate(u_exact, pts) - vals.T @ c
+    eu = u - vals.T @ c
     # reference gradients of both components first, the affine map last:
     # rows (component, point), columns the reference, then the physical
     # direction
-    ref = np.swapaxes(c, 1, 2) @ grads.reshape(len(vals), -1)
-    uh = ref.reshape(nt, 2 * nq, 2) @ np.swapaxes(sc.geom.invJT, 1, 2)
-    eg = sc.geom.evaluate(grad_exact, pts) \
-        - np.swapaxes(uh.reshape(nt, 2, nq, 2), 1, 2)
-    return math.sqrt(_integral(sc, w, (eu ** 2).sum(-1)
-                               + (eg ** 2).sum((-2, -1))))
+    uh = (np.swapaxes(c, 1, 2) @ grads.reshape(len(vals), -1)).reshape(
+        nt, 2 * nq, 2) @ np.swapaxes(sc.geom.invJT, 1, 2)
+    eg = grad - np.swapaxes(uh.reshape(nt, 2, nq, 2), 1, 2)
+    # squares in place: the error arrays are the largest temporaries
+    return math.sqrt(_integral(sc, w, np.square(eu, out=eu).sum(-1)
+                               + np.square(eg, out=eg).sum((-2, -1))))
 
 
 def scalar_l2_error(space, coeffs, exact):
+    """L2 error against exact values (nt, nq)."""
     pts, w = quadrature.triangle_rule(ERROR_QDEG)
-    err = space.geom.evaluate(exact, pts) \
-        - coeffs[space.cell_dofs] @ space.values(pts)
-    return math.sqrt(_integral(space, w, err ** 2))
+    err = exact - coeffs[space.cell_dofs] @ space.values(pts)
+    return math.sqrt(_integral(space, w, np.square(err, out=err)))
 
 
-def flux_hdiv_error(flux, coeffs, u_exact, div_exact):
+def flux_hdiv_error(flux, coeffs, u, div):
+    """Graph-norm error against exact values u and div (nt, nq, ...)."""
     pts, w = quadrature.triangle_rule(ERROR_QDEG)
-    uh, dh = flux.field(coeffs, pts)
-    eu = flux.geom.evaluate(u_exact, pts) - uh
-    ed = flux.geom.evaluate(div_exact, pts) - dh
-    return math.sqrt(_integral(flux, w, (eu ** 2).sum(-1) + ed ** 2))
+    eu, ed = flux.field(coeffs, pts)
+    eu, ed = np.square(eu - u, out=eu), np.square(ed - div, out=ed)
+    return math.sqrt(_integral(flux, w, eu.sum(-1) + ed))
+
+
+def _fields(evaluator, *names):
+    return lambda X: tuple(getattr(evaluator(X), name) for name in names)
 
 
 def compute_errors(report, case=None):
     """Error record of a coupled solve against the reference fields."""
     pr = report.problem
     case = case or pr.case
-    return ErrorRecord(
-        pr.dof_total, pr.h,
-        velocity_h1_error(pr.vel, report.u_S, case.u_S, case.grad_u_S),
-        scalar_l2_error(pr.pres, report.p_S, case.p_S),
-        flux_hdiv_error(pr.flux, report.u_D, case.u_D, case.div_u_D),
-        scalar_l2_error(pr.dpres, report.p_D, case.p_D))
+    pts = quadrature.triangle_rule(ERROR_QDEG)[0]
+    geom = pr.vel.scalar.geom
+    u, grad, p = geom.evaluate(_fields(case.stokes, "u", "grad_u", "p"), pts)
+    if pr.pres.geom is not geom:
+        p = pr.pres.geom.evaluate(case.p_S, pts)
+    e_uS = velocity_h1_error(pr.vel, report.u_S, u, grad)
+    e_pS = scalar_l2_error(pr.pres, report.p_S, p)
+    u, div, p = pr.flux.geom.evaluate(_fields(case.darcy, "u", "div_u", "p"),
+                                      pts)
+    return ErrorRecord(pr.dof_total, pr.h, e_uS, e_pS,
+                       flux_hdiv_error(pr.flux, report.u_D, u, div),
+                       scalar_l2_error(pr.dpres, report.p_D, p))
 
 
 class RateRecord:

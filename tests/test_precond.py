@@ -76,6 +76,39 @@ def test_direct_inverse_symmetric_ordering(problem_cache, monkeypatch,
     assert fill <= 0.8 * _factor_fill(plain, monkeypatch)[0]
 
 
+def test_direct_inverse_small_components_apart(mini8, monkeypatch):
+    """Graph components of at most SWEEP_BLOCK_MAX DOFs are inverted as
+    dense blocks and only the rest is factored: on scattered small blocks
+    plus a 20-DOF chain the solve matches a plain sparse LU, and the mini
+    velocity block, whose bubble pairs are components of their own,
+    factors only its vertex DOFs."""
+    chain = sp.diags([np.full(19, -1.0), np.full(20, 4.0), np.full(19, -1.0)],
+                     [-1, 0, 1])
+    B = sp.block_diag([_scattered_blocks(), chain]).tocsr()
+    p = np.random.default_rng(8).permutation(B.shape[0])
+    M = B[p][:, p].tocsc()
+    splu = precond.spla.splu
+    shapes = []
+
+    def capture(A, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(precond.spla, "splu", capture)
+    b = np.random.default_rng(9).standard_normal(M.shape[0])
+    want = splu(M).solve(b)
+    got = precond.direct_inverse(M)(b)
+    assert shapes == [(20, 20)]
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    shapes.clear()
+    precond.direct_inverse(mini8.A_ff)
+    bubbles = mini8.vel.scalar.cell_dofs[:, 3]
+    vertex = ~np.isin(mini8.free_vel // 2, bubbles)
+    assert vertex.sum() < len(vertex)
+    assert shapes == [(vertex.sum(),) * 2]
+
+
 def test_direct_inverse_rejects_nonsymmetric():
     M = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ from stokesdarcy import (Problem, SolveConfig, ftp, precond, solve_coupled,
                          solve_monolithic_oracle)
 from stokesdarcy.manufactured import ZeroCase
 from stokesdarcy.solver import (_outer_operator, canonical_pair,
-                                estimate_infsup, infsup_stokes, parse_combo)
+                                estimate_infsup, infsup_stokes,
+                                outer_preconditioner, parse_combo)
 
 
 def rel(a, b):
@@ -219,3 +220,23 @@ def test_saddle_matrices_match_blocks(problem_cache, rng, pair):
     assert rel(res.u, u) <= 1e-12
     assert rel(res.p, p) <= 1e-12
     assert rel(res.functional, functional) <= 1e-12
+
+
+def test_true_residual_matches_exact_coupling(problem_cache):
+    """The reported true residual equals ||b - A x||_P / ||b||_P with the
+    porous solves of b and A done by the factorized subsolver; the outer
+    recurrence's own residual is far smaller."""
+    pr = problem_cache("mini", 16)
+    cfg = SolveConfig("mini", 16, combo="direct:pd0")
+    rep = solve_coupled(pr, cfg)
+    exact = ftp.ExactDarcySubsolver(pr)
+    gamma = ftp.source_residual(exact, pr.G_D)
+    fv = pr.free_vel
+    b = np.concatenate([pr.F_S[fv] - pr.R_f.T @ gamma.functional,
+                        np.zeros(pr.pres.ndof)])
+    A = _outer_operator(pr, ftp.CouplingOperator(pr.R_f, exact))
+    P = outer_preconditioner(pr, cfg)
+    r = b - A(np.concatenate([rep.u_S[fv], rep.p_S]))
+    want = np.sqrt((r @ P(r)) / (b @ P(b)))
+    assert rep.true_residual == pytest.approx(want, rel=1e-4)
+    assert rep.true_residual > 100 * rep.residuals[-1] / rep.residuals[0]
