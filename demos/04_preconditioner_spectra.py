@@ -39,8 +39,9 @@ for family, pair in (("bdm1", "mini"), ("rt1", "th")):
 
 print("""
 both stay bounded under refinement; each application of the
-auxiliary-space operator costs one diagonal scaling plus exactly two
-second-order nodal solves, which is what makes the inner loop cheap
+auxiliary-space operator costs one diagonal scaling plus one solve with
+the stacked second-order nodal block, which is what makes the inner
+loop cheap
 """)
 
 # ---------------------------------------------------------------------

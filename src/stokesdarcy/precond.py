@@ -2,8 +2,6 @@
 multilevel additive (BPX) operators and the two-dimensional nodal
 auxiliary-space preconditioner for the div-elliptic Darcy block."""
 
-import functools
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -211,29 +209,14 @@ def build_bpx(mats, prolongs):
     return LinOp(mats[-1].shape[0], apply)
 
 
-class Levels:
-    """Level data of a nested hierarchy: the level operators mats
-    (coarsest first, on free DOFs) and the prolongations prolongs[l] from
-    level l to level l+1.  Called, it applies its additive operator."""
-
-    def __init__(self, mats, prolongs):
-        self.mats, self.prolongs = mats, prolongs
-
-    @functools.cached_property
-    def bpx(self):
-        """build_bpx of the levels, built on first use."""
-        return build_bpx(self.mats, self.prolongs)
-
-    def __call__(self, r):
-        return self.bpx(r)
-
-
 def nodal_levels(meshes, space, top, matrix, free, family=None):
-    """Levels over nested meshes (coarsest first) up to `space`, a scalar
-    or vector nodal space on meshes[-1] with the caller's block `top` on
-    free(space).  Coarser levels are spaces of `family` (default: the
-    space's), matrix(level) on free(level); another family also gets a
-    level on the top mesh."""
+    """Level matrices and prolongations (mats, prolongs) for build_bpx
+    over nested meshes (coarsest first) up to `space`, a scalar or vector
+    nodal space on meshes[-1].  Each level is matrix(level) on
+    free(level), the coarser ones spaces of `family` (default: the
+    space's; another family also gets a level on the top mesh); a given
+    `top`, the caller's block on free(space), replaces the top level's
+    matrix."""
     scalar = getattr(space, "scalar", space)
     family = family or scalar.family
     coarse = meshes if family != scalar.family else meshes[:-1]
@@ -242,16 +225,18 @@ def nodal_levels(meshes, space, top, matrix, free, family=None):
         spaces = [VectorSpace(s) for s in spaces]
     spaces.append(space)
     frees = [free(s) for s in spaces]
-    mats = [matrix(s)[np.ix_(f, f)].tocsr()
-            for s, f in zip(spaces[:-1], frees)] + [top]
+    levels = spaces if top is None else spaces[:-1]
+    mats = [matrix(s)[np.ix_(f, f)].tocsr() for s, f in zip(levels, frees)]
+    if top is not None:
+        mats.append(top)
     prolongs = [nodal_prolongation(c, f)[ff][:, fc].tocsr()
                 for c, f, fc, ff in zip(spaces, spaces[1:], frees, frees[1:])]
-    return Levels(mats, prolongs)
+    return mats, prolongs
 
 
 class HXTransfer:
-    """Transfer matrices and component blocks of the auxiliary-space
-    preconditioner for the div-elliptic Darcy velocity block.
+    """Transfer matrices of the auxiliary-space preconditioner for the
+    div-elliptic Darcy velocity block.
 
     Attributes (all restricted to the homogeneous flux space and to
     zero-boundary nodal spaces):
@@ -261,21 +246,20 @@ class HXTransfer:
     Idiv : sparse (nflux, 2*nnodal), canonical interpolation of the
         vector nodal basis (order of the flux family)
     Sdiv : (nflux,) diagonal of the div-elliptic block
-    L : sparse vector nodal matrix (grad, grad) + tau (., .)
-    Delta : sparse scalar stiffness of the potential space
-    nodal, potential : the scalar nodal and stream-function Spaces that
-        L and Delta live on (one object for rt1)
+    tau : mass weight of the nodal block L = (grad, grad) + tau (., .)
+    nodal, potential : the scalar nodal and stream-function Spaces of the
+        nodal blocks L and Delta (one object for rt1)
+    curl_residual : pointwise residual of the rotated-gradient expansion
     """
 
-    def __init__(self, C, Idiv, Sdiv, L, Delta, tau, nodal, potential):
+    def __init__(self, C, Idiv, Sdiv, tau, nodal, potential, curl_residual):
         self.C = C
         self.Idiv = Idiv
         self.Sdiv = Sdiv
-        self.L = L
-        self.Delta = Delta
         self.tau = tau
         self.nodal = nodal
         self.potential = potential
+        self.curl_residual = curl_residual
 
 
 def curl_matrix(flux, potential):
@@ -311,7 +295,7 @@ def build_hx_transfers(problem):
     of the inner problem.  Raises if the rotated-gradient image is not
     represented exactly.
     """
-    flux, tau = problem.flux, problem.params.tau
+    flux = problem.flux
     potential = Space(flux.mesh, "p2", flux.region)
     nodal = Space(flux.mesh, "p1", flux.region) if flux.family == "bdm1" \
         else potential
@@ -329,17 +313,8 @@ def build_hx_transfers(problem):
     if resid > 1e-10:
         raise RuntimeError("rotated-gradient expansion residual %.2e "
                            "signals a basis or orientation bug" % resid)
-
-    K = assembly.scalar_stiffness(nodal)
-    M = assembly.scalar_mass(nodal)
-    Lsc = (K + tau * M)[np.ix_(free_nd, free_nd)].tocsr()
-    if nodal is not potential:
-        K = assembly.scalar_stiffness(potential)
-    Delta = K[np.ix_(free_pt, free_pt)].tocsr()
-    t = HXTransfer(C_f, Idiv_f, problem.Adiv_f.diagonal(), Lsc, Delta, tau,
-                   nodal, potential)
-    t.curl_residual = resid
-    return t
+    return HXTransfer(C_f, Idiv_f, problem.Adiv_f.diagonal(),
+                      problem.params.tau, nodal, potential, resid)
 
 
 def curl_representation_residual(flux, scalar, C):
@@ -366,34 +341,34 @@ def curl_representation_residual(flux, scalar, C):
 
 def build_hx_precond(transfer, n_coarsest):
     """Auxiliary-space preconditioner S^{-1} + Idiv BPX(L) Idiv^T
-    + (1/tau) C BPX(Delta) C^T as one BPX: the two nodal hierarchies
-    stacked level by level, block_diag(kron(L_l, I_2), tau Delta_l) with
-    prolongations block_diag(kron(P_l, I_2), P_l), under the flux level
-    (Jacobi by S = diag(Adiv_f), transfer [Idiv, C]).  With one nodal
-    level the stacked block is factored once and solved directly."""
-    nodal, potential = hx_nodal_hierarchy(transfer, n_coarsest)
-    mats = [sp.block_diag([vector_expand(L), transfer.tau * D], format="csr")
-            for L, D in zip(nodal.mats, potential.mats)]
-    prolongs = [sp.block_diag([vector_expand(P), Q], format="csr")
-                for P, Q in zip(nodal.prolongs, potential.prolongs)]
+    + (1/tau) C BPX(Delta) C^T as one BPX: the stacked nodal levels of
+    hx_nodal_hierarchy under the flux level (Jacobi by S = diag(Adiv_f),
+    transfer [Idiv, C]).  With one nodal level the stacked block is
+    factored once and solved directly."""
+    mats, prolongs = hx_nodal_hierarchy(transfer, n_coarsest)
     mats.append(sp.diags(transfer.Sdiv, format="csr"))
     prolongs.append(sp.hstack([transfer.Idiv, transfer.C], format="csr"))
     return build_bpx(mats, prolongs)
 
 
 def hx_nodal_hierarchy(transfer, n_coarsest):
-    """Levels (nodal, potential) of the zero-boundary auxiliary-space
-    nodal hierarchies, coarsest level n_coarsest; the finest levels are
-    transfer.L and transfer.Delta on transfer.nodal and
-    transfer.potential."""
+    """Stacked levels (mats, prolongs) of the zero-boundary auxiliary-space
+    nodal hierarchies from n_coarsest up to transfer.nodal and
+    transfer.potential: block_diag(kron(L_l, I_2), tau Delta_l), with
+    L = K + tau M and Delta = K, and prolongations
+    block_diag(kron(P_l, I_2), P_l)."""
     tau = transfer.tau
     meshes = mesh_hierarchy(transfer.nodal.mesh, n_coarsest)
 
     def free(s):
         return np.where(~s.on_boundary)[0]
 
-    return (nodal_levels(meshes, transfer.nodal, transfer.L,
-                         lambda s: assembly.scalar_stiffness(s)
-                         + tau * assembly.scalar_mass(s), free),
-            nodal_levels(meshes, transfer.potential, transfer.Delta,
-                         assembly.scalar_stiffness, free))
+    Ls, Ps = nodal_levels(meshes, transfer.nodal, None,
+                          lambda s: assembly.scalar_stiffness(s)
+                          + tau * assembly.scalar_mass(s), free)
+    Ds, Qs = nodal_levels(meshes, transfer.potential, None,
+                          assembly.scalar_stiffness, free)
+    return ([sp.block_diag([vector_expand(L), tau * D], format="csr")
+             for L, D in zip(Ls, Ds)],
+            [sp.block_diag([vector_expand(P), Q], format="csr")
+             for P, Q in zip(Ps, Qs)])

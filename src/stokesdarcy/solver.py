@@ -251,11 +251,11 @@ def stokes_velocity_bpx(problem, n_coarsest=None):
     enriched = problem.vel.scalar.family == "p1b"
     if n_coarsest is None:
         n_coarsest = bpx_coarsest(problem.n, enriched)
-    return precond.nodal_levels(
+    return precond.build_bpx(*precond.nodal_levels(
         mesh_hierarchy(problem.mesh, n_coarsest), problem.vel, problem.A_ff,
         lambda v: assembly.stokes_velocity_matrix(v, problem.params),
         lambda v: np.where(~v.on_gamma)[0],
-        family="p1" if enriched else None).bpx
+        family="p1" if enriched else None))
 
 
 def outer_preconditioner(problem, config):

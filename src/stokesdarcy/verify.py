@@ -6,6 +6,7 @@ import numpy as np
 
 from . import quadrature
 from .fespace import ref_basis
+from .mesh import row_blocks
 
 ERROR_QDEG = 10
 
@@ -34,28 +35,34 @@ class ErrorRecord:
                                            + self.as_tuple()))
 
 
-def _integral(space, w, vals):
-    """Quadrature sum of point values (nt, nq) over the space's triangles."""
-    return np.einsum("q,t,tq->", w, space.geom.det, vals)
+def _integral(space, w, vals, rows=slice(None)):
+    """Quadrature sum of point values (nt, nq) over the space's triangles
+    (those of ``rows``)."""
+    return np.einsum("q,t,tq->", w, space.geom.det[rows], vals)
 
 
 def velocity_h1_error(vel, coeffs, u, grad):
-    """H1 error against exact values u and gradients grad (nt, nq, ...)."""
+    """H1 error against exact values u and gradients grad (nt, nq, ...),
+    one block of triangles at a time."""
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(ERROR_QDEG)
     vals, grads = ref_basis(sc.family, pts)
     nt, nq = len(sc.tris), len(w)
     c = coeffs[vel.cell_dofs].reshape(nt, -1, 2)  # (nt, nloc, 2)
-    eu = u - vals.T @ c
-    # reference gradients of both components first, the affine map last:
-    # rows (component, point), columns the reference, then the physical
-    # direction
-    uh = (np.swapaxes(c, 1, 2) @ grads.reshape(len(vals), -1)).reshape(
-        nt, 2 * nq, 2) @ np.swapaxes(sc.geom.invJT, 1, 2)
-    eg = grad - np.swapaxes(uh.reshape(nt, 2, nq, 2), 1, 2)
-    # squares in place: the error arrays are the largest temporaries
-    return math.sqrt(_integral(sc, w, np.square(eu, out=eu).sum(-1)
-                               + np.square(eg, out=eg).sum((-2, -1))))
+    total = 0.0
+    for rows in row_blocks(nt):
+        cr = c[rows]
+        eu = u[rows] - vals.T @ cr
+        # reference gradients of both components first, the affine map
+        # last: rows (component, point), columns the reference, then the
+        # physical direction
+        uh = (np.swapaxes(cr, 1, 2) @ grads.reshape(len(vals), -1)).reshape(
+            len(cr), 2 * nq, 2) @ np.swapaxes(sc.geom.invJT[rows], 1, 2)
+        eg = grad[rows] - np.swapaxes(uh.reshape(-1, 2, nq, 2), 1, 2)
+        # squares in place: the error arrays are the largest temporaries
+        total += _integral(sc, w, np.square(eu, out=eu).sum(-1)
+                           + np.square(eg, out=eg).sum((-2, -1)), rows)
+    return math.sqrt(total)
 
 
 def scalar_l2_error(space, coeffs, exact):

@@ -8,7 +8,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from stokesdarcy import Problem, assembly, fespace, solver  # noqa: E402
+from stokesdarcy import (Problem, assembly, build_unit_square,  # noqa: E402
+                         fespace, precond, solver)
+from stokesdarcy.fespace import (REGION_D, Space,  # noqa: E402
+                                 nodal_prolongation)
 
 
 @pytest.fixture(scope="session")
@@ -54,3 +57,44 @@ def undropped(monkeypatch):
                 m.setattr(module, "drop_roundoff", lambda A: A.tocsr())
             yield
     return plain
+
+
+@pytest.fixture(scope="session")
+def hx_reference():
+    """Function (problem, n_coarsest, tau) -> the reference component
+    levels of the auxiliary-space nodal hierarchy, built from scratch:
+    ((mats, prolongs) of the nodal block L = K + tau M, then of the
+    potential block Delta = K), on fresh meshes and zero-boundary spaces
+    for every level, the finest included, and every level assembled."""
+    def levels(problem, n_coarsest, tau):
+        nodal = "p1" if problem.flux.family == "bdm1" else "p2"
+        sizes = [n_coarsest]
+        while sizes[-1] < problem.n:
+            sizes.append(2 * sizes[-1])
+        meshes = [build_unit_square(s) for s in sizes]
+        out = []
+        for family, matrix in (
+                (nodal, lambda s: assembly.scalar_stiffness(s)
+                 + tau * assembly.scalar_mass(s)),
+                ("p2", assembly.scalar_stiffness)):
+            spaces = [Space(m, family, REGION_D) for m in meshes]
+            frees = [np.where(~s.on_boundary)[0] for s in spaces]
+            out.append(([matrix(s)[np.ix_(f, f)].tocsr()
+                         for s, f in zip(spaces, frees)],
+                        [nodal_prolongation(c, f)[ff][:, fc].tocsr()
+                         for c, f, fc, ff in zip(spaces, spaces[1:], frees,
+                                                 frees[1:])]))
+        return out
+    return levels
+
+
+@pytest.fixture(scope="session")
+def hx_reference_solves(hx_reference):
+    """Function (problem, n_coarsest, tau) -> the nodal solves (Linv, Dinv)
+    of the reference levels: direct inverses with one level, BPX
+    otherwise."""
+    def solves(problem, n_coarsest, tau):
+        return [precond.direct_inverse(mats[0]) if len(mats) == 1
+                else precond.build_bpx(mats, prolongs)
+                for mats, prolongs in hx_reference(problem, n_coarsest, tau)]
+    return solves

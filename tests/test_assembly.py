@@ -253,34 +253,26 @@ def _roundoff_scale(A):
                       colmax[A.indices])
 
 
-def _forms(pair, monkeypatch):
+def _forms(pair):
     """The assembled forms of a pair at n = 16, the auxiliary-space
-    transfers and blocks, and the potential block of the coarsest level
-    of the stacked auxiliary-space hierarchy (tau = 1, so it is the coarse
-    Delta itself)."""
+    transfers, and the nodal blocks read from the stacked auxiliary-space
+    hierarchy over n = 8, 16: L and Delta of the finest level and Delta of
+    the coarsest (tau = 1, so the potential block is Delta itself)."""
     pr = Problem(pair, 16)
     t = precond.build_hx_transfers(pr)
-    levels = []
-    build_bpx = precond.build_bpx
-
-    def record(mats, prolongs):
-        levels.append(mats[0])
-        return build_bpx(mats, prolongs)
-
-    with monkeypatch.context() as m:
-        m.setattr(precond, "build_bpx", record)
-        precond.build_hx_precond(t, 8)
-    nodal, _ = precond.hx_nodal_hierarchy(t, 8)
-    nvec = 2 * nodal.mats[0].shape[0]
+    mats, _ = precond.hx_nodal_hierarchy(t, 8)
+    coarse = Space(build_unit_square(8), t.nodal.family, REGION_D)
+    nvec, cvec = t.Idiv.shape[1], 2 * int(np.sum(~coarse.on_boundary))
     forms = {k: getattr(pr, k) for k in ("A_S", "B_S", "M_S", "A_D", "B_D",
                                          "D_D", "M_D", "R")}
-    forms.update(C=t.C, Idiv=t.Idiv, L=t.L, Delta=t.Delta,
-                 coarse_Delta=levels[0][nvec:, nvec:])
+    forms.update(C=t.C, Idiv=t.Idiv, L=mats[-1][:nvec:2, :nvec:2],
+                 Delta=mats[-1][nvec:, nvec:],
+                 coarse_Delta=mats[0][cvec:, cvec:])
     return {k: A.tocsr() for k, A in forms.items()}
 
 
 @pytest.mark.parametrize("pair", ["mini", "iso", "th"])
-def test_assembled_forms_store_no_roundoff(pair, monkeypatch, undropped):
+def test_assembled_forms_store_no_roundoff(pair, undropped):
     """No assembled matrix stores an entry at or below DROP_RTOL of its
     row/column scale; every kept entry of a scattered form is bitwise the
     plain coo -> csr sum of the same triplets, and every entry left out
@@ -290,9 +282,9 @@ def test_assembled_forms_store_no_roundoff(pair, monkeypatch, undropped):
     M_S (products with the pressure embedding) are combinations of such
     forms: their kept entries match the plain combination to within the
     dropped roundoff."""
-    forms = _forms(pair, monkeypatch)
+    forms = _forms(pair)
     with undropped():
-        plain = _forms(pair, monkeypatch)
+        plain = _forms(pair)
     combined = {"L"} | ({"B_S", "M_S"} if pair == "iso" else set())
     dropped = 0
     for name, A in forms.items():

@@ -1,10 +1,11 @@
 """Multilevel hierarchies end at the Problem's own mesh, spaces and blocks.
 
-The reference builders below construct every hierarchy from scratch:
-fresh meshes for all levels including the finest, fresh fine spaces, and
-the finest level assembled again.  The library's hierarchies reuse the
-Problem's mesh, spaces and blocks instead, so their applies must agree
-with the references bitwise.
+The reference builders below, and the auxiliary-space reference in
+conftest.py, construct every hierarchy from scratch: fresh meshes for all
+levels including the finest, fresh fine spaces, and the finest level
+assembled again.  The library's hierarchies reuse the Problem's mesh,
+spaces and blocks instead, so their levels and applies must agree with
+the references bitwise.
 """
 
 import numpy as np
@@ -56,30 +57,6 @@ def _ref_stokes_velocity_bpx(problem, n_coarsest):
     return precond.build_bpx(mats, prolongs)
 
 
-def _ref_hx_solves(problem, n_coarsest, tau):
-    """Auxiliary-space nodal solves on fresh meshes and spaces, every
-    level assembled, the fine one included, the nodal block at mass
-    weight tau; one level solves directly."""
-    nodal = "p1" if problem.flux.family == "bdm1" else "p2"
-    meshes = _fresh_meshes(problem.n, n_coarsest)
-    solves = []
-    for family, matrix in (
-            (nodal, lambda s: assembly.scalar_stiffness(s)
-             + tau * assembly.scalar_mass(s)),
-            ("p2", assembly.scalar_stiffness)):
-        spaces = [Space(m, family, REGION_D) for m in meshes]
-        frees = [np.where(~s.on_boundary)[0] for s in spaces]
-        mats = [_restrict(matrix(s), f) for s, f in zip(spaces, frees)]
-        if len(mats) == 1:
-            solves.append(precond.direct_inverse(mats[0]))
-            continue
-        prolongs = [nodal_prolongation(spaces[i], spaces[i + 1])
-                    [frees[i + 1]][:, frees[i]].tocsr()
-                    for i in range(len(spaces) - 1)]
-        solves.append(precond.build_bpx(mats, prolongs))
-    return solves
-
-
 def _assert_same_applies(op, ref, rng):
     assert op.n == ref.n
     for _ in range(3):
@@ -99,26 +76,28 @@ def test_stokes_velocity_bpx_matches_fresh_hierarchy(problem_cache, rng,
 
 @pytest.mark.parametrize("n_coarsest", [16, 8])
 @pytest.mark.parametrize("pair", ["mini", "th"])
-def test_hx_solves_match_fresh_hierarchy(problem_cache, rng, pair,
+def test_hx_solves_match_fresh_hierarchy(problem_cache, rng, hx_reference,
+                                         hx_reference_solves, pair,
                                          n_coarsest):
-    """Each nodal hierarchy applies bitwise like its fresh reference, and
-    the stacked auxiliary-space operator applies, between the flux
-    transfers, the block diagonal of the fresh references: the vector
-    nodal solve on each component and the potential solve weighted by
-    1/tau.  At tau = 4 the fine nodal block is reassembled to match."""
+    """Every stacked auxiliary-space level is bitwise the block diagonal of
+    the fresh references, block_diag(kron(L_l, I_2), tau Delta_l) with
+    prolongations block_diag(kron(P_l, I_2), P_l), and the stacked
+    operator applies, between the flux transfers, the vector nodal solve
+    on each component and the potential solve weighted by 1/tau, at
+    tau = 1 and at tau = 4."""
     pr = problem_cache(pair, 16)
     t = precond.build_hx_transfers(pr)
-    free = np.where(~t.nodal.on_boundary)[0]
     for tau in (pr.params.tau, 4.0):
         t.tau = tau
-        t.L = _restrict(assembly.scalar_stiffness(t.nodal)
-                        + tau * assembly.scalar_mass(t.nodal), free)
+        mats, prolongs = precond.hx_nodal_hierarchy(t, n_coarsest)
+        (Ls, Ps), (Ds, Qs) = hx_reference(pr, n_coarsest, tau)
+        assert len(mats) == len(Ls) and len(prolongs) == len(Ps)
+        for M, L, D in zip(mats, Ls, Ds):
+            _assert_identical(M, sp.block_diag([vector_expand(L), tau * D]))
+        for P, PL, Q in zip(prolongs, Ps, Qs):
+            _assert_identical(P, sp.block_diag([vector_expand(PL), Q]))
         op = precond.build_hx_precond(t, n_coarsest)
-        Linv, Dinv = _ref_hx_solves(pr, n_coarsest, tau)
-        for levels, ref in zip(precond.hx_nodal_hierarchy(t, n_coarsest),
-                               (Linv, Dinv)):
-            x = rng.standard_normal(ref.n)
-            assert np.array_equal(levels(x), ref(x))
+        Linv, Dinv = hx_reference_solves(pr, n_coarsest, tau)
         for _ in range(3):
             r = rng.standard_normal(op.n)
             s = t.Idiv.T @ r

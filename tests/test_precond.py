@@ -386,7 +386,8 @@ def test_hx_spectral_equivalence(problem_cache, fam, family):
 def test_hx_bpx_mode_spd(problem_cache, rng, monkeypatch):
     """SPD, and one apply is one stacked multilevel apply: a single coarse
     solve, on the vector nodal and the potential coarse blocks together,
-    with one level and with BPX."""
+    with one level and with BPX.  The stacked coarse block has
+    2 (free coarse nodal DOFs) + (free coarse potential DOFs) unknowns."""
     pr = problem_cache("mini", 16)
     t = precond.build_hx_transfers(pr)
     direct = precond.direct_inverse
@@ -402,33 +403,35 @@ def test_hx_bpx_mode_spd(problem_cache, rng, monkeypatch):
 
     monkeypatch.setattr(precond, "direct_inverse", counted)
     for n_coarsest in (16, 8):
-        nodal, potential = precond.hx_nodal_hierarchy(t, n_coarsest)
+        mats, _ = precond.hx_nodal_hierarchy(t, n_coarsest)
+        coarse = build_unit_square(n_coarsest)
+        nodal, potential = (int(np.sum(~Space(coarse, f, REGION_D)
+                                       .on_boundary)) for f in ("p1", "p2"))
+        assert mats[0].shape == (2 * nodal + potential,) * 2
         op = precond.build_hx_precond(t, n_coarsest)
         calls.clear()
         op(rng.standard_normal(op.n))
-        assert calls == [(2 * nodal.mats[0].shape[0]
-                          + potential.mats[0].shape[0],)]
+        assert calls == [mats[0].shape[:1]]
         for _ in range(10):
             x = rng.standard_normal(op.n)
             assert x @ op(x) > 0
 
 
 @pytest.mark.parametrize("mode", ["direct", "bpx"])
-def test_hx_precond_matches_three_term_formula(problem_cache, rng, mode):
+def test_hx_precond_matches_three_term_formula(problem_cache, rng,
+                                               hx_reference_solves, mode):
     """S^{-1} r + Idiv Linv Idiv^T r + (1/tau) C Dinv C^T r, written out
     with explicit transposes and one nodal solve per vector component;
-    'direct' is the one-level hierarchy, 'bpx' floors at n = 8."""
+    Linv and Dinv come from the fresh references of conftest.py at each
+    tau.  'direct' is the one-level hierarchy (direct inverses of L and
+    Delta), 'bpx' floors at n = 8."""
     pr = problem_cache("mini", 16)
     t = precond.build_hx_transfers(pr)
     n_coarsest = pr.n if mode == "direct" else 8
     for tau in (1.0, 4.0):
-        # the weight of the potential term, varied on its own
+        # the mass weight of L and the weight of the potential term
         t.tau = tau
-        if mode == "direct":
-            Linv = precond.direct_inverse(t.L)
-            Dinv = precond.direct_inverse(t.Delta)
-        else:
-            Linv, Dinv = precond.hx_nodal_hierarchy(t, n_coarsest)
+        Linv, Dinv = hx_reference_solves(pr, n_coarsest, tau)
         op = precond.build_hx_precond(t, n_coarsest)
         for _ in range(3):
             r = rng.standard_normal(op.n)

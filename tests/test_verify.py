@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import stokesdarcy.mesh as mesh_module
 from stokesdarcy import (SolveConfig, compute_errors, compute_rates,
                          solve_coupled, solve_monolithic_oracle)
 from stokesdarcy.manufactured import ManufacturedCase
@@ -115,3 +116,20 @@ def test_flux_error_matches_basis_first_formula(problem_cache, pair):
     want = math.sqrt(_integral(flux, w, (eu ** 2).sum(-1) + ed ** 2))
     got = flux_hdiv_error(flux, c, D.u, D.div_u)
     assert got == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("pair", ["mini", "iso", "th"])
+def test_errors_blockwise_match_one_block(problem_cache, monkeypatch, pair):
+    """Every error summed over ragged blocks of 7 triangles equals its
+    value from one block (n = 8 has at most 128 triangles per region)."""
+    pr = problem_cache(pair, 8)
+    rng = np.random.default_rng(11)
+    rep = solve_monolithic_oracle(pr)
+    fields = [rng.standard_normal(len(f)) for f in (rep.u_S, rep.p_S,
+                                                    rep.u_D, rep.p_D)]
+    fake = type(rep)(pr, rep.config, *fields, 0, [], [0.0], True, 0.0)
+    assert len(pr.vel.scalar.tris) <= mesh_module.EVAL_ROWS
+    whole = compute_errors(fake).as_tuple()
+    monkeypatch.setattr(mesh_module, "EVAL_ROWS", 7)
+    for got, want in zip(compute_errors(fake).as_tuple(), whole):
+        assert got == pytest.approx(want, rel=1e-14)
