@@ -209,7 +209,8 @@ class Space:
 
 
 class VectorSpace:
-    """Two-component version of a scalar nodal space, interleaved layout."""
+    """Two-component version of a scalar nodal space, interleaved layout;
+    ``nodes`` lists each scalar node twice."""
 
     def __init__(self, scalar):
         self.scalar = scalar
@@ -223,6 +224,7 @@ class VectorSpace:
         self.on_sigma = np.repeat(scalar.on_sigma, 2)
         self.on_boundary = np.repeat(scalar.on_boundary, 2)
         self.on_gamma = np.repeat(scalar.on_gamma, 2)
+        self.nodes = np.repeat(scalar.nodes, 2, axis=0)
 
     def interpolate(self, f):
         return self.scalar.interpolate(f).reshape(-1)
@@ -272,6 +274,8 @@ class FluxSpace:
     functionals to fields given at ``dof_points`` and ``scatter`` collects
     the result on the global DOFs; the local bases, the canonical
     interpolant and the auxiliary-space transfers are all built from them.
+    ``nodes`` places each DOF, as ``Space.nodes`` does: at its edge's
+    midpoint, or (rt1 interior DOFs) at its triangle's centroid.
     """
 
     def __init__(self, mesh, family):
@@ -325,6 +329,14 @@ class FluxSpace:
             # (1/|T|) int over T; weights of the reference rule sum to 1/2
             self._interior_weights = 2 * twq
         self._build_local_bases()
+
+        # a point per DOF, like Space.nodes: edge midpoints, then (rt1)
+        # triangle centroids, each twice
+        ends = mesh.vertices[mesh.edges[eids]]
+        nodes = [0.5 * (ends[:, 0] + ends[:, 1])]
+        if family == "rt1":
+            nodes.append(self.centers)
+        self.nodes = np.repeat(np.vstack(nodes), 2, axis=0)
 
     def _build_local_bases(self):
         """Monomial coefficients of the basis dual to the DOFs: the inverse

@@ -252,6 +252,49 @@ class CoupledMesh:
         s[:, 2] = np.where(t[:, 0] < t[:, 1], 1, -1)
         return s
 
+    def dissection(self, points):
+        """Nested-dissection order of DOFs at ``points`` (N, 2), as a
+        permutation of range(N), for factoring a block of a finite
+        element matrix on this mesh.
+
+        Starting from the cell box that bounds the points, each box is
+        bisected along its longer side (x on a tie) at its middle grid
+        line; the points exactly on that line are its separator and come
+        after both halves.  Single cells are not split and keep the input
+        order, as do the points of one separator.  When no triangle
+        crosses a grid line (``build_unit_square`` and ``refine_uniform``
+        meshes) the separator decouples the two halves; on any mesh the
+        order is a valid permutation, only its fill differs.
+
+        One vectorized pass per level: each point carries its box and
+        its path (left 0, right 1, separator 2) as base-3 digits, and one
+        stable argsort of the paths gives the post-order.
+        """
+        g = np.asarray(points, dtype=float).reshape(-1, 2) * self.n
+        key = np.zeros(len(g), dtype=np.int64)
+        live = np.arange(len(g))
+        # the live points' coordinates and box bounds, one array per axis
+        coord = [g[:, 0].copy(), g[:, 1].copy()]
+        lo = [np.full(len(g), np.floor(c.min(initial=np.inf))) for c in coord]
+        hi = [np.full(len(g), np.ceil(c.max(initial=-np.inf))) for c in coord]
+        while len(live):
+            along_y = hi[1] - lo[1] > hi[0] - lo[0]
+            half = np.where(along_y, hi[1] - lo[1], hi[0] - lo[0]) // 2
+            mid = np.where(along_y, lo[1], lo[0]) + half
+            c = np.where(along_y, coord[1], coord[0])
+            side = np.where(np.abs(c - mid) < 1e-9, 2, c > mid)
+            side[half == 0] = 0  # a single cell: the path ends
+            key *= 3
+            key[live] += side
+            for d, on_d in enumerate((~along_y, along_y)):
+                hi[d] = np.where(on_d & (side == 0), mid, hi[d])
+                lo[d] = np.where(on_d & (side == 1), mid, lo[d])
+            keep = (half > 0) & (side < 2)
+            live = live[keep]
+            coord, lo, hi = ([a[keep] for a in arrs]
+                             for arrs in (coord, lo, hi))
+        return np.argsort(key, kind="stable")
+
 
 def build_unit_square(n):
     """Uniform n x n mesh of (0,1)^2, every cell split bottom-left to top-right.

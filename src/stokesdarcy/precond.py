@@ -17,16 +17,20 @@ from .mesh import mesh_hierarchy
 SWEEP_BLOCK_MAX = 8
 
 
-def direct_inverse(M):
+def direct_inverse(M, order=None):
     """Exact inverse of an SPD sparse matrix.
 
     Graph components of at most SWEEP_BLOCK_MAX DOFs (the MINI bubbles)
     are inverted as dense blocks in one batch and applied as one sparse
     product: a sparse LU would spend a supernode on each.  The rest is
-    factored Cholesky-like: a symmetric minimum-degree ordering of
-    M + M^T applied to rows and columns alike, with diagonal pivots.
-    Dropping row pivoting is safe only for SPD matrices, which the
-    symmetry check and the positivity probes below enforce.
+    factored Cholesky-like, rows and columns permuted alike and with
+    diagonal pivots: in the given `order` of the DOFs (a permutation of
+    range(n), restricted to the factored ones), or else by a symmetric
+    minimum-degree ordering of M + M^T.  Dropping row pivoting is safe
+    only for SPD matrices, which the symmetry check and the positivity
+    probes below enforce.  Every factor is applied by the transposed
+    solve, the same inverse for a symmetric matrix, which SuperLU runs
+    as gathers instead of scatters.
     """
     M = sp.csc_matrix(M)
     n = M.shape[0]
@@ -34,9 +38,13 @@ def direct_inverse(M):
     scale = max(abs(M).max(), 1e-300)
     if asym > 1e-10 * scale:
         raise ValueError("matrix is not symmetric (|M - M^T| = %.2e)" % asym)
+    if order is not None and not np.array_equal(np.sort(order),
+                                                np.arange(n)):
+        raise ValueError("order is not a permutation of the %d DOFs" % n)
     labels, sizes = _components(M)
     small = sizes[labels] <= SWEEP_BLOCK_MAX
-    apply = _split_inverse(M, small, labels) if small.any() else _lu(M).solve
+    apply = (_split_inverse(M, small, labels, order) if small.any()
+             else _factored(M, order))
     rng = np.random.default_rng(12345)
     for _ in range(3):
         x = rng.standard_normal(n)
@@ -45,9 +53,21 @@ def direct_inverse(M):
     return LinOp(n, apply)
 
 
-def _lu(M):
-    return spla.splu(M, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options={"SymmetricMode": True})
+def _factored(M, order):
+    """Solve r -> M^{-1} r with a diagonal-pivot LU of the SPD matrix M,
+    factored in `order`, or in minimum-degree order where it is None."""
+    symmetric = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    if order is None:
+        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", **symmetric)
+        return lambda r: lu.solve(r, trans="T")
+    lu = spla.splu(M[order][:, order], permc_spec="NATURAL", **symmetric)
+
+    def solve(r):
+        out = np.empty(len(r))
+        out[order] = lu.solve(r[order], trans="T")
+        return out
+
+    return solve
 
 
 def _components(M):
@@ -56,20 +76,24 @@ def _components(M):
     return labels, np.bincount(labels, minlength=ncomp)
 
 
-def _split_inverse(M, small, labels):
+def _split_inverse(M, small, labels, order):
     """Apply of M^{-1}: the DOFs of small components (mask `small`) by
-    batched dense inverses, the others by one factorization."""
+    batched dense inverses, the others by one factorization, in `order`
+    (None or a permutation of all DOFs) restricted to them."""
     S, L = np.flatnonzero(small), np.flatnonzero(~small)
     _, local, sizes = np.unique(labels[S], return_inverse=True,
                                 return_counts=True)
     G = _blockwise(M[S][:, S], local, sizes, np.linalg.inv)
-    lu = _lu(M[L][:, L]) if len(L) else None
+    if order is not None:
+        position = np.cumsum(~small) - 1
+        order = position[order[~small[order]]]
+    solve = _factored(M[L][:, L], order) if len(L) else None
 
     def apply(r):
         out = np.empty(len(r))
         out[S] = G @ r[S]
-        if lu is not None:
-            out[L] = lu.solve(r[L])
+        if solve is not None:
+            out[L] = solve(r[L])
         return out
 
     return apply

@@ -157,6 +157,12 @@ def _hx_block(problem, n_coarsest):
                                     n_coarsest)
 
 
+def _dissected_inverse(M, space, free):
+    """Exact inverse of the SPD block M on the DOFs `free` of `space`,
+    factored in the mesh's nested-dissection order of their nodes."""
+    return precond.direct_inverse(M, space.mesh.dissection(space.nodes[free]))
+
+
 # The preconditioner kinds of the reported tables, for the free-flow
 # velocity block (outer) and the div-elliptic porous block (inner): table
 # label, whether the finest level is factored directly, and the builder
@@ -164,10 +170,12 @@ def _hx_block(problem, n_coarsest):
 Kind = namedtuple("Kind", "role label direct build")
 KINDS = {
     "direct": Kind("outer", "PS_dir", True,
-                   lambda pr: precond.direct_inverse(pr.A_ff)),
+                   lambda pr: _dissected_inverse(pr.A_ff, pr.vel,
+                                                 pr.free_vel)),
     "bpx": Kind("outer", "PS_bpx", False, lambda pr: stokes_velocity_bpx(pr)),
     "pd0": Kind("inner", "PD0", True,
-                lambda pr: precond.direct_inverse(pr.Adiv_f)),
+                lambda pr: _dissected_inverse(pr.Adiv_f, pr.flux,
+                                              pr.free_flux)),
     # exact nodal solves are the one-level hierarchy
     "hx": Kind("inner", "PD_hx", True, lambda pr: _hx_block(pr, pr.n)),
     "hxbpx": Kind("inner", "PD_hxbpx", False,

@@ -296,3 +296,28 @@ def test_prolongation_drop_rule_keeps_threshold_filter(fam, undropped):
             assert np.array_equal(P.indptr, ref.indptr)
             assert np.array_equal(P.indices, ref.indices)
             assert np.array_equal(P.data, ref.data)
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt1"])
+def test_flux_nodes(mesh8, family):
+    """FluxSpace.nodes puts both DOFs of an edge at its midpoint and both
+    rt1 interior DOFs at the triangle's centroid, like Space.nodes."""
+    flux = FluxSpace(mesh8, family)
+    assert flux.nodes.shape == (flux.ndof, 2)
+    corners = mesh8.vertices[mesh8.triangles[flux.tris]]
+    for k in range(6):
+        # local DOFs 2j, 2j + 1 sit on local edge j, opposite vertex j
+        others = [i for i in range(3) if i != k // 2]
+        want = corners[:, others].mean(axis=1)
+        assert np.allclose(flux.nodes[flux.cell_dofs[:, k]], want,
+                           rtol=0, atol=1e-15)
+    for k in range(6, flux.nloc):
+        assert np.allclose(flux.nodes[flux.cell_dofs[:, k]],
+                           corners.mean(axis=1), rtol=0, atol=1e-15)
+
+
+def test_vector_nodes(mesh8):
+    scalar = Space(mesh8, "p2", REGION_S)
+    vec = VectorSpace(scalar)
+    assert np.array_equal(vec.nodes[0::2], scalar.nodes)
+    assert np.array_equal(vec.nodes[1::2], scalar.nodes)

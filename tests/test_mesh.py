@@ -168,3 +168,38 @@ def test_interface_edge_map():
         phys = np.einsum("eab,eqb->eqa", g.J[sig.row[:, r]],
                          sig.ref_points(r, s)) + g.origin[sig.row[:, r], None]
         assert np.allclose(phys, sig.points(s), rtol=0, atol=1e-15)
+
+
+def _is_permutation(order, n):
+    return np.array_equal(np.sort(order), np.arange(n))
+
+
+def test_dissection_is_a_permutation():
+    """The nested-dissection order is a permutation of the points'
+    indices on any point set: mesh nodes, repeated nodes, points off the
+    grid lines, a refined mesh, one point and none."""
+    m = build_unit_square(8)
+    rng = np.random.default_rng(3)
+    v = m.vertices
+    for pts in (v, np.repeat(v, 2, axis=0), rng.random((500, 2)),
+                rng.random((40, 2)) * [1.0, 0.5], v[:1], v[:0]):
+        order = m.dissection(pts)
+        assert _is_permutation(order, len(pts))
+        assert np.array_equal(m.dissection(pts), order)  # deterministic
+    r = refine_uniform(build_unit_square(4))
+    assert _is_permutation(r.dissection(r.vertices), r.num_vertices)
+
+
+def test_dissection_post_order():
+    """On the n = 4 vertices the box [0, 4]^2 is cut at x = 2, then each
+    half [0, 2] x [0, 4] at y = 2: the left half, the right half, then
+    the top separator; cells keep the input order."""
+    m = build_unit_square(4)
+    g = m.vertices[m.dissection(m.vertices)] * 4
+    assert np.array_equal(g[-5:, 0], np.full(5, 2.0))
+    assert np.array_equal(g[-5:, 1], np.arange(5.0))
+    assert np.all(g[:10, 0] < 2) and np.all(g[10:20, 0] > 2)
+    # left half: the lower cell column x in [0, 1], y in [0, 1] first, and
+    # its separator y = 2 after both quarters
+    assert np.array_equal(g[:4], [[0, 0], [0, 1], [1, 0], [1, 1]])
+    assert np.array_equal(g[8:10], [[0, 2], [1, 2]])

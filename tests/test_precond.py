@@ -33,8 +33,22 @@ def test_direct_inverse_roundtrip(problem_cache, rng, pair, block):
     assert ok, err
 
 
-def _factor_fill(M, monkeypatch):
-    """L+U fill of direct_inverse's factorization of M, and the factors."""
+def _block_nodes(pr, block):
+    """The nodes of a block's DOFs."""
+    if block == "A_ff":
+        return pr.vel.nodes[pr.free_vel]
+    return pr.flux.nodes[pr.free_flux]
+
+
+def _block_order(pr, block):
+    """The nested-dissection order the production builders factor a
+    block in: the mesh's order of the block's DOF nodes."""
+    return pr.mesh.dissection(_block_nodes(pr, block))
+
+
+def _factor_fill(M, monkeypatch, order=None):
+    """L+U fill of direct_inverse's factorization of M (in `order`, when
+    given), and the factors."""
     splu = precond.spla.splu
     factors = []
 
@@ -45,7 +59,7 @@ def _factor_fill(M, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(precond.spla, "splu", capture)
-        precond.direct_inverse(M)
+        precond.direct_inverse(M, order)
     assert len(factors) == 1
     return factors[0].L.nnz + factors[0].U.nnz, factors[0]
 
@@ -74,6 +88,97 @@ def test_direct_inverse_symmetric_ordering(problem_cache, monkeypatch,
         plain = _spd_block(Problem(pair, n), block)
     assert plain.nnz > M.nnz
     assert fill <= 0.8 * _factor_fill(plain, monkeypatch)[0]
+
+
+@pytest.mark.parametrize("pair", ["mini", "iso", "th"])
+@pytest.mark.parametrize("block", ["A_ff", "darcy"])
+def test_dissection_first_split_separates(problem_cache, pair, block):
+    """The first bisection line of a block's nested-dissection order
+    splits its DOFs into two halves with no nonzero of the block between
+    them, ordered left half, right half, then the DOFs on the line."""
+    pr = problem_cache(pair, 16)
+    M = sp.csr_matrix(_spd_block(pr, block))
+    g = _block_nodes(pr, block) * pr.n
+    lo, hi = np.floor(g.min(axis=0)), np.ceil(g.max(axis=0))
+    axis = int(hi[1] - lo[1] > hi[0] - lo[0])
+    c = g[:, axis] - (lo[axis] + (hi[axis] - lo[axis]) // 2)
+    left, right = np.flatnonzero(c < -1e-9), np.flatnonzero(c > 1e-9)
+    line = np.flatnonzero(np.abs(c) <= 1e-9)
+    assert min(len(left), len(right), len(line)) > 0
+    assert M[left][:, right].nnz == 0
+    rank = np.argsort(_block_order(pr, block))
+    assert rank[left].max() < rank[right].min()
+    assert rank[right].max() < rank[line].min()
+
+
+@pytest.mark.parametrize("pair,block,ratio", [("mini", "darcy", 0.75),
+                                              ("th", "A_ff", 0.8)])
+def test_dissection_fill_against_minimum_degree(monkeypatch, pair, block,
+                                                ratio):
+    """At n = 64 the nested-dissection order leaves at most `ratio` of
+    the minimum-degree L+U fill (0.69 for the mini Darcy block, 0.75 for
+    the Taylor-Hood velocity block)."""
+    pr = Problem(pair, 64)
+    M = _spd_block(pr, block)
+    mmd = _factor_fill(M, monkeypatch)[0]
+    fill, lu = _factor_fill(M, monkeypatch, _block_order(pr, block))
+    assert np.array_equal(lu.perm_c, np.arange(M.shape[0]))
+    assert fill <= ratio * mmd
+
+
+@pytest.mark.parametrize("pair", ["mini", "iso", "th"])
+@pytest.mark.parametrize("block", ["A_ff", "darcy"])
+def test_direct_inverse_in_dissection_order(problem_cache, rng, pair,
+                                            block):
+    """Factoring in the nested-dissection order gives the same symmetric
+    inverse as the minimum-degree factorization."""
+    pr = problem_cache(pair, 16)
+    M = _spd_block(pr, block)
+    ordered = precond.direct_inverse(M, _block_order(pr, block))
+    plain = precond.direct_inverse(M)
+    for _ in range(3):
+        b = rng.standard_normal(M.shape[0])
+        want = plain(b)
+        assert np.linalg.norm(ordered(b) - want) \
+            <= 1e-10 * np.linalg.norm(want)
+    ok, err = ordered.check_symmetry(rng, tol=1e-12)
+    assert ok, err
+
+
+def test_direct_inverse_rejects_a_bad_order():
+    M = sp.diags([2.0, 3.0, 4.0]).tocsr()
+    for order in ([0, 1], [0, 1, 1], [0, 1, 3]):
+        with pytest.raises(ValueError):
+            precond.direct_inverse(M, np.array(order))
+
+
+@pytest.mark.parametrize("kind,block", [("direct", "A_ff"), ("pd0", "darcy")])
+def test_direct_kinds_factor_in_dissection_order(mini8, monkeypatch, kind,
+                                                 block):
+    """The `direct` and `pd0` builders factor their block in the mesh's
+    nested-dissection order, kept as is (no fill-reducing column
+    permutation of SuperLU's own)."""
+    from stokesdarcy.solver import KINDS
+    splu = precond.spla.splu
+    calls = []
+
+    def capture(A, **kwargs):
+        calls.append((A, kwargs))
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(precond.spla, "splu", capture)
+    KINDS[kind].build(mini8)
+    assert len(calls) == 1
+    A, kwargs = calls[0]
+    assert kwargs["permc_spec"] == "NATURAL"
+    M = sp.csc_matrix(_spd_block(mini8, block))
+    order = _block_order(mini8, block)
+    if block == "A_ff":
+        # the bubble pairs are inverted apart; the order keeps the rest
+        labels, sizes = precond._components(M)
+        big = sizes[labels] > precond.SWEEP_BLOCK_MAX
+        order = order[big[order]]
+    assert abs(A - M[order][:, order]).max() == 0
 
 
 def test_direct_inverse_small_components_apart(mini8, monkeypatch):
