@@ -10,7 +10,7 @@ from .fespace import csr_from_triplets, drop_roundoff, ref_basis
 _QDEG = {"p1": 4, "p1dc": 4, "p0dc": 2, "p2": 6, "p1b": 8, "bdm1": 4, "rt1": 6}
 # degree of the rule integrating the (non-polynomial) load data
 LOAD_QDEG = 10
-# largest admissible integral of a porous source
+# largest admissible integral of a porous source (see check_compatible)
 COMPAT_TOL = 1e-10
 
 
@@ -22,8 +22,9 @@ class PhysicalParams:
     """Viscosity nu, interface friction kappa, inverse permeability tau."""
 
     def __init__(self, nu=1.0, kappa=1.0, tau=1.0):
-        if min(nu, kappa, tau) <= 0:
-            raise ValueError("physical parameters must be positive")
+        if not all(0 < v < np.inf for v in (nu, kappa, tau)):
+            raise ValueError("physical parameters must be positive and "
+                             "finite")
         self.nu = nu
         self.kappa = kappa
         self.tau = tau
@@ -219,11 +220,18 @@ def darcy_load(dpres, case):
     """Source load (f_D, q); rejects incompatible sources."""
     pts, w = quadrature.triangle_rule(LOAD_QDEG)
     fdet = dpres.geom.det[:, None] * dpres.geom.evaluate(case.f_D, pts)
-    total = np.sum(w * fdet)
-    if abs(total) > COMPAT_TOL:
-        raise InvalidCaseError("source must integrate to zero over the "
-                               "porous region, got %.3e" % total)
     G = np.zeros(dpres.ndof)
     np.add.at(G, dpres.cell_dofs,
               fdet @ (dpres.values(pts) * w).T)
+    check_compatible(G)
     return G
+
+
+def check_compatible(G):
+    """Raise InvalidCaseError unless the porous source load G, on a
+    discontinuous pressure basis that sums to one, integrates to zero:
+    |sum G| <= COMPAT_TOL max(max |G|, 1)."""
+    total = np.sum(G)
+    if abs(total) > COMPAT_TOL * max(np.abs(G).max(initial=0.0), 1.0):
+        raise InvalidCaseError("source must integrate to zero over the "
+                               "porous region, got %.3e" % total)

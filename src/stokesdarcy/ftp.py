@@ -14,7 +14,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import precond
-from .assembly import COMPAT_TOL, InvalidCaseError, pressure_integral
+from .assembly import check_compatible, pressure_integral
 from .krylov import LinOp, minres
 
 # inner MINRES defaults of the reported experiments
@@ -74,17 +74,6 @@ class _DarcySolves:
         ui, p, stats = self._solve_blocks(F, G, rtol)
         u = ul
         u[pr.free_flux] += ui
-        return u, p, stats
-
-    def solve_source(self, G_load, rtol=None):
-        """Homogeneous-trace solve with divergence data G_load."""
-        scale = max(np.abs(G_load).max(), 1.0)
-        if abs(np.sum(G_load)) > COMPAT_TOL * scale:
-            raise InvalidCaseError("incompatible source: (f, 1) = %.3e"
-                                   % np.sum(G_load))
-        ui, p, stats = self._solve_blocks(np.zeros(self.ni), G_load, rtol)
-        u = np.zeros(self.problem.flux.ndof)
-        u[self.problem.free_flux] = ui
         return u, p, stats
 
     def functional(self, u, p):
@@ -152,15 +141,21 @@ class ExactDarcySubsolver(_DarcySolves):
         return x[:self.ni], self._project(x[self.ni:-1]), None
 
 
-def apply_ftp(subsolver, phi):
-    """Flux-to-pressure functional of interface data phi."""
-    u, p, stats = subsolver.solve_lifted(np.asarray(phi, dtype=float))
+def apply_ftp(subsolver, phi, rtol=None):
+    """Flux-to-pressure functional of interface data phi, solved at rtol
+    (default: the subsolver's)."""
+    u, p, stats = subsolver.solve_lifted(np.asarray(phi, dtype=float), rtol)
     return FtpResult(subsolver.functional(u, p), u, p, stats)
 
 
 def source_residual(subsolver, G_load, rtol=None):
-    """Interface pressure residual due to interior sources."""
-    u, p, stats = subsolver.solve_source(G_load, rtol)
+    """Interface pressure residual due to interior sources: the
+    homogeneous-trace solve with divergence data G_load."""
+    check_compatible(G_load)
+    ui, p, stats = subsolver._solve_blocks(np.zeros(subsolver.ni), G_load,
+                                           rtol)
+    u = np.zeros(subsolver.problem.flux.ndof)
+    u[subsolver.problem.free_flux] = ui
     return FtpResult(subsolver.functional(u, p), u, p, stats)
 
 
@@ -177,7 +172,11 @@ class CouplingOperator:
         self.RT = self.R.T.tocsr()
         self.subsolver = subsolver
 
+    def solve(self, u, rtol=None):
+        """The porous solve behind one apply: FtP of the interface data
+        R u of free-flow velocities u, at rtol (default: the
+        subsolver's)."""
+        return apply_ftp(self.subsolver, self.R @ u, rtol)
+
     def __call__(self, u):
-        phi = np.asarray(self.R @ u).ravel()
-        res = apply_ftp(self.subsolver, phi)
-        return np.asarray(self.RT @ res.functional).ravel()
+        return self.RT @ self.solve(u).functional

@@ -20,17 +20,17 @@ SWEEP_BLOCK_MAX = 8
 def direct_inverse(M, order=None):
     """Exact inverse of an SPD sparse matrix.
 
+    A given `order` (a permutation of range(n)) permutes the rows and
+    columns of M first, and everything below happens in that order.
     Graph components of at most SWEEP_BLOCK_MAX DOFs (the MINI bubbles)
-    are inverted as dense blocks in one batch and applied as one sparse
-    product: a sparse LU would spend a supernode on each.  The rest is
-    factored Cholesky-like, rows and columns permuted alike and with
-    diagonal pivots: in the given `order` of the DOFs (a permutation of
-    range(n), restricted to the factored ones), or else by a symmetric
-    minimum-degree ordering of M + M^T.  Dropping row pivoting is safe
-    only for SPD matrices, which the symmetry check and the positivity
-    probes below enforce.  Every factor is applied by the transposed
-    solve, the same inverse for a symmetric matrix, which SuperLU runs
-    as gathers instead of scatters.
+    are inverted as dense blocks (see _split): a sparse LU would spend a
+    supernode on each.  The rest is factored Cholesky-like, rows and
+    columns permuted alike and with diagonal pivots: as it stands when
+    ordered, or else by a symmetric minimum-degree ordering of M + M^T.
+    Dropping row pivoting is safe only for SPD matrices, which the
+    symmetry check and the positivity probes below enforce.  Every factor
+    is applied by the transposed solve, the same inverse for a symmetric
+    matrix, which SuperLU runs as gathers instead of scatters.
     """
     M = sp.csc_matrix(M)
     n = M.shape[0]
@@ -38,13 +38,25 @@ def direct_inverse(M, order=None):
     scale = max(abs(M).max(), 1e-300)
     if asym > 1e-10 * scale:
         raise ValueError("matrix is not symmetric (|M - M^T| = %.2e)" % asym)
-    if order is not None and not np.array_equal(np.sort(order),
-                                                np.arange(n)):
-        raise ValueError("order is not a permutation of the %d DOFs" % n)
-    labels, sizes = _components(M)
-    small = sizes[labels] <= SWEEP_BLOCK_MAX
-    apply = (_split_inverse(M, small, labels, order) if small.any()
-             else _factored(M, order))
+    permc_spec = "MMD_AT_PLUS_A" if order is None else "NATURAL"
+
+    def factor(A):
+        lu = spla.splu(A, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        return lambda r: lu.solve(r, trans="T")
+
+    if order is None:
+        apply = _split(M, np.linalg.inv, factor)
+    else:
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError("order is not a permutation of the %d DOFs" % n)
+        ordered = _split(M[order][:, order], np.linalg.inv, factor)
+
+        def apply(r):
+            out = np.empty(len(r))
+            out[order] = ordered(r[order])
+            return out
+
     rng = np.random.default_rng(12345)
     for _ in range(3):
         x = rng.standard_normal(n)
@@ -53,47 +65,33 @@ def direct_inverse(M, order=None):
     return LinOp(n, apply)
 
 
-def _factored(M, order):
-    """Solve r -> M^{-1} r with a diagonal-pivot LU of the SPD matrix M,
-    factored in `order`, or in minimum-degree order where it is None."""
-    symmetric = dict(diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    if order is None:
-        lu = spla.splu(M, permc_spec="MMD_AT_PLUS_A", **symmetric)
-        return lambda r: lu.solve(r, trans="T")
-    lu = spla.splu(M[order][:, order], permc_spec="NATURAL", **symmetric)
-
-    def solve(r):
-        out = np.empty(len(r))
-        out[order] = lu.solve(r[order], trans="T")
-        return out
-
-    return solve
-
-
 def _components(M):
     """Graph component label of each DOF, and the component sizes."""
     ncomp, labels = connected_components(M, directed=False)
     return labels, np.bincount(labels, minlength=ncomp)
 
 
-def _split_inverse(M, small, labels, order):
-    """Apply of M^{-1}: the DOFs of small components (mask `small`) by
-    batched dense inverses, the others by one factorization, in `order`
-    (None or a permutation of all DOFs) restricted to them."""
+def _split(M, dense, sparse):
+    """Apply of one function of M, taken on the graph components of M
+    apart: those of at most SWEEP_BLOCK_MAX DOFs as one sparse product
+    with dense(their stacked blocks) (see _blockwise), the others by the
+    apply that sparse(M restricted to them) returns."""
+    labels, sizes = _components(M)
+    small = sizes[labels] <= SWEEP_BLOCK_MAX
+    if not small.any():
+        return sparse(M)
     S, L = np.flatnonzero(small), np.flatnonzero(~small)
     _, local, sizes = np.unique(labels[S], return_inverse=True,
                                 return_counts=True)
-    G = _blockwise(M[S][:, S], local, sizes, np.linalg.inv)
-    if order is not None:
-        position = np.cumsum(~small) - 1
-        order = position[order[~small[order]]]
-    solve = _factored(M[L][:, L], order) if len(L) else None
+    G = _blockwise(M[S][:, S], local, sizes, dense)
+    if not len(L):
+        return lambda r: G @ r
+    rest = sparse(M[L][:, L])
 
     def apply(r):
         out = np.empty(len(r))
         out[S] = G @ r[S]
-        if solve is not None:
-            out[L] = solve(r[L])
+        out[L] = rest(r[L])
         return out
 
     return apply
@@ -103,31 +101,25 @@ def gs_sweep(M):
     """One symmetric Gauss-Seidel sweep as an SPD preconditioner.
 
     Applies ((D+L) D^{-1} (D+U))^{-1}, the standard symmetric-sweep
-    substitute for an exact mass inverse.  When the graph of M splits
-    into components of at most SWEEP_BLOCK_MAX DOFs (a discontinuous
-    pressure mass) the sweep is assembled explicitly, one dense block per
-    component, and applied as one sparse product; otherwise it is two
-    triangular solves.  The sweep of a diagonal matrix (1-DOF components)
-    is its exact inverse.
+    substitute for an exact mass inverse.  M splits into its graph
+    components (see _split): the sweep of those of at most SWEEP_BLOCK_MAX
+    DOFs (a discontinuous pressure mass) is assembled explicitly, one
+    dense block per component, the rest is swept by two triangular
+    solves.  The sweep of a diagonal matrix (1-DOF components) is its
+    exact inverse.
     """
     M = sp.csr_matrix(M)
-    d = M.diagonal()
-    if np.any(d <= 0):
+    if np.any(M.diagonal() <= 0):
         raise ValueError("nonpositive diagonal entry")
-    labels, sizes = _components(M)
-    if sizes.max(initial=0) <= SWEEP_BLOCK_MAX:
-        G = _blockwise(M, labels, sizes, _sweep)
-        return LinOp(M.shape[0], lambda r: G @ r)
-    lower = spla.splu(sp.csc_matrix(sp.tril(M)),
-                      permc_spec="NATURAL", options={"SymmetricMode": False})
-    upper = spla.splu(sp.csc_matrix(sp.triu(M)),
-                      permc_spec="NATURAL", options={"SymmetricMode": False})
 
-    def apply(r):
-        y = lower.solve(r)
-        return upper.solve(d * y)
+    def triangular(A):
+        d = A.diagonal()
+        lower, upper = (spla.splu(sp.csc_matrix(T), permc_spec="NATURAL",
+                                  options={"SymmetricMode": False})
+                        for T in (sp.tril(A), sp.triu(A)))
+        return lambda r: upper.solve(d * lower.solve(r))
 
-    return LinOp(M.shape[0], apply)
+    return LinOp(M.shape[0], _split(M, _sweep, triangular))
 
 
 def _sweep(B):
@@ -233,18 +225,19 @@ def build_bpx(mats, prolongs):
     return LinOp(mats[-1].shape[0], apply)
 
 
-def nodal_levels(meshes, space, top, matrix, free, family=None):
+def nodal_levels(meshes, space, top, matrix, free):
     """Level matrices and prolongations (mats, prolongs) for build_bpx
     over nested meshes (coarsest first) up to `space`, a scalar or vector
     nodal space on meshes[-1].  Each level is matrix(level) on
-    free(level), the coarser ones spaces of `family` (default: the
-    space's; another family also gets a level on the top mesh); a given
-    `top`, the caller's block on free(space), replaces the top level's
-    matrix."""
+    free(level), the coarser ones spaces of the space's family; a
+    bubble-enriched space sits on a linear level of the top mesh
+    instead.  A given `top`, the caller's block on free(space), replaces
+    the top level's matrix."""
     scalar = getattr(space, "scalar", space)
-    family = family or scalar.family
-    coarse = meshes if family != scalar.family else meshes[:-1]
-    spaces = [Space(m, family, scalar.region) for m in coarse]
+    if scalar.family == "p1b":
+        spaces = [Space(m, "p1", scalar.region) for m in meshes]
+    else:
+        spaces = [Space(m, scalar.family, scalar.region) for m in meshes[:-1]]
     if space is not scalar:
         spaces = [VectorSpace(s) for s in spaces]
     spaces.append(space)
@@ -256,6 +249,11 @@ def nodal_levels(meshes, space, top, matrix, free, family=None):
     prolongs = [nodal_prolongation(c, f)[ff][:, fc].tocsr()
                 for c, f, fc, ff in zip(spaces, spaces[1:], frees, frees[1:])]
     return mats, prolongs
+
+
+def interior_dofs(space):
+    """The DOFs of a space off its subdomain's whole boundary."""
+    return np.flatnonzero(~space.on_boundary)
 
 
 class HXTransfer:
@@ -327,11 +325,8 @@ def build_hx_transfers(problem):
     Idiv = nodal_interpolation_matrix(flux, nodal)
 
     free_flux = problem.free_flux
-    free_nd = np.where(~nodal.on_boundary)[0]
-    free_pt = np.where(~potential.on_boundary)[0]
-    free_vec = np.stack([2 * free_nd, 2 * free_nd + 1], axis=1).ravel()
-    C_f = C[free_flux][:, free_pt].tocsr()
-    Idiv_f = Idiv[free_flux][:, free_vec].tocsr()
+    C_f = C[free_flux][:, interior_dofs(potential)].tocsr()
+    Idiv_f = Idiv[free_flux][:, interior_dofs(VectorSpace(nodal))].tocsr()
 
     resid = curl_representation_residual(flux, potential, C)
     if resid > 1e-10:
@@ -383,15 +378,11 @@ def hx_nodal_hierarchy(transfer, n_coarsest):
     block_diag(kron(P_l, I_2), P_l)."""
     tau = transfer.tau
     meshes = mesh_hierarchy(transfer.nodal.mesh, n_coarsest)
-
-    def free(s):
-        return np.where(~s.on_boundary)[0]
-
     Ls, Ps = nodal_levels(meshes, transfer.nodal, None,
                           lambda s: assembly.scalar_stiffness(s)
-                          + tau * assembly.scalar_mass(s), free)
+                          + tau * assembly.scalar_mass(s), interior_dofs)
     Ds, Qs = nodal_levels(meshes, transfer.potential, None,
-                          assembly.scalar_stiffness, free)
+                          assembly.scalar_stiffness, interior_dofs)
     return ([sp.block_diag([vector_expand(L), tau * D], format="csr")
              for L, D in zip(Ls, Ds)],
             [sp.block_diag([vector_expand(P), Q], format="csr")

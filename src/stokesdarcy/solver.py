@@ -89,7 +89,7 @@ class Problem:
         self.T_SD, self.R = assembly.assemble_interface(self.vel, self.trace)
 
         self.free_vel = np.where(~self.vel.on_gamma)[0]
-        self.free_flux = np.where(~self.flux.on_boundary)[0]
+        self.free_flux = precond.interior_dofs(self.flux)
         self.A_ff = self.A_S[np.ix_(self.free_vel, self.free_vel)].tocsr()
         self.B_Sf = self.B_S[:, self.free_vel].tocsr()
         self.R_f = self.R[:, self.free_vel].tocsr()
@@ -121,6 +121,8 @@ MAXIT_OUTER = 1600
 # loosest tolerance of the porous source and recovery solves
 RECOVERY_RTOL = 1e-8
 DEFAULT_COMBO = "direct:pd0"
+# coarsest mesh of every multilevel hierarchy, the coarsest production one
+BPX_FLOOR = 8
 
 
 class SolveConfig:
@@ -179,7 +181,7 @@ KINDS = {
     # exact nodal solves are the one-level hierarchy
     "hx": Kind("inner", "PD_hx", True, lambda pr: _hx_block(pr, pr.n)),
     "hxbpx": Kind("inner", "PD_hxbpx", False,
-                  lambda pr: _hx_block(pr, min(8, pr.n))),
+                  lambda pr: _hx_block(pr, min(BPX_FLOOR, pr.n))),
 }
 OUTER_KINDS, INNER_KINDS = (tuple(k for k in KINDS if KINDS[k].role == role)
                             for role in ("outer", "inner"))
@@ -242,12 +244,11 @@ class SolveReport:
 
 
 def bpx_coarsest(n, enriched=False):
-    """Coarsest multilevel level: the hierarchy floors at the coarsest
-    production mesh (n = 8); the bubble-enriched pair counts its embedded
-    linear level as a level of its own, pure nodal pairs keep at least
-    two nodal levels."""
-    if n > 8:
-        return 8
+    """Coarsest multilevel level: the hierarchy floors at BPX_FLOOR; the
+    bubble-enriched pair counts its embedded linear level as a level of
+    its own, pure nodal pairs keep at least two nodal levels."""
+    if n > BPX_FLOOR:
+        return BPX_FLOOR
     return n if enriched else max(2, n // 2)
 
 
@@ -256,14 +257,13 @@ def stokes_velocity_bpx(problem, n_coarsest=None):
     the problem's own space and block A_ff: for the bubble-enriched pair
     on top of the linear level of the same mesh (its Jacobi scaling covers
     the bubbles), for a nodal pair in place of the finest nodal level."""
-    enriched = problem.vel.scalar.family == "p1b"
     if n_coarsest is None:
-        n_coarsest = bpx_coarsest(problem.n, enriched)
+        n_coarsest = bpx_coarsest(problem.n,
+                                  problem.vel.scalar.family == "p1b")
     return precond.build_bpx(*precond.nodal_levels(
         mesh_hierarchy(problem.mesh, n_coarsest), problem.vel, problem.A_ff,
         lambda v: assembly.stokes_velocity_matrix(v, problem.params),
-        lambda v: np.where(~v.on_gamma)[0],
-        family="p1" if enriched else None))
+        lambda v: np.where(~v.on_gamma)[0]))
 
 
 def outer_preconditioner(problem, config):
@@ -321,17 +321,16 @@ def solve_coupled(problem, config=None):
     u_Sf, p_S = x[:nf], x[nf:]
     u_S = np.zeros(problem.vel.ndof)
     u_S[problem.free_vel] = u_Sf
-    phi = np.asarray(problem.R_f @ u_Sf).ravel()
-    u_phi, p_phi, _ = subsolver.solve_lifted(phi, rtol=config.recovery_rtol)
     # the recovery solve is one coupling apply at recovery_rtol: the
     # residual of the coupled system with it, in the norm MINRES stops on
+    recovery = coupling.solve(u_Sf, config.recovery_rtol)
     r = rhs - stokes_op(x)
-    r[:nf] -= coupling.RT @ subsolver.functional(u_phi, p_phi)
+    r[:nf] -= coupling.RT @ recovery.functional
     true_residual = np.sqrt(max(r @ P(r), 0.0)) \
         / max(np.sqrt(rhs @ P(rhs)), 1e-300)
     # both parts of p_D already have zero mean on the porous half
-    u_D = gamma_res.u + u_phi
-    p_D = gamma_res.p + p_phi
+    u_D = gamma_res.u + recovery.u
+    p_D = gamma_res.p + recovery.p
     return SolveReport(problem, config, u_S, p_S, u_D, p_D,
                        stats.iterations, inner_counts, stats.residuals,
                        stats.converged, time.perf_counter() - t0,
@@ -389,7 +388,7 @@ def _infsup_from_matrices(B, X, M, mvec):
 def _infsup_stokes(vel, pres, B, M):
     """Stokes inf-sup constant from the divergence block B and pressure
     mass M over all velocity DOFs; the interface is held fixed too."""
-    free = np.where(~vel.on_boundary)[0]
+    free = precond.interior_dofs(vel)
     sc = vel.scalar
     X = vector_expand(assembly.scalar_stiffness(sc)
                       + assembly.scalar_mass(sc))[np.ix_(free, free)]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from stokesdarcy import (PAIRS, CoupledMesh, InvalidCaseError, PhysicalParams,
-                         Problem, build_unit_square, canonical_pair, precond)
+                         Problem, build_unit_square, canonical_pair, ftp,
+                         precond, solve_coupled)
 from stokesdarcy import assembly as asm
 from stokesdarcy import quadrature as quad
 from stokesdarcy.fespace import (DROP_RTOL, REGION_D, REGION_S, FluxSpace,
@@ -17,6 +18,13 @@ def test_params_validation():
         PhysicalParams(nu=-1)
     with pytest.raises(ValueError):
         PhysicalParams(tau=0)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["nu", "kappa", "tau"])
+def test_params_reject_nonfinite(name, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        PhysicalParams(**{name: value})
 
 
 def test_stokes_symmetry(mini8):
@@ -132,6 +140,36 @@ def test_incompatible_source_rejected(mini8):
             return np.ones(len(p))
     with pytest.raises(InvalidCaseError):
         asm.darcy_load(mini8.dpres, Bad())
+
+
+class ScaledSource(ManufacturedCase):
+    """The manufactured case with its porous source scaled by 1e8: still
+    compatible, with a quadrature total of order 1e-8."""
+
+    def f_D(self, p):
+        return 1e8 * super().f_D(p)
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+def test_scaled_compatible_source_accepted(n):
+    """The compatibility rule is relative to the load's size: a source
+    scaled by 1e8 passes at assembly and at the porous source solve,
+    which apply the same rule; the load shifted off zero mean by 1e-9 of
+    its largest entry fails."""
+    pr = Problem("mini", n, case=ScaledSource())
+    res = ftp.source_residual(ftp.ExactDarcySubsolver(pr), pr.G_D)
+    assert np.all(np.isfinite(res.functional))
+    bad = pr.G_D + 1e-9 * np.abs(pr.G_D).max() * pr.mvec / pr.mvec.sum()
+    with pytest.raises(InvalidCaseError):
+        asm.check_compatible(bad)
+
+
+def test_scaled_source_solves():
+    """The nested solve of the scaled case converges, with finite fields."""
+    report = solve_coupled(Problem("mini", 8, case=ScaledSource()))
+    assert report.converged
+    assert all(np.all(np.isfinite(f)) for f in (report.u_S, report.p_S,
+                                                report.u_D, report.p_D))
 
 
 def test_quadrature_refinement_invariance(mini8, monkeypatch):

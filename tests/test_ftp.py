@@ -129,3 +129,21 @@ def test_iterative_solver_failure_flagged(mini8, rng):
     with pytest.raises(ftp.SolverFailure) as info:
         ftp.apply_ftp(sub, rng.standard_normal(16))
     assert info.value.stats is not None
+
+
+def test_coupling_solve_is_apply_ftp_of_the_trace(mini8, rng):
+    """CouplingOperator.solve(u, rtol) is the lifted porous solve of the
+    interface data R_f u at rtol, bitwise, and one coupling apply is R_f^T
+    of its functional at the subsolver's own tolerance."""
+    sub = ftp.DarcySubsolver(mini8, precond.direct_inverse(mini8.Adiv_f))
+    C = ftp.CouplingOperator(mini8.R_f, sub)
+    u = rng.standard_normal(len(mini8.free_vel))
+    got = C.solve(u, 1e-8)
+    want = ftp.apply_ftp(sub, mini8.R_f @ u, 1e-8)
+    for a, b in ((got.functional, want.functional), (got.u, want.u),
+                 (got.p, want.p)):
+        assert np.array_equal(a, b)
+    assert got.stats.iterations == want.stats.iterations
+    loose = C.solve(u)
+    assert loose.stats.iterations < got.stats.iterations
+    assert np.array_equal(C(u), mini8.R_f.T @ loose.functional)

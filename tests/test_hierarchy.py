@@ -30,9 +30,9 @@ def _restrict(M, free):
     return M[np.ix_(free, free)].tocsr()
 
 
-def _ref_stokes_velocity_bpx(problem, n_coarsest):
-    """Velocity BPX with fresh nodal levels up to the fine mesh and a
-    freshly assembled fine velocity block on top."""
+def _ref_velocity_levels(problem, n_coarsest):
+    """Velocity levels (mats, prolongs) on fresh nodal levels up to the
+    fine mesh, with a freshly assembled fine velocity block on top."""
     params = problem.params
     vfam = problem.vel.scalar.family
     enriched = vfam == "p1b"
@@ -54,7 +54,11 @@ def _ref_stokes_velocity_bpx(problem, n_coarsest):
     if enriched:
         E = sp.eye(fine.ndof, nodal[-1].ndof, format="csr")
         prolongs.append(E[free_fine][:, frees[-1]].tocsr())
-    return precond.build_bpx(mats, prolongs)
+    return mats, prolongs
+
+
+def _ref_stokes_velocity_bpx(problem, n_coarsest):
+    return precond.build_bpx(*_ref_velocity_levels(problem, n_coarsest))
 
 
 def _assert_same_applies(op, ref, rng):
@@ -72,6 +76,26 @@ def test_stokes_velocity_bpx_matches_fresh_hierarchy(problem_cache, rng,
     floor = n_coarsest or solver.bpx_coarsest(16, pair == "mini")
     _assert_same_applies(solver.stokes_velocity_bpx(pr, n_coarsest),
                          _ref_stokes_velocity_bpx(pr, floor), rng)
+
+
+@pytest.mark.parametrize("n_coarsest", [8, 2])
+def test_nodal_levels_of_enriched_space(problem_cache, n_coarsest):
+    """nodal_levels puts the mini velocity space on a linear level of
+    every mesh, its own included, by itself: every level matrix and
+    prolongation equals the fresh reference bitwise, with the finest
+    block given and assembled."""
+    pr = problem_cache("mini", 16)
+    meshes = mesh_module.mesh_hierarchy(pr.mesh, n_coarsest)
+    ref_mats, ref_prolongs = _ref_velocity_levels(pr, n_coarsest)
+    for top in (pr.A_ff, None):
+        mats, prolongs = precond.nodal_levels(
+            meshes, pr.vel, top,
+            lambda v: assembly.stokes_velocity_matrix(v, pr.params),
+            lambda v: np.where(~v.on_gamma)[0])
+        assert len(mats) == len(ref_mats)
+        assert len(prolongs) == len(ref_prolongs)
+        for A, B in zip(mats + prolongs, ref_mats + ref_prolongs):
+            _assert_identical(A, B)
 
 
 @pytest.mark.parametrize("n_coarsest", [16, 8])

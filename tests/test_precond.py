@@ -214,6 +214,49 @@ def test_direct_inverse_small_components_apart(mini8, monkeypatch):
     assert shapes == [(vertex.sum(),) * 2]
 
 
+def _mixed_blocks():
+    """The scattered blocks, one dense 8-DOF block (the largest small
+    component) and a 20-DOF chain, under one random symmetric
+    permutation."""
+    rng = np.random.default_rng(11)
+    Q = rng.standard_normal((8, 8))
+    chain = sp.diags([np.full(19, -1.0), np.full(20, 4.0), np.full(19, -1.0)],
+                     [-1, 0, 1])
+    B = sp.block_diag([_scattered_blocks(), Q @ Q.T + 8 * np.eye(8),
+                       chain]).tocsr()
+    p = rng.permutation(B.shape[0])
+    return B[p][:, p].tocsr()
+
+
+def _factored_shapes(monkeypatch):
+    """List that collects the shape of every matrix SuperLU factors."""
+    splu = precond.spla.splu
+    shapes = []
+
+    def capture(A, **kwargs):
+        shapes.append(A.shape)
+        return splu(A, **kwargs)
+
+    monkeypatch.setattr(precond.spla, "splu", capture)
+    return shapes
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_direct_inverse_mixed_components(monkeypatch, ordered):
+    """Components of at most SWEEP_BLOCK_MAX DOFs next to a 20-DOF chain:
+    only the chain is factored, and the inverse, without an order and in
+    a random one, equals the dense inverse."""
+    M = _mixed_blocks()
+    order = np.random.default_rng(12).permutation(M.shape[0]) \
+        if ordered else None
+    shapes = _factored_shapes(monkeypatch)
+    op = precond.direct_inverse(M, order)
+    assert shapes == [(20, 20)]
+    ref = np.linalg.inv(M.toarray())
+    S = np.column_stack([op(e) for e in np.eye(op.n)])
+    assert np.linalg.norm(S - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 def test_direct_inverse_rejects_nonsymmetric():
     M = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
@@ -248,18 +291,21 @@ def _scattered_blocks():
 
 
 def _sweep_matrix(which, problem_cache):
-    """Taylor-Hood M_D (block path), mini M_S (triangular path) or the
-    scattered blocks, at n = 8."""
+    """Taylor-Hood M_D (block path), mini M_S (triangular path), the
+    scattered blocks, or the mixed blocks (both paths), at n = 8."""
     if which == "scattered":
         return _scattered_blocks()
+    if which == "mixed":
+        return _mixed_blocks()
     return problem_cache("th", 8).M_D if which == "th" \
         else problem_cache("mini", 8).M_S
 
 
-@pytest.mark.parametrize("which", ["th", "mini", "scattered"])
+@pytest.mark.parametrize("which", ["th", "mini", "scattered", "mixed"])
 def test_gs_sweep_matches_dense_reference(problem_cache, which):
-    """Block path (Taylor-Hood M_D, scattered blocks) and triangular path
-    (mini M_S) both apply inv(D+U) D inv(D+L)."""
+    """Block path (Taylor-Hood M_D, scattered blocks), triangular path
+    (mini M_S) and both together (mixed blocks, whose dense sweep couples
+    no two components) all apply inv(D+U) D inv(D+L)."""
     M = _sweep_matrix(which, problem_cache)
     A = M.toarray()
     ref = np.linalg.inv(np.triu(A)) @ np.diag(np.diag(A)) \
@@ -269,22 +315,21 @@ def test_gs_sweep_matches_dense_reference(problem_cache, which):
     assert np.linalg.norm(S - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
-@pytest.mark.parametrize("which,factorizations", [("th", 0), ("mini", 2)])
+@pytest.mark.parametrize("which,factorizations", [("th", 0), ("mini", 2),
+                                                   ("mixed", 2)])
 def test_gs_sweep_block_path_factors_nothing(problem_cache, monkeypatch,
                                              which, factorizations):
     """The disconnected Taylor-Hood M_D (3-DOF blocks) is swept by one
-    assembled matrix; the connected mini M_S by two triangular factors."""
+    assembled matrix; the connected mini M_S by two triangular factors;
+    the mixed blocks by two triangular factors of the 20-DOF chain
+    alone."""
     M = _sweep_matrix(which, problem_cache)
-    splu = precond.spla.splu
-    calls = []
-
-    def count(*args, **kwargs):
-        calls.append(1)
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(precond.spla, "splu", count)
+    shapes = _factored_shapes(monkeypatch)
     precond.gs_sweep(M)
-    assert len(calls) == factorizations
+    assert len(shapes) == factorizations
+    labels, sizes = precond._components(M)
+    big = np.sum(sizes[labels] > precond.SWEEP_BLOCK_MAX)
+    assert all(shape == (big, big) for shape in shapes)
 
 
 @pytest.mark.parametrize("entry", [-1.0, 0.0])
