@@ -96,10 +96,14 @@ def ref_basis(family, pts):
 
 
 def _region_entities(mesh, region):
+    """The region's triangles, and the sorted vertices and edges they
+    use."""
     tris = mesh.region_triangles(region)
-    vids = np.unique(mesh.triangles[tris])
-    eids = np.unique(mesh.tri_edges[tris])
-    return tris, vids, eids
+    vused = np.zeros(mesh.num_vertices, dtype=bool)
+    vused[mesh.triangles[tris]] = True
+    eused = np.zeros(len(mesh.edges), dtype=bool)
+    eused[mesh.tri_edges[tris]] = True
+    return tris, np.flatnonzero(vused), np.flatnonzero(eused)
 
 
 def _on_open_sigma(coords):
@@ -389,7 +393,11 @@ class FluxSpace:
         """Monomial values (nt, nmono, np, 2) and local-coordinate
         divergences (nt, nmono, np) at mapped reference points, on the
         triangles of ``rows``."""
-        pts = self.geom.map_points(ref_pts, rows)
+        return self._monomials_at(self.geom.map_points(ref_pts, rows), rows)
+
+    def _monomials_at(self, pts, rows=slice(None)):
+        """``_local_monomials`` at physical points pts (nt, np, 2) of the
+        triangles of ``rows``."""
         c, h = self.centers[rows, None], self.hscale[rows, None]
         X = (pts[..., 0] - c[..., 0]) / h
         Y = (pts[..., 1] - c[..., 1]) / h
@@ -407,19 +415,27 @@ class FluxSpace:
         divs = (cT @ mdiv) / self.hscale[:, None, None]
         return vals, divs
 
+    def field_at(self, coeffs, pts, rows=slice(None)):
+        """Values (nt, np, 2) and divergences (nt, np) of the field with
+        coefficients coeffs at physical points pts (nt, np, 2) of the
+        triangles of ``rows``, built without a basis table: the
+        coefficients meet the monomial coefficients first."""
+        m = coeffs[self.cell_dofs[rows]][:, None] \
+            @ np.swapaxes(self.coeff[rows], 1, 2)
+        mono, mdiv = self._monomials_at(pts, rows)
+        nt, npts = pts.shape[:2]
+        vals = (m @ mono.reshape(nt, -1, 2 * npts)).reshape(nt, npts, 2)
+        return vals, (m @ mdiv)[:, 0] / self.hscale[rows, None]
+
     def field(self, coeffs, ref_pts):
         """Values (nt, np, 2) and divergences (nt, np) of the field with
-        coefficients coeffs at mapped points, built without a basis table
-        and one block of triangles at a time."""
-        m = coeffs[self.cell_dofs][:, None] @ np.swapaxes(self.coeff, 1, 2)
-        nt, npts = len(m), len(ref_pts)
+        coefficients coeffs at mapped reference points, one block of
+        triangles at a time."""
+        nt, npts = len(self.tris), len(ref_pts)
         vals, divs = np.empty((nt, npts, 2)), np.empty((nt, npts))
         for rows in row_blocks(nt):
-            mono, mdiv = self._local_monomials(ref_pts, rows)
-            mr = m[rows]
-            vals[rows] = (mr @ mono.reshape(len(mr), -1, 2 * npts)).reshape(
-                -1, npts, 2)
-            divs[rows] = (mr @ mdiv)[:, 0] / self.hscale[rows, None]
+            vals[rows], divs[rows] = self.field_at(
+                coeffs, self.geom.map_points(ref_pts, rows), rows)
         return vals, divs
 
     def evaluate_at(self, coeffs, tri_local, phys_pts):

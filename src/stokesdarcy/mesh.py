@@ -72,18 +72,16 @@ class AffineGeometry:
 
     def evaluate(self, f, ref_pts):
         """A pointwise function f((N, 2) points) at the images of reference
-        points, as an (nt, np, ...) array, or a tuple of them where f
-        returns a tuple.  f sees one block of triangles at a time."""
+        points, as an (nt, np, ...) array.  f sees one block of triangles
+        at a time."""
         nt, npts = len(self.det), len(ref_pts)
         out = None
         for rows in row_blocks(nt):
             got = f(self.map_points(ref_pts, rows).reshape(-1, 2))
-            vals = got if isinstance(got, tuple) else (got,)
             if out is None:
-                out = [np.empty((nt, npts) + np.shape(v)[1:]) for v in vals]
-            for o, v in zip(out, vals):
-                o[rows] = np.reshape(v, o[rows].shape)
-        return tuple(out) if isinstance(got, tuple) else out[0]
+                out = np.empty((nt, npts) + np.shape(got)[1:])
+            out[rows] = np.reshape(got, out[rows].shape)
+        return out
 
     def pull_back(self, rows, phys_pts):
         """Reference coordinates of physical points (np, 2), point i taken
@@ -179,8 +177,14 @@ class CoupledMesh:
         t = self.triangles
         # edge k of a triangle is opposite local vertex k
         pairs = np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]])
-        pairs = np.sort(pairs, axis=1)
-        self.edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+        pairs = np.sort(pairs, axis=1).astype(np.int64, copy=False)
+        # one integer key per vertex pair, ordered as the pairs are
+        # lexicographically
+        nv = np.int64(self.num_vertices)
+        keys, inv = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                              return_inverse=True)
+        self.edges = np.column_stack(np.divmod(keys, nv)).astype(
+            t.dtype, copy=False)
         self.tri_edges = inv.reshape(3, -1).T
 
     def _classify(self):

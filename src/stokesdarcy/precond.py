@@ -211,6 +211,8 @@ def build_bpx(mats, prolongs):
                              "shape %s" % (l, (P.shape,)))
     coarse = direct_inverse(mats[0])
     inv_diags = [1.0 / m.diagonal() for m in mats[1:]]
+    # stored CSR copies: the CSC view P.T restricts bitwise alike, but its
+    # scatter-add product made each BPX apply slower
     restricts = [P.T.tocsr() for P in prolongs]
 
     def apply(r):

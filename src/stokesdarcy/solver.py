@@ -326,8 +326,9 @@ def solve_coupled(problem, config=None):
     recovery = coupling.solve(u_Sf, config.recovery_rtol)
     r = rhs - stokes_op(x)
     r[:nf] -= coupling.RT @ recovery.functional
+    # the warm start began from zero: its first residual is ||rhs||_P
     true_residual = np.sqrt(max(r @ P(r), 0.0)) \
-        / max(np.sqrt(rhs @ P(rhs)), 1e-300)
+        / max(init_stats.residuals[0], 1e-300)
     # both parts of p_D already have zero mean on the porous half
     u_D = gamma_res.u + recovery.u
     p_D = gamma_res.p + recovery.p

@@ -36,70 +36,88 @@ class ErrorRecord:
 
 
 def _integral(space, w, vals, rows=slice(None)):
-    """Quadrature sum of point values (nt, nq) over the space's triangles
-    (those of ``rows``)."""
-    return np.einsum("q,t,tq->", w, space.geom.det[rows], vals)
+    """Quadrature sum of point values (nt, nq, ...) over the space's
+    triangles (those of ``rows``), trailing axes summed as well: two
+    matrix-vector products, with no reduction over short axes."""
+    weights = np.repeat(w, math.prod(vals.shape[2:]))
+    return (vals.reshape(len(vals), -1) @ weights) @ space.geom.det[rows]
 
 
-def velocity_h1_error(vel, coeffs, u, grad):
-    """H1 error against exact values u and gradients grad (nt, nq, ...),
-    one block of triangles at a time."""
+# Squared errors on the triangles of ``rows``, against exact values given
+# at the points of the degree-ERROR_QDEG rule mapped onto those triangles,
+# one (nb, nq, ...) array per field: compute_errors adds them up block by
+# block.
+
+def velocity_h1_sq(vel, coeffs, u, grad, rows=slice(None)):
+    """Squared H1 error against exact values u and gradients grad."""
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(ERROR_QDEG)
     vals, grads = ref_basis(sc.family, pts)
-    nt, nq = len(sc.tris), len(w)
-    c = coeffs[vel.cell_dofs].reshape(nt, -1, 2)  # (nt, nloc, 2)
-    total = 0.0
-    for rows in row_blocks(nt):
-        cr = c[rows]
-        eu = u[rows] - vals.T @ cr
-        # reference gradients of both components first, the affine map
-        # last: rows (component, point), columns the reference, then the
-        # physical direction
-        uh = (np.swapaxes(cr, 1, 2) @ grads.reshape(len(vals), -1)).reshape(
-            len(cr), 2 * nq, 2) @ np.swapaxes(sc.geom.invJT[rows], 1, 2)
-        eg = grad[rows] - np.swapaxes(uh.reshape(-1, 2, nq, 2), 1, 2)
-        # squares in place: the error arrays are the largest temporaries
-        total += _integral(sc, w, np.square(eu, out=eu).sum(-1)
-                           + np.square(eg, out=eg).sum((-2, -1)), rows)
-    return math.sqrt(total)
+    nq = len(w)
+    c = coeffs[vel.cell_dofs[rows]].reshape(len(u), -1, 2)  # (nb, nloc, 2)
+    eu = u - vals.T @ c
+    # reference gradients of both components first, the affine map last:
+    # rows (component, point), columns the reference, then the physical
+    # direction
+    uh = (np.swapaxes(c, 1, 2) @ grads.reshape(len(vals), -1)).reshape(
+        len(c), 2 * nq, 2) @ np.swapaxes(sc.geom.invJT[rows], 1, 2)
+    eg = grad - np.swapaxes(uh.reshape(-1, 2, nq, 2), 1, 2)
+    # squares in place: the error arrays are the largest temporaries
+    return (_integral(sc, w, np.square(eu, out=eu), rows)
+            + _integral(sc, w, np.square(eg, out=eg), rows))
 
 
-def scalar_l2_error(space, coeffs, exact):
-    """L2 error against exact values (nt, nq)."""
+def scalar_l2_sq(space, coeffs, exact, rows=slice(None)):
+    """Squared L2 error against exact values."""
     pts, w = quadrature.triangle_rule(ERROR_QDEG)
-    err = exact - coeffs[space.cell_dofs] @ space.values(pts)
-    return math.sqrt(_integral(space, w, np.square(err, out=err)))
+    err = exact - coeffs[space.cell_dofs[rows]] @ space.values(pts)
+    return _integral(space, w, np.square(err, out=err), rows)
 
 
-def flux_hdiv_error(flux, coeffs, u, div):
-    """Graph-norm error against exact values u and div (nt, nq, ...)."""
-    pts, w = quadrature.triangle_rule(ERROR_QDEG)
-    eu, ed = flux.field(coeffs, pts)
-    eu, ed = np.square(eu - u, out=eu), np.square(ed - div, out=ed)
-    return math.sqrt(_integral(flux, w, eu.sum(-1) + ed))
+def flux_hdiv_sq(flux, coeffs, X, u, div, rows=slice(None)):
+    """Squared graph-norm error against exact values u and div, X the
+    mapped points."""
+    w = quadrature.triangle_rule(ERROR_QDEG)[1]
+    eu, ed = flux.field_at(coeffs, X, rows)
+    return (_integral(flux, w, np.square(eu - u, out=eu), rows)
+            + _integral(flux, w, np.square(ed - div, out=ed), rows))
 
 
-def _fields(evaluator, *names):
-    return lambda X: tuple(getattr(evaluator(X), name) for name in names)
+def _mapped_blocks(geom):
+    """(rows, X) for each block of the geometry's triangles, X the images
+    (nb, nq, 2) of the error rule's points."""
+    pts = quadrature.triangle_rule(ERROR_QDEG)[0]
+    for rows in row_blocks(len(geom.det)):
+        yield rows, geom.map_points(pts, rows)
 
 
 def compute_errors(report, case=None):
-    """Error record of a coupled solve against the reference fields."""
+    """Error record of a coupled solve against the reference fields.
+
+    One pass per region over blocks of triangles: each block's points are
+    mapped once and the region's evaluator is called once on them, so no
+    array spans a whole region.
+    """
     pr = report.problem
     case = case or pr.case
-    pts = quadrature.triangle_rule(ERROR_QDEG)[0]
+    e_uS = e_pS = e_uD = e_pD = 0.0
     geom = pr.vel.scalar.geom
-    u, grad, p = geom.evaluate(_fields(case.stokes, "u", "grad_u", "p"), pts)
-    if pr.pres.geom is not geom:
-        p = pr.pres.geom.evaluate(case.p_S, pts)
-    e_uS = velocity_h1_error(pr.vel, report.u_S, u, grad)
-    e_pS = scalar_l2_error(pr.pres, report.p_S, p)
-    u, div, p = pr.flux.geom.evaluate(_fields(case.darcy, "u", "div_u", "p"),
-                                      pts)
-    return ErrorRecord(pr.dof_total, pr.h, e_uS, e_pS,
-                       flux_hdiv_error(pr.flux, report.u_D, u, div),
-                       scalar_l2_error(pr.dpres, report.p_D, p))
+    shared = pr.pres.geom is geom
+    for rows, X in _mapped_blocks(geom):
+        S = case.stokes(X)
+        e_uS += velocity_h1_sq(pr.vel, report.u_S, S.u, S.grad_u, rows)
+        if shared:
+            e_pS += scalar_l2_sq(pr.pres, report.p_S, S.p, rows)
+    if not shared:
+        # a pressure on a coarser mesh of its own (the iso pair)
+        for rows, X in _mapped_blocks(pr.pres.geom):
+            e_pS += scalar_l2_sq(pr.pres, report.p_S, case.stokes(X).p, rows)
+    for rows, X in _mapped_blocks(pr.flux.geom):
+        D = case.darcy(X)
+        e_uD += flux_hdiv_sq(pr.flux, report.u_D, X, D.u, D.div_u, rows)
+        e_pD += scalar_l2_sq(pr.dpres, report.p_D, D.p, rows)
+    return ErrorRecord(pr.dof_total, pr.h, *(math.sqrt(e) for e in
+                                             (e_uS, e_pS, e_uD, e_pD)))
 
 
 class RateRecord:

@@ -203,3 +203,39 @@ def test_dissection_post_order():
     # its separator y = 2 after both quarters
     assert np.array_equal(g[:4], [[0, 0], [0, 1], [1, 0], [1, 1]])
     assert np.array_equal(g[8:10], [[0, 2], [1, 2]])
+
+
+@pytest.fixture
+def mesh(request):
+    """A unit-square mesh at n = request.param, or the red refinement
+    of the n = 8 one."""
+    if request.param == "refined":
+        return refine_uniform(build_unit_square(8))
+    return build_unit_square(request.param)
+
+
+def _sorted_pair_edges(mesh):
+    """Edges and triangle-to-edge map by unique rows of the sorted vertex
+    pairs: the construction the integer keys replace."""
+    t = mesh.triangles
+    pairs = np.sort(np.concatenate([t[:, [1, 2]], t[:, [2, 0]],
+                                    t[:, [0, 1]]]), axis=1)
+    edges, inv = np.unique(pairs, axis=0, return_inverse=True)
+    return edges, inv.reshape(3, -1).T
+
+
+@pytest.mark.parametrize("mesh", [2, 8, 64, "refined"], indirect=True)
+def test_topology_matches_sorted_pair_construction(mesh):
+    """Edges, tri_edges and every region's vertices and edges equal the
+    unique-rows construction, dtype included."""
+    from stokesdarcy.fespace import _region_entities
+    edges, tri_edges = _sorted_pair_edges(mesh)
+    for got, want in ((mesh.edges, edges), (mesh.tri_edges, tri_edges)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    for region in (0, 1):
+        tris, vids, eids = _region_entities(mesh, region)
+        for got, want in ((vids, np.unique(mesh.triangles[tris])),
+                          (eids, np.unique(tri_edges[tris]))):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)

@@ -240,3 +240,39 @@ def test_true_residual_matches_exact_coupling(problem_cache):
     want = np.sqrt((r @ P(r)) / (b @ P(b)))
     assert rep.true_residual == pytest.approx(want, rel=1e-4)
     assert rep.true_residual > 100 * rep.residuals[-1] / rep.residuals[0]
+
+
+@pytest.mark.parametrize("pair,combo", [("mini", "direct:pd0"),
+                                        ("th", "bpx:pd0"),
+                                        ("iso", "bpx:hxbpx")])
+def test_true_residual_reuses_warm_start_norm(problem_cache, monkeypatch,
+                                              pair, combo):
+    """true_residual divides by the warm start's first residual, and so
+    equals bitwise the formula that applies the outer preconditioner to
+    the right-hand side once more."""
+    from stokesdarcy import solver
+    from stokesdarcy.krylov import minres
+    solves, porous = [], []
+    coupling_solve = ftp.CouplingOperator.solve
+
+    def recording_minres(A, b, **kw):
+        x, stats = minres(A, b, **kw)
+        solves.append((b, kw["Pinv"], x))
+        return x, stats
+
+    def recording_solve(self, u, rtol=None):
+        result = coupling_solve(self, u, rtol)
+        porous.append((self, result))
+        return result
+
+    monkeypatch.setattr(solver, "minres", recording_minres)
+    monkeypatch.setattr(ftp.CouplingOperator, "solve", recording_solve)
+    pr = problem_cache(pair, 16)
+    rep = solve_coupled(pr, SolveConfig(pair, 16, combo=combo))
+    (rhs, P, _), (_, _, x) = solves
+    # the last porous solve is the recovery
+    coupling, recovery = porous[-1]
+    r = rhs - _outer_operator(pr, None)(x)
+    r[:len(pr.free_vel)] -= coupling.RT @ recovery.functional
+    want = np.sqrt(max(r @ P(r), 0.0)) / max(np.sqrt(rhs @ P(rhs)), 1e-300)
+    assert rep.true_residual == want

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import stokesdarcy.mesh as mesh_module
-from stokesdarcy import (SolveConfig, compute_errors, compute_rates,
+from stokesdarcy import (Problem, SolveConfig, compute_errors, compute_rates,
                          solve_coupled, solve_monolithic_oracle)
 from stokesdarcy.manufactured import ManufacturedCase
 from stokesdarcy.verify import ErrorRecord, rate
@@ -103,18 +105,19 @@ def test_flux_error_matches_basis_first_formula(problem_cache, pair):
     """The flux error, which contracts the coefficients with the monomial
     coefficients first, equals the formula through the tabulated basis."""
     from stokesdarcy import quadrature
-    from stokesdarcy.verify import ERROR_QDEG, _integral, flux_hdiv_error
+    from stokesdarcy.verify import ERROR_QDEG, _integral, flux_hdiv_sq
     pr = problem_cache(pair, 8)
     flux, case = pr.flux, ManufacturedCase()
     c = np.random.default_rng(5).standard_normal(flux.ndof)
     pts, w = quadrature.triangle_rule(ERROR_QDEG)
     vals, divs = flux.tabulate(pts)
     cl = c[flux.cell_dofs]
-    D = case.darcy(flux.geom.map_points(pts))
+    X = flux.geom.map_points(pts)
+    D = case.darcy(X)
     eu = D.u - np.einsum("tl,tlqc->tqc", cl, vals)
     ed = D.div_u - np.einsum("tl,tlq->tq", cl, divs)
     want = math.sqrt(_integral(flux, w, (eu ** 2).sum(-1) + ed ** 2))
-    got = flux_hdiv_error(flux, c, D.u, D.div_u)
+    got = math.sqrt(flux_hdiv_sq(flux, c, X, D.u, D.div_u))
     assert got == pytest.approx(want, rel=1e-14)
 
 
@@ -133,3 +136,24 @@ def test_errors_blockwise_match_one_block(problem_cache, monkeypatch, pair):
     monkeypatch.setattr(mesh_module, "EVAL_ROWS", 7)
     for got, want in zip(compute_errors(fake).as_tuple(), whole):
         assert got == pytest.approx(want, rel=1e-14)
+
+
+def test_error_memory_does_not_grow_with_the_mesh():
+    """One error evaluation at mini n = 128 (16,384 triangles per region)
+    peaks at most 25 MiB traced: its arrays span blocks of EVAL_ROWS
+    triangles, not whole regions (whole-region field arrays peaked at
+    61.5 MiB)."""
+    pr = Problem("mini", 128)
+    rng = np.random.default_rng(17)
+    fake = SimpleNamespace(problem=pr, **{
+        f: rng.standard_normal(space.ndof)
+        for f, space in (("u_S", pr.vel), ("p_S", pr.pres),
+                         ("u_D", pr.flux), ("p_D", pr.dpres))})
+    compute_errors(fake)  # quadrature rules cached outside the trace
+    tracemalloc.start()
+    try:
+        compute_errors(fake)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 25 * 2 ** 20
