@@ -2,7 +2,7 @@
 
 The computational domain is the unit square split at y = 1/2: free flow
 above, porous flow below, coupled across the midline.  This script builds
-the structured triangulation, inspects its tags, and assembles the three
+the structured triangulation, inspects its halves and interface, and assembles the three
 element pairings used throughout.
 """
 
@@ -11,7 +11,6 @@ import numpy as np
 from stokesdarcy import build_unit_square, interface_trace, refine_uniform
 from stokesdarcy.fespace import (REGION_D, REGION_S, FluxSpace, Space,
                                  TraceSpace, VectorSpace)
-from stokesdarcy.mesh import SIGMA
 
 # ---------------------------------------------------------------------
 # a coarse mesh and its entities
@@ -25,7 +24,7 @@ print("interface edges:", len(mesh.sigma_edges))
 edges, normal = interface_trace(mesh)
 print("interface normal (points into the porous half):", normal)
 
-# red refinement quarters every triangle and keeps all tags
+# red refinement quarters every triangle and keeps the split at y = 1/2
 fine = refine_uniform(mesh)
 print("after refinement:", fine.num_triangles, "triangles, h =", fine.h)
 
@@ -57,7 +56,7 @@ print("\ntrace space dimension:", tr.ndim, "(two values per edge)")
 phi = np.ones(tr.ndim)
 print("integral of the constant trace:", tr.integral(phi))
 
-# every interface edge sits on the midline and is shared by both halves
-for e in mesh.sigma_edges:
-    assert mesh.edge_tag[e] == SIGMA
-print("all interface edges tagged correctly")
+# the flux DOFs on the interface are the two moments of each interface edge
+sigma_dofs = 2 * bdm.edge_index[mesh.sigma_edges][:, None] + [0, 1]
+assert np.array_equal(np.flatnonzero(bdm.on_sigma), np.sort(sigma_dofs.ravel()))
+print("all interface edges classified correctly")

@@ -31,8 +31,7 @@ for family, pair in (("bdm1", "mini"), ("rt1", "th")):
     conds = []
     for n in (8, 16, 32):
         problem = Problem(pair, n)
-        hx = precond.build_hx_precond(precond.build_hx_transfers(problem),
-                                      n)
+        hx = precond.build_hx_precond(problem, n)
         conds.append(spd_condition_estimate(problem.Adiv_f, hx, k=100,
                                             seed=4))
     print("  %s: cond ~ %s" % (family, ", ".join("%.1f" % c for c in conds)))

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import quadrature
-from .mesh import GAMMA_D, REF_VERTICES, SIGMA, row_blocks, segment_points
+from .mesh import REF_VERTICES, row_blocks, segment_points
 
 REGION_S = 0
 REGION_D = 1
@@ -106,17 +106,17 @@ def _region_entities(mesh, region):
     return tris, np.flatnonzero(vused), np.flatnonzero(eused)
 
 
-def _on_open_sigma(coords):
-    x, y = coords[:, 0], coords[:, 1]
-    return (np.abs(y - 0.5) < 1e-12) & (x > 1e-12) & (x < 1 - 1e-12)
-
-
-def _on_subdomain_boundary(coords, region):
-    x, y = coords[:, 0], coords[:, 1]
-    onv = (np.abs(x) < 1e-12) | (np.abs(x - 1) < 1e-12)
-    if region == REGION_S:
-        return onv | (np.abs(y - 1) < 1e-12) | (np.abs(y - 0.5) < 1e-12)
-    return onv | (np.abs(y) < 1e-12) | (np.abs(y - 0.5) < 1e-12)
+def _boundary_masks(points, region):
+    """Masks (on_sigma, on_boundary, on_gamma) of the DOFs placed at
+    `points` in `region`: on the open interface, on the subdomain's whole
+    boundary, and on the rest of it (the closure of Gamma)."""
+    x, y = points[:, 0], points[:, 1]
+    on_midline = np.abs(y - 0.5) < 1e-12
+    on_sigma = on_midline & (x > 1e-12) & (x < 1 - 1e-12)
+    outer_y = 1.0 if region == REGION_S else 0.0
+    on_boundary = (np.abs(x) < 1e-12) | (np.abs(x - 1) < 1e-12) \
+        | (np.abs(y - outer_y) < 1e-12) | on_midline
+    return on_sigma, on_boundary, on_boundary & ~on_sigma
 
 
 class Space:
@@ -178,12 +178,11 @@ class Space:
 
         if family in ("p0dc", "p1dc"):
             # discontinuous spaces carry no essential constraints here
-            self.on_sigma = np.zeros(self.ndof, dtype=bool)
-            self.on_boundary = np.zeros(self.ndof, dtype=bool)
+            self.on_sigma = self.on_boundary = self.on_gamma = np.zeros(
+                self.ndof, dtype=bool)
         else:
-            self.on_sigma = _on_open_sigma(self.nodes)
-            self.on_boundary = _on_subdomain_boundary(self.nodes, region)
-        self.on_gamma = self.on_boundary & ~self.on_sigma
+            self.on_sigma, self.on_boundary, self.on_gamma = _boundary_masks(
+                self.nodes, region)
         self.nloc = self.cell_dofs.shape[1]
 
     def values(self, ref_pts):
@@ -307,14 +306,6 @@ class FluxSpace:
         self.cell_dofs = cell
         self._owners = np.bincount(cell.ravel(), minlength=self.ndof)
 
-        tag = mesh.edge_tag[eids]
-        edof = np.repeat(tag, 2)
-        self.on_gamma = np.zeros(self.ndof, dtype=bool)
-        self.on_sigma = np.zeros(self.ndof, dtype=bool)
-        self.on_gamma[:2 * ne] = edof == GAMMA_D
-        self.on_sigma[:2 * ne] = edof == SIGMA
-        self.on_boundary = self.on_gamma | self.on_sigma
-
         # DOF points: the Gauss points of local edge k (opposite vertex k,
         # traversed counterclockwise), then (rt1) the interior rule.  The
         # rule is symmetric, so where the ascending orientation runs
@@ -341,6 +332,8 @@ class FluxSpace:
         if family == "rt1":
             nodes.append(self.centers)
         self.nodes = np.repeat(np.vstack(nodes), 2, axis=0)
+        self.on_sigma, self.on_boundary, self.on_gamma = _boundary_masks(
+            self.nodes, REGION_D)
 
     def _build_local_bases(self):
         """Monomial coefficients of the basis dual to the DOFs: the inverse
@@ -437,21 +430,6 @@ class FluxSpace:
             vals[rows], divs[rows] = self.field_at(
                 coeffs, self.geom.map_points(ref_pts, rows), rows)
         return vals, divs
-
-    def evaluate_at(self, coeffs, tri_local, phys_pts):
-        """Field values at physical points, one owning triangle per point.
-
-        tri_local indexes into ``self.tris``; points must lie in (or on the
-        boundary of) their triangle.
-        """
-        tri_local = np.asarray(tri_local)
-        phys_pts = np.asarray(phys_pts, dtype=float)
-        X = (phys_pts[:, 0] - self.centers[tri_local, 0]) / self.hscale[tri_local]
-        Y = (phys_pts[:, 1] - self.centers[tri_local, 1]) / self.hscale[tri_local]
-        mono, _ = _monomials(self.family, X, Y)  # (nm, npts, 2)
-        local = np.einsum("pml,mpc->plc", self.coeff[tri_local], mono)
-        c = coeffs[self.cell_dofs[tri_local]]
-        return np.einsum("pl,plc->pc", c, local)
 
     def canonical_interpolation(self, f):
         """Coefficients of the canonical interpolant of a smooth field

@@ -9,13 +9,6 @@ ascending global vertex index, which makes the interface normal equal to
 
 import numpy as np
 
-# entity tags
-INTERIOR_S = 0
-INTERIOR_D = 1
-GAMMA_S = 2
-GAMMA_D = 3
-SIGMA = 4
-
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 # triangles per block of a field evaluated at many points per triangle:
@@ -145,7 +138,7 @@ class InterfaceEdges:
 
 
 class CoupledMesh:
-    """Triangulation of (0,1)^2 with subdomain, boundary and interface tags.
+    """Triangulation of (0,1)^2 with its subdomain split and interface edges.
 
     Attributes
     ----------
@@ -155,7 +148,6 @@ class CoupledMesh:
     triangles : (nt, 3) int array, counterclockwise
     tri_region : (nt,) int array, 0 in the Stokes half, 1 in the Darcy half
     edges : (ne, 2) int array, each row sorted ascending
-    edge_tag : (ne,) int array with the entity tags above
     tri_edges : (nt, 3) int array, edge opposite local vertex k
     sigma_edges : (ns,) int array, interface edges ordered left to right
     parent : (nt,) int array or None, child -> parent triangle map
@@ -192,13 +184,6 @@ class CoupledMesh:
         mid = 0.5 * (v[self.edges[:, 0]] + v[self.edges[:, 1]])
         on_sigma = (np.abs(v[self.edges[:, 0], 1] - 0.5) < 1e-12) & (
             np.abs(v[self.edges[:, 1], 1] - 0.5) < 1e-12)
-        on_boundary = (np.abs(mid[:, 0]) < 1e-12) | (np.abs(mid[:, 0] - 1) < 1e-12) | (
-            np.abs(mid[:, 1]) < 1e-12) | (np.abs(mid[:, 1] - 1) < 1e-12)
-        tag = np.where(mid[:, 1] > 0.5, INTERIOR_S, INTERIOR_D)
-        tag[on_boundary & (mid[:, 1] > 0.5)] = GAMMA_S
-        tag[on_boundary & (mid[:, 1] < 0.5)] = GAMMA_D
-        tag[on_sigma] = SIGMA
-        self.edge_tag = tag
         sig = np.where(on_sigma)[0]
         order = np.argsort(mid[sig, 0])
         self.sigma_edges = sig[order]

@@ -258,34 +258,6 @@ def interior_dofs(space):
     return np.flatnonzero(~space.on_boundary)
 
 
-class HXTransfer:
-    """Transfer matrices of the auxiliary-space preconditioner for the
-    div-elliptic Darcy velocity block.
-
-    Attributes (all restricted to the homogeneous flux space and to
-    zero-boundary nodal spaces):
-    C : sparse (nflux, npotential), column l = flux coefficients of the
-        rotated gradient (d2 v, -d1 v) of the quadratic stream-function
-        basis l (quadratic potentials span every div-free flux field)
-    Idiv : sparse (nflux, 2*nnodal), canonical interpolation of the
-        vector nodal basis (order of the flux family)
-    Sdiv : (nflux,) diagonal of the div-elliptic block
-    tau : mass weight of the nodal block L = (grad, grad) + tau (., .)
-    nodal, potential : the scalar nodal and stream-function Spaces of the
-        nodal blocks L and Delta (one object for rt1)
-    curl_residual : pointwise residual of the rotated-gradient expansion
-    """
-
-    def __init__(self, C, Idiv, Sdiv, tau, nodal, potential, curl_residual):
-        self.C = C
-        self.Idiv = Idiv
-        self.Sdiv = Sdiv
-        self.tau = tau
-        self.nodal = nodal
-        self.potential = potential
-        self.curl_residual = curl_residual
-
-
 def curl_matrix(flux, potential):
     """Flux coefficients (nflux, npotential) of the rotated gradients
     (d2 v, -d1 v) of the potential basis: their canonical interpolants,
@@ -307,35 +279,37 @@ def nodal_interpolation_matrix(flux, nodal):
                         vec.cell_dofs, vec.ndof)
 
 
-def build_hx_transfers(problem):
-    """Assemble the auxiliary-space transfer data for a Problem's flux
-    space.
-
-    The vector nodal space has the order of the flux family (linears for
-    bdm1, quadratics for rt1); the scalar stream-function space is
+def hx_spaces(flux):
+    """The scalar (nodal, potential) Spaces of the auxiliary-space
+    preconditioner for a flux space, on its mesh and region.  The nodal
+    space has the order of the flux family (linears for bdm1, quadratics
+    for rt1, where the two are one object); the stream-function space is
     quadratic for both families, the smallest space whose rotated
-    gradients span every divergence-free flux field.  All spaces vanish
-    on the whole subdomain boundary, matching the homogeneous flux space
-    of the inner problem.  Raises if the rotated-gradient image is not
-    represented exactly.
-    """
-    flux = problem.flux
+    gradients span every divergence-free flux field."""
     potential = Space(flux.mesh, "p2", flux.region)
     nodal = Space(flux.mesh, "p1", flux.region) if flux.family == "bdm1" \
         else potential
+    return nodal, potential
+
+
+def build_hx_transfers(problem, nodal, potential):
+    """Transfers (C, Idiv) of the auxiliary-space preconditioner on the
+    free DOFs of a Problem's flux space and of the zero-boundary nodal
+    spaces: C (nflux, npotential) holds the rotated gradients of the
+    potential basis, Idiv (nflux, 2*nnodal) the canonical interpolants of
+    the vector nodal basis.  Raises if the rotated-gradient image is not
+    represented exactly.
+    """
+    flux = problem.flux
     C = curl_matrix(flux, potential)
     Idiv = nodal_interpolation_matrix(flux, nodal)
-
-    free_flux = problem.free_flux
-    C_f = C[free_flux][:, interior_dofs(potential)].tocsr()
-    Idiv_f = Idiv[free_flux][:, interior_dofs(VectorSpace(nodal))].tocsr()
-
     resid = curl_representation_residual(flux, potential, C)
     if resid > 1e-10:
         raise RuntimeError("rotated-gradient expansion residual %.2e "
                            "signals a basis or orientation bug" % resid)
-    return HXTransfer(C_f, Idiv_f, problem.Adiv_f.diagonal(),
-                      problem.params.tau, nodal, potential, resid)
+    free_flux = problem.free_flux
+    return (C[free_flux][:, interior_dofs(potential)].tocsr(),
+            Idiv[free_flux][:, interior_dofs(VectorSpace(nodal))].tocsr())
 
 
 def curl_representation_residual(flux, scalar, C):
@@ -360,30 +334,33 @@ def curl_representation_residual(flux, scalar, C):
     return worst
 
 
-def build_hx_precond(transfer, n_coarsest):
+def build_hx_precond(problem, n_coarsest):
     """Auxiliary-space preconditioner S^{-1} + Idiv BPX(L) Idiv^T
-    + (1/tau) C BPX(Delta) C^T as one BPX: the stacked nodal levels of
-    hx_nodal_hierarchy under the flux level (Jacobi by S = diag(Adiv_f),
-    transfer [Idiv, C]).  With one nodal level the stacked block is
-    factored once and solved directly."""
-    mats, prolongs = hx_nodal_hierarchy(transfer, n_coarsest)
-    mats.append(sp.diags(transfer.Sdiv, format="csr"))
-    prolongs.append(sp.hstack([transfer.Idiv, transfer.C], format="csr"))
+    + (1/tau) C BPX(Delta) C^T for a Problem's div-elliptic block
+    Adiv_f, as one BPX: the stacked nodal levels of hx_nodal_hierarchy
+    from n_coarsest up, under the flux level Adiv_f (Jacobi by its
+    diagonal S, transfer [Idiv, C]).  With one nodal level the stacked
+    block is factored once and solved directly."""
+    nodal, potential = hx_spaces(problem.flux)
+    C, Idiv = build_hx_transfers(problem, nodal, potential)
+    mats, prolongs = hx_nodal_hierarchy(nodal, potential, problem.params.tau,
+                                        n_coarsest)
+    mats.append(problem.Adiv_f)
+    prolongs.append(sp.hstack([Idiv, C], format="csr"))
     return build_bpx(mats, prolongs)
 
 
-def hx_nodal_hierarchy(transfer, n_coarsest):
+def hx_nodal_hierarchy(nodal, potential, tau, n_coarsest):
     """Stacked levels (mats, prolongs) of the zero-boundary auxiliary-space
-    nodal hierarchies from n_coarsest up to transfer.nodal and
-    transfer.potential: block_diag(kron(L_l, I_2), tau Delta_l), with
+    nodal hierarchies from n_coarsest up to the spaces nodal and
+    potential: block_diag(kron(L_l, I_2), tau Delta_l), with
     L = K + tau M and Delta = K, and prolongations
     block_diag(kron(P_l, I_2), P_l)."""
-    tau = transfer.tau
-    meshes = mesh_hierarchy(transfer.nodal.mesh, n_coarsest)
-    Ls, Ps = nodal_levels(meshes, transfer.nodal, None,
+    meshes = mesh_hierarchy(nodal.mesh, n_coarsest)
+    Ls, Ps = nodal_levels(meshes, nodal, None,
                           lambda s: assembly.scalar_stiffness(s)
                           + tau * assembly.scalar_mass(s), interior_dofs)
-    Ds, Qs = nodal_levels(meshes, transfer.potential, None,
+    Ds, Qs = nodal_levels(meshes, potential, None,
                           assembly.scalar_stiffness, interior_dofs)
     return ([sp.block_diag([vector_expand(L), tau * D], format="csr")
              for L, D in zip(Ls, Ds)],

@@ -154,11 +154,6 @@ def check_tolerances(outer_rtol, inner_rtol):
             raise ValueError("%s must lie in (0, 1), got %r" % (name, rtol))
 
 
-def _hx_block(problem, n_coarsest):
-    return precond.build_hx_precond(precond.build_hx_transfers(problem),
-                                    n_coarsest)
-
-
 def _dissected_inverse(M, space, free):
     """Exact inverse of the SPD block M on the DOFs `free` of `space`,
     factored in the mesh's nested-dissection order of their nodes."""
@@ -179,9 +174,11 @@ KINDS = {
                 lambda pr: _dissected_inverse(pr.Adiv_f, pr.flux,
                                               pr.free_flux)),
     # exact nodal solves are the one-level hierarchy
-    "hx": Kind("inner", "PD_hx", True, lambda pr: _hx_block(pr, pr.n)),
+    "hx": Kind("inner", "PD_hx", True,
+               lambda pr: precond.build_hx_precond(pr, pr.n)),
     "hxbpx": Kind("inner", "PD_hxbpx", False,
-                  lambda pr: _hx_block(pr, min(BPX_FLOOR, pr.n))),
+                  lambda pr: precond.build_hx_precond(
+                      pr, min(BPX_FLOOR, pr.n))),
 }
 OUTER_KINDS, INNER_KINDS = (tuple(k for k in KINDS if KINDS[k].role == role)
                             for role in ("outer", "inner"))
@@ -190,7 +187,10 @@ OUTER_KINDS, INNER_KINDS = (tuple(k for k in KINDS if KINDS[k].role == role)
 def parse_combo(combo):
     """The (outer, inner) kinds of a combo, lowercase and validated: an
     'outer:inner' name such as 'direct:pd0' or 'bpx:hx', or a pair."""
-    parts = combo.split(":") if isinstance(combo, str) else tuple(combo)
+    if isinstance(combo, str):
+        parts = combo.split(":")
+    else:
+        parts = tuple(combo) if np.iterable(combo) else ()
     if len(parts) != 2 or not all(isinstance(p, str) for p in parts):
         raise ValueError("combo must look like 'outer:inner', got %r"
                          % (combo,))
@@ -252,14 +252,12 @@ def bpx_coarsest(n, enriched=False):
     return n if enriched else max(2, n // 2)
 
 
-def stokes_velocity_bpx(problem, n_coarsest=None):
+def stokes_velocity_bpx(problem):
     """Multilevel hierarchy for the free-flow velocity block, ending at
     the problem's own space and block A_ff: for the bubble-enriched pair
     on top of the linear level of the same mesh (its Jacobi scaling covers
     the bubbles), for a nodal pair in place of the finest nodal level."""
-    if n_coarsest is None:
-        n_coarsest = bpx_coarsest(problem.n,
-                                  problem.vel.scalar.family == "p1b")
+    n_coarsest = bpx_coarsest(problem.n, problem.vel.scalar.family == "p1b")
     return precond.build_bpx(*precond.nodal_levels(
         mesh_hierarchy(problem.mesh, n_coarsest), problem.vel, problem.A_ff,
         lambda v: assembly.stokes_velocity_matrix(v, problem.params),

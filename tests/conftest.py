@@ -8,8 +8,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from stokesdarcy import (Problem, assembly, build_unit_square,  # noqa: E402
-                         fespace, precond, solver)
+from stokesdarcy import (PhysicalParams, Problem, ZeroCase,  # noqa: E402
+                         assembly, build_unit_square, fespace, precond,
+                         solver)
 from stokesdarcy.fespace import (REGION_D, Space,  # noqa: E402
                                  nodal_prolongation)
 
@@ -28,6 +29,23 @@ def problem_cache():
         if (pair, n) not in _cache:
             _cache[pair, n] = Problem(pair, n)
         return _cache[pair, n]
+    return get
+
+
+@pytest.fixture(scope="session")
+def tau4_problem():
+    """Function pair -> the Problem at n = 16 with inverse permeability
+    tau = 4, and the zero case, which declares the same tau; built once
+    per pair."""
+    cache = {}
+
+    def get(pair):
+        if pair not in cache:
+            case = ZeroCase()
+            case.tau = 4.0
+            cache[pair] = Problem(pair, 16, params=PhysicalParams(tau=4.0),
+                                  case=case)
+        return cache[pair]
     return get
 
 

@@ -258,9 +258,8 @@ def test_criterion7_spectral_equivalence():
         vals = []
         for n in (8, 32):
             pr = Problem(pair, n)
-            t = precond.build_hx_transfers(pr)
             vals.append(spd_condition_estimate(
-                pr.Adiv_f, precond.build_hx_precond(t, n), k=100,
+                pr.Adiv_f, precond.build_hx_precond(pr, n), k=100,
                 seed=4))
         conds_hx[pair] = vals[1] / vals[0]
     print("[criterion 7] cond growth n=8->32: outer saddle x%.3f, "

@@ -297,13 +297,14 @@ def _forms(pair):
     hierarchy over n = 8, 16: L and Delta of the finest level and Delta of
     the coarsest (tau = 1, so the potential block is Delta itself)."""
     pr = Problem(pair, 16)
-    t = precond.build_hx_transfers(pr)
-    mats, _ = precond.hx_nodal_hierarchy(t, 8)
-    coarse = Space(build_unit_square(8), t.nodal.family, REGION_D)
-    nvec, cvec = t.Idiv.shape[1], 2 * int(np.sum(~coarse.on_boundary))
+    nodal, potential = precond.hx_spaces(pr.flux)
+    C, Idiv = precond.build_hx_transfers(pr, nodal, potential)
+    mats, _ = precond.hx_nodal_hierarchy(nodal, potential, pr.params.tau, 8)
+    coarse = Space(build_unit_square(8), nodal.family, REGION_D)
+    nvec, cvec = Idiv.shape[1], 2 * int(np.sum(~coarse.on_boundary))
     forms = {k: getattr(pr, k) for k in ("A_S", "B_S", "M_S", "A_D", "B_D",
                                          "D_D", "M_D", "R")}
-    forms.update(C=t.C, Idiv=t.Idiv, L=mats[-1][:nvec:2, :nvec:2],
+    forms.update(C=C, Idiv=Idiv, L=mats[-1][:nvec:2, :nvec:2],
                  Delta=mats[-1][nvec:, nvec:],
                  coarse_Delta=mats[0][cvec:, cvec:])
     return {k: A.tocsr() for k, A in forms.items()}

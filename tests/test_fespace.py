@@ -85,14 +85,14 @@ def test_flux_duality_against_quadrature(mesh8, family):
         i1 = np.where(fs.cell_dofs[tloc] == 2 * le)[0][0]
         i2 = np.where(fs.cell_dofs[tloc] == 2 * le + 1)[0][0]
         for l, coeffs in enumerate(basis):
-            un = fs.evaluate_at(coeffs, np.full(len(sq), tloc), pts) @ normal
+            un = fs.field_at(coeffs, pts[None], [tloc])[0][0] @ normal
             gram[i1, l] = np.sum(wq * (1 - sq) * un)
             gram[i2, l] = np.sum(wq * sq * un)
     if family == "rt1":
         tq, tw = quad.triangle_rule(8)
         pts = fs.geom.map_points(tq)[tloc]
         for l, coeffs in enumerate(basis):
-            u = fs.evaluate_at(coeffs, np.full(len(tq), tloc), pts)
+            u = fs.field_at(coeffs, pts[None], [tloc])[0][0]
             # (1/|T|) int u = 2 * (reference-rule sum)
             gram[6:, l] = 2 * tw @ u
     assert np.allclose(gram, np.eye(fs.nloc), atol=1e-12)
@@ -115,8 +115,8 @@ def test_normal_trace_single_valued(mesh8, rng, family):
         tang = (b - a) / np.linalg.norm(b - a)
         normal = np.array([tang[1], -tang[0]])
         pts = a[None, :] + sq[:, None] * (b - a)[None, :]
-        v0 = fs.evaluate_at(c, np.full(len(sq), owners[0]), pts) @ normal
-        v1 = fs.evaluate_at(c, np.full(len(sq), owners[1]), pts) @ normal
+        v0 = fs.field_at(c, pts[None], [owners[0]])[0][0] @ normal
+        v1 = fs.field_at(c, pts[None], [owners[1]])[0][0] @ normal
         worst = max(worst, np.abs(v0 - v1).max())
     assert worst <= 1e-12
 
@@ -130,7 +130,7 @@ def test_interpolation_projection_property(mesh8, rng, family):
 
     def field(pts):
         tl = gmap[locate_triangles(mesh8, pts, REGION_D)]
-        return fs.evaluate_at(c, tl, pts)
+        return fs.field_at(c, pts[:, None], tl)[0][:, 0]
 
     assert np.abs(fs.canonical_interpolation(field) - c).max() < 1e-10
 
@@ -164,7 +164,7 @@ def test_interpolation_edge_moments_quadrature_oracle(mesh8):
         normal = np.array([tang[1], -tang[0]])
         pts = a[None, :] + sq[:, None] * (b - a)[None, :]
         un_exact = f(pts) @ normal
-        un_h = fs.evaluate_at(ci, np.full(len(sq), tloc), pts) @ normal
+        un_h = fs.field_at(ci, pts[None], [tloc])[0][0] @ normal
         for qw in ((1 - sq), sq):
             m_exact = np.sum(wq * qw * un_exact)
             m_h = np.sum(wq * qw * un_h)
@@ -195,6 +195,41 @@ def test_constraint_classification(mesh8):
     fs = FluxSpace(mesh8, "bdm1")
     assert np.sum(fs.on_sigma) == 16  # two DOFs per interface edge
     assert np.sum(fs.on_gamma) == 32  # 16 outer-boundary edges
+
+
+def _edge_tag_flux_masks(mesh, flux):
+    """Flux masks (on_sigma, on_boundary, on_gamma) built from tags of the
+    flux space's edges: an interface edge has both ends on y = 1/2, a
+    Gamma_D edge its midpoint on the outer boundary below the midline;
+    rt1 interior DOFs are never constrained."""
+    v = mesh.vertices[mesh.edges[flux.edge_ids]]
+    mid = 0.5 * (v[:, 0] + v[:, 1])
+    sigma = (np.abs(v[:, 0, 1] - 0.5) < 1e-12) \
+        & (np.abs(v[:, 1, 1] - 0.5) < 1e-12)
+    outer = (np.abs(mid[:, 0]) < 1e-12) | (np.abs(mid[:, 0] - 1) < 1e-12) \
+        | (np.abs(mid[:, 1]) < 1e-12) | (np.abs(mid[:, 1] - 1) < 1e-12)
+    gamma = outer & (mid[:, 1] < 0.5) & ~sigma
+    interior = np.zeros(flux.ndof - 2 * len(v), dtype=bool)
+    on_sigma, on_gamma = (np.concatenate([np.repeat(m, 2), interior])
+                          for m in (sigma, gamma))
+    return on_sigma, on_sigma | on_gamma, on_gamma
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt1"])
+@pytest.mark.parametrize("mesh", [2, 8, 64, "refined", "refined twice"])
+def test_flux_masks_match_edge_tags(family, mesh):
+    """The one boundary rule of every space, applied to the flux DOF
+    points, gives the masks of the edge-tag construction."""
+    if mesh == "refined":
+        m = refine_uniform(build_unit_square(4))
+    elif mesh == "refined twice":
+        m = refine_uniform(refine_uniform(build_unit_square(2)))
+    else:
+        m = build_unit_square(mesh)
+    flux = FluxSpace(m, family)
+    got = (flux.on_sigma, flux.on_boundary, flux.on_gamma)
+    for g, want in zip(got, _edge_tag_flux_masks(m, flux)):
+        np.testing.assert_array_equal(g, want)
 
 
 def test_trace_space_and_lift(mesh8, rng):

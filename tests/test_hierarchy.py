@@ -71,10 +71,16 @@ def _assert_same_applies(op, ref, rng):
 @pytest.mark.parametrize("n_coarsest", [None, 2])
 @pytest.mark.parametrize("pair", ["mini", "iso", "th"])
 def test_stokes_velocity_bpx_matches_fresh_hierarchy(problem_cache, rng,
-                                                     pair, n_coarsest):
+                                                     monkeypatch, pair,
+                                                     n_coarsest):
+    """The production floor, and floor 2 (all levels) set through
+    solver.bpx_coarsest."""
     pr = problem_cache(pair, 16)
     floor = n_coarsest or solver.bpx_coarsest(16, pair == "mini")
-    _assert_same_applies(solver.stokes_velocity_bpx(pr, n_coarsest),
+    if n_coarsest:
+        monkeypatch.setattr(solver, "bpx_coarsest",
+                            lambda n, enriched: n_coarsest)
+    _assert_same_applies(solver.stokes_velocity_bpx(pr),
                          _ref_stokes_velocity_bpx(pr, floor), rng)
 
 
@@ -101,33 +107,35 @@ def test_nodal_levels_of_enriched_space(problem_cache, n_coarsest):
 @pytest.mark.parametrize("n_coarsest", [16, 8])
 @pytest.mark.parametrize("pair", ["mini", "th"])
 def test_hx_solves_match_fresh_hierarchy(problem_cache, rng, hx_reference,
-                                         hx_reference_solves, pair,
-                                         n_coarsest):
+                                         hx_reference_solves, tau4_problem,
+                                         pair, n_coarsest):
     """Every stacked auxiliary-space level is bitwise the block diagonal of
     the fresh references, block_diag(kron(L_l, I_2), tau Delta_l) with
     prolongations block_diag(kron(P_l, I_2), P_l), and the stacked
     operator applies, between the flux transfers, the vector nodal solve
-    on each component and the potential solve weighted by 1/tau, at
-    tau = 1 and at tau = 4."""
-    pr = problem_cache(pair, 16)
-    t = precond.build_hx_transfers(pr)
-    for tau in (pr.params.tau, 4.0):
-        t.tau = tau
-        mats, prolongs = precond.hx_nodal_hierarchy(t, n_coarsest)
+    on each component and the potential solve weighted by 1/tau, for
+    Problems at tau = 1 and at tau = 4."""
+    for pr in (problem_cache(pair, 16), tau4_problem(pair)):
+        tau = pr.params.tau
+        nodal, potential = precond.hx_spaces(pr.flux)
+        C, Idiv = precond.build_hx_transfers(pr, nodal, potential)
+        mats, prolongs = precond.hx_nodal_hierarchy(nodal, potential, tau,
+                                                    n_coarsest)
         (Ls, Ps), (Ds, Qs) = hx_reference(pr, n_coarsest, tau)
         assert len(mats) == len(Ls) and len(prolongs) == len(Ps)
         for M, L, D in zip(mats, Ls, Ds):
             _assert_identical(M, sp.block_diag([vector_expand(L), tau * D]))
         for P, PL, Q in zip(prolongs, Ps, Qs):
             _assert_identical(P, sp.block_diag([vector_expand(PL), Q]))
-        op = precond.build_hx_precond(t, n_coarsest)
+        op = precond.build_hx_precond(pr, n_coarsest)
         Linv, Dinv = hx_reference_solves(pr, n_coarsest, tau)
+        S = pr.Adiv_f.diagonal()
         for _ in range(3):
             r = rng.standard_normal(op.n)
-            s = t.Idiv.T @ r
+            s = Idiv.T @ r
             y = np.empty_like(s)
             y[0::2], y[1::2] = Linv(s[0::2]), Linv(s[1::2])
-            want = r / t.Sdiv + t.Idiv @ y + t.C @ Dinv(t.C.T @ r) / tau
+            want = r / S + Idiv @ y + C @ Dinv(C.T @ r) / tau
             assert np.linalg.norm(op(r) - want) \
                 <= 1e-13 * np.linalg.norm(want)
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from stokesdarcy import build_unit_square, interface_trace, refine_uniform
-from stokesdarcy.mesh import (GAMMA_D, GAMMA_S, REF_VERTICES, SIGMA,
-                              mesh_hierarchy)
+from stokesdarcy.mesh import REF_VERTICES, mesh_hierarchy
 
 
 def test_counts_n2():
@@ -112,15 +111,6 @@ def test_edge_signs_pure_function_of_indices():
     assert np.array_equal(s[:, 0], np.where(t[:, 1] < t[:, 2], 1, -1))
     # each triangle is counterclockwise, so the three signs cannot agree
     assert np.all(np.abs(s.sum(axis=1)) <= 1)
-
-
-def test_boundary_tags():
-    m = build_unit_square(4)
-    tags = m.edge_tag
-    assert np.sum(tags == SIGMA) == 4
-    # each outer side contributes n edges: 3n above, 3n below in total
-    assert np.sum(tags == GAMMA_S) == 8
-    assert np.sum(tags == GAMMA_D) == 8
 
 
 def test_hierarchy_nested_sizes():

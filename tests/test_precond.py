@@ -429,7 +429,7 @@ def test_bpx_spd_probe(problem_cache, rng):
     assert ok, err
 
 
-def test_bpx_spectral_bound_ratio(problem_cache):
+def test_bpx_spectral_bound_ratio(problem_cache, monkeypatch):
     """Full-depth multilevel conditioning across refinement.
 
     Lanczos gives kappa = 10.39 / 16.20 / 21.37 at n = 8 / 16 / 32 for the
@@ -437,11 +437,12 @@ def test_bpx_spectral_bound_ratio(problem_cache):
     frozen here with a small safety margin.  (The production hierarchy
     floors at n = 8 to match the reported iteration counts and is covered
     by the acceptance suite.)"""
-    from stokesdarcy.solver import stokes_velocity_bpx
+    from stokesdarcy import solver
+    monkeypatch.setattr(solver, "bpx_coarsest", lambda n, enriched: 2)
     conds = {}
     for n in (8, 32):
         pr = problem_cache("mini", n)
-        op = stokes_velocity_bpx(pr, n_coarsest=2)
+        op = solver.stokes_velocity_bpx(pr)
         conds[n] = spd_condition_estimate(pr.A_ff, op, k=90, seed=5)
     assert conds[8] == pytest.approx(10.39, rel=0.05)
     assert conds[32] == pytest.approx(21.37, rel=0.05)
@@ -451,11 +452,13 @@ def test_bpx_spectral_bound_ratio(problem_cache):
 @pytest.mark.parametrize("pair", ["mini", "th"])
 def test_hx_divcurl_and_spd(problem_cache, rng, pair):
     pr = problem_cache(pair, 8)
-    t = precond.build_hx_transfers(pr)
+    nodal, potential = precond.hx_spaces(pr.flux)
+    C, _ = precond.build_hx_transfers(pr, nodal, potential)
     D = pr.D_D[np.ix_(pr.free_flux, pr.free_flux)]
-    assert abs(D @ t.C).max() <= 1e-10
-    assert t.curl_residual <= 1e-12
-    op = precond.build_hx_precond(t, 8)
+    assert abs(D @ C).max() <= 1e-10
+    assert precond.curl_representation_residual(
+        pr.flux, potential, precond.curl_matrix(pr.flux, potential)) <= 1e-12
+    op = precond.build_hx_precond(pr, 8)
     for _ in range(20):
         x = rng.standard_normal(op.n)
         assert x @ op(x) > 0
@@ -528,7 +531,7 @@ def test_hx_spectral_equivalence(problem_cache, fam, family):
     conds = []
     for n in (8, 16, 32):
         pr = problem_cache(fam, n)
-        op = precond.build_hx_precond(precond.build_hx_transfers(pr), n)
+        op = precond.build_hx_precond(pr, n)
         conds.append(spd_condition_estimate(pr.Adiv_f, op, k=100, seed=6))
     assert conds[-1] / conds[0] <= 1.5
 
@@ -539,7 +542,7 @@ def test_hx_bpx_mode_spd(problem_cache, rng, monkeypatch):
     with one level and with BPX.  The stacked coarse block has
     2 (free coarse nodal DOFs) + (free coarse potential DOFs) unknowns."""
     pr = problem_cache("mini", 16)
-    t = precond.build_hx_transfers(pr)
+    spaces = precond.hx_spaces(pr.flux)
     direct = precond.direct_inverse
     calls = []
 
@@ -553,12 +556,13 @@ def test_hx_bpx_mode_spd(problem_cache, rng, monkeypatch):
 
     monkeypatch.setattr(precond, "direct_inverse", counted)
     for n_coarsest in (16, 8):
-        mats, _ = precond.hx_nodal_hierarchy(t, n_coarsest)
+        mats, _ = precond.hx_nodal_hierarchy(*spaces, pr.params.tau,
+                                             n_coarsest)
         coarse = build_unit_square(n_coarsest)
         nodal, potential = (int(np.sum(~Space(coarse, f, REGION_D)
                                        .on_boundary)) for f in ("p1", "p2"))
         assert mats[0].shape == (2 * nodal + potential,) * 2
-        op = precond.build_hx_precond(t, n_coarsest)
+        op = precond.build_hx_precond(pr, n_coarsest)
         calls.clear()
         op(rng.standard_normal(op.n))
         assert calls == [mats[0].shape[:1]]
@@ -569,27 +573,29 @@ def test_hx_bpx_mode_spd(problem_cache, rng, monkeypatch):
 
 @pytest.mark.parametrize("mode", ["direct", "bpx"])
 def test_hx_precond_matches_three_term_formula(problem_cache, rng,
-                                               hx_reference_solves, mode):
+                                               hx_reference_solves,
+                                               tau4_problem, mode):
     """S^{-1} r + Idiv Linv Idiv^T r + (1/tau) C Dinv C^T r, written out
     with explicit transposes and one nodal solve per vector component;
-    Linv and Dinv come from the fresh references of conftest.py at each
-    tau.  'direct' is the one-level hierarchy (direct inverses of L and
-    Delta), 'bpx' floors at n = 8."""
-    pr = problem_cache("mini", 16)
-    t = precond.build_hx_transfers(pr)
-    n_coarsest = pr.n if mode == "direct" else 8
-    for tau in (1.0, 4.0):
-        # the mass weight of L and the weight of the potential term
-        t.tau = tau
+    S = diag(Adiv_f), and Linv and Dinv come from the fresh references of
+    conftest.py, for Problems at tau = 1 and at tau = 4 (tau weighs the
+    flux mass in Adiv_f, the mass in L and the potential term).  'direct'
+    is the one-level hierarchy (direct inverses of L and Delta), 'bpx'
+    floors at n = 8."""
+    n_coarsest = 16 if mode == "direct" else 8
+    for pr in (problem_cache("mini", 16), tau4_problem("mini")):
+        tau = pr.params.tau
+        C, Idiv = precond.build_hx_transfers(pr, *precond.hx_spaces(pr.flux))
         Linv, Dinv = hx_reference_solves(pr, n_coarsest, tau)
-        op = precond.build_hx_precond(t, n_coarsest)
+        op = precond.build_hx_precond(pr, n_coarsest)
         for _ in range(3):
             r = rng.standard_normal(op.n)
-            s = t.Idiv.T @ r
+            s = Idiv.T @ r
             y = np.empty_like(s)
             y[0::2] = Linv(s[0::2])
             y[1::2] = Linv(s[1::2])
-            want = r / t.Sdiv + t.Idiv @ y + t.C @ Dinv(t.C.T @ r) / t.tau
+            want = r / pr.Adiv_f.diagonal() + Idiv @ y \
+                + C @ Dinv(C.T @ r) / tau
             got = op(r)
             assert np.linalg.norm(got - want) \
                 <= 1e-14 * np.linalg.norm(want)

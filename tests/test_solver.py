@@ -32,13 +32,14 @@ def test_combo_parsing():
 
 def test_config_validates_combo_pairs():
     """A combo given as a pair follows the rule of the 'outer:inner' name:
-    normalised to lowercase, and rejected when a kind is unknown."""
+    normalised to lowercase, and rejected when a kind is unknown; a combo
+    that is neither a name nor a pair raises the same ValueError."""
     assert SolveConfig("mini", 8, combo=("DIRECT", " pd0")).combo \
         == ("direct", "pd0")
     assert SolveConfig("mini", 8, combo=["bpx", "HXBPX"]).combo \
         == ("bpx", "hxbpx")
     for bad in (("dirct", "pd0"), ("direct", "lu"), ("direct",),
-                ("direct", "pd0", "hx"), ("direct", 0)):
+                ("direct", "pd0", "hx"), ("direct", 0), None, 5):
         with pytest.raises(ValueError):
             SolveConfig("mini", 8, combo=bad)
 
