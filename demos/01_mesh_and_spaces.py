@@ -8,7 +8,7 @@ element pairings used throughout.
 
 import numpy as np
 
-from stokesdarcy import build_unit_square, interface_trace, refine_uniform
+from stokesdarcy import build_unit_square, refine_uniform
 from stokesdarcy.fespace import (REGION_D, REGION_S, FluxSpace, Space,
                                  TraceSpace, VectorSpace)
 
@@ -21,8 +21,11 @@ print("triangles:", mesh.num_triangles,
                                       np.sum(mesh.tri_region == 1)))
 print("interface edges:", len(mesh.sigma_edges))
 
-edges, normal = interface_trace(mesh)
-print("interface normal (points into the porous half):", normal)
+# interface edges left to right; their normal (0, -1) points into the
+# porous half
+sig = mesh.interface_edges()
+print("interface length:", sig.length.sum(), "from x =",
+      mesh.vertices[sig.left[0], 0], "to x =", mesh.vertices[sig.right[-1], 0])
 
 # red refinement quarters every triangle and keeps the split at y = 1/2
 fine = refine_uniform(mesh)
@@ -53,10 +56,10 @@ print("raw totals match the reported DOF column: "
 # the interface trace space: discontinuous linears per interface edge
 tr = TraceSpace(mesh)
 print("\ntrace space dimension:", tr.ndim, "(two values per edge)")
-phi = np.ones(tr.ndim)
-print("integral of the constant trace:", tr.integral(phi))
 
-# the flux DOFs on the interface are the two moments of each interface edge
+# the flux DOFs on the interface (on the boundary, off Gamma) are the two
+# moments of each interface edge
 sigma_dofs = 2 * bdm.edge_index[mesh.sigma_edges][:, None] + [0, 1]
-assert np.array_equal(np.flatnonzero(bdm.on_sigma), np.sort(sigma_dofs.ravel()))
+assert np.array_equal(np.flatnonzero(bdm.on_boundary & ~bdm.on_gamma),
+                      np.sort(sigma_dofs.ravel()))
 print("all interface edges classified correctly")

@@ -14,7 +14,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .assembly import InvalidCaseError, PhysicalParams
 from .krylov import LinOp, SolveStats, minres
 from .manufactured import ManufacturedCase, ZeroCase
-from .mesh import CoupledMesh, build_unit_square, interface_trace, refine_uniform
+from .mesh import CoupledMesh, build_unit_square, refine_uniform
 from .solver import (PAIRS, Problem, SolveConfig, SolveReport, canonical_pair,
                      estimate_infsup, parse_combo, solve_coupled,
                      solve_monolithic_oracle)
@@ -25,6 +25,6 @@ __all__ = [
     "ManufacturedCase", "PAIRS", "PhysicalParams", "Problem", "RateRecord",
     "SolveConfig", "SolveReport", "SolveStats", "ZeroCase",
     "build_unit_square", "canonical_pair", "compute_errors", "compute_rates",
-    "estimate_infsup", "interface_trace", "minres", "parse_combo",
-    "refine_uniform", "solve_coupled", "solve_monolithic_oracle",
+    "estimate_infsup", "minres", "parse_combo", "refine_uniform",
+    "solve_coupled", "solve_monolithic_oracle",
 ]

@@ -203,7 +203,7 @@ def stokes_load(vel, case, params):
         raise InvalidCaseError("manufactured data assumes unit parameters")
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(LOAD_QDEG)
-    f = sc.geom.evaluate(case.f_S, pts)
+    f = sc.geom.evaluate(lambda X: case.stokes(X).f, pts)
     loc = sc.geom.det[:, None, None] * ((sc.values(pts) * w) @ f)
     F = np.zeros(vel.ndof)
     np.add.at(F, 2 * sc.cell_dofs[:, :, None] + np.arange(2), loc)
@@ -219,7 +219,8 @@ def stokes_load(vel, case, params):
 def darcy_load(dpres, case):
     """Source load (f_D, q); rejects incompatible sources."""
     pts, w = quadrature.triangle_rule(LOAD_QDEG)
-    fdet = dpres.geom.det[:, None] * dpres.geom.evaluate(case.f_D, pts)
+    fdet = dpres.geom.det[:, None] * dpres.geom.evaluate(
+        lambda X: case.darcy(X).f, pts)
     G = np.zeros(dpres.ndof)
     np.add.at(G, dpres.cell_dofs,
               fdet @ (dpres.values(pts) * w).T)

@@ -94,13 +94,17 @@ class ExperimentSpec:
     """Resolved and checked experiment parameters (defaults, config file,
     flags).
 
-    Raises UsageError for a config key the verb does not read and for
-    more than one combo where the verb solves one, and ValueError for a
+    Raises UsageError for a config file it cannot read, a config key the
+    verb does not read, more than one combo where the verb solves one
+    and a table's missing output directory, and ValueError for a
     tolerance outside (0, 1), an empty mesh-size range or a size the pair
     cannot be built at; so a bad run stops before any solve."""
 
     def __init__(self, args):
-        cfg = read_config(args.config) if args.config else {}
+        try:
+            cfg = read_config(args.config) if args.config else {}
+        except OSError as exc:
+            raise UsageError("cannot read config file: %s" % exc) from exc
         keys = VERB_KEYS[args.command]
         unread = sorted(set(cfg) - set(keys))
         if unread:
@@ -145,6 +149,10 @@ class ExperimentSpec:
             if not self.sizes:
                 raise ValueError("empty mesh-size range [%d, %d]"
                                  % (self.nmin, self.nmax))
+            outdir = os.path.dirname(self.out_path("table")) or "."
+            if not os.path.isdir(outdir):
+                raise UsageError("output directory %r does not exist"
+                                 % outdir)
         else:  # the oracle compares at nmin, at least 8
             self.sizes = [max(self.nmin, 8)]
             check_mesh_size(self.pair, self.sizes[0])
@@ -174,7 +182,8 @@ def _fmt_rate(r):
 
 
 def write_table(path, header, rows, fmt):
-    """CSV (comma, LF, header) or markdown table."""
+    """CSV (comma, LF, header) or markdown table of cells given as CSV
+    fields: markdown shows each field's value, without CSV quotes."""
     with open(path, "w", newline="") as f:
         if fmt == "csv":
             f.write(",".join(header) + "\n")
@@ -184,7 +193,8 @@ def write_table(path, header, rows, fmt):
             f.write("| " + " | ".join(header) + " |\n")
             f.write("|" + "|".join("---" for _ in header) + "|\n")
             for row in rows:
-                f.write("| " + " | ".join(row) + " |\n")
+                f.write("| " + " | ".join(c.strip('"') for c in row)
+                        + " |\n")
 
 
 def _solve_cell(problem, config):

@@ -107,16 +107,16 @@ def _region_entities(mesh, region):
 
 
 def _boundary_masks(points, region):
-    """Masks (on_sigma, on_boundary, on_gamma) of the DOFs placed at
-    `points` in `region`: on the open interface, on the subdomain's whole
-    boundary, and on the rest of it (the closure of Gamma)."""
+    """Masks (on_boundary, on_gamma) of the DOFs placed at `points` in
+    `region`: on the subdomain's whole boundary, and on all of it but the
+    open interface (the closure of Gamma)."""
     x, y = points[:, 0], points[:, 1]
     on_midline = np.abs(y - 0.5) < 1e-12
     on_sigma = on_midline & (x > 1e-12) & (x < 1 - 1e-12)
     outer_y = 1.0 if region == REGION_S else 0.0
     on_boundary = (np.abs(x) < 1e-12) | (np.abs(x - 1) < 1e-12) \
         | (np.abs(y - outer_y) < 1e-12) | on_midline
-    return on_sigma, on_boundary, on_boundary & ~on_sigma
+    return on_boundary, on_boundary & ~on_sigma
 
 
 class Space:
@@ -129,10 +129,10 @@ class Space:
     ndof : int
     cell_dofs : (nt, nloc) int array, rows follow ``self.tris``
     nodes : (ndof, 2) nodal coordinates
+    on_boundary : bool mask, nodes on the whole subdomain boundary
     on_gamma : bool mask, nodes on the outer subdomain boundary (the closure
-        of Gamma, i.e. everything except the open interface)
-    on_sigma : bool mask, nodes on the open interface
-    on_boundary : bool mask, union of the two
+        of Gamma, i.e. everything except the open interface, whose nodes
+        are on_boundary & ~on_gamma)
     """
 
     def __init__(self, mesh, family, region):
@@ -178,11 +178,10 @@ class Space:
 
         if family in ("p0dc", "p1dc"):
             # discontinuous spaces carry no essential constraints here
-            self.on_sigma = self.on_boundary = self.on_gamma = np.zeros(
-                self.ndof, dtype=bool)
+            self.on_boundary = self.on_gamma = np.zeros(self.ndof, dtype=bool)
         else:
-            self.on_sigma, self.on_boundary, self.on_gamma = _boundary_masks(
-                self.nodes, region)
+            self.on_boundary, self.on_gamma = _boundary_masks(self.nodes,
+                                                              region)
         self.nloc = self.cell_dofs.shape[1]
 
     def values(self, ref_pts):
@@ -224,7 +223,6 @@ class VectorSpace:
         base = scalar.cell_dofs
         self.cell_dofs = (2 * base[:, :, None] + [0, 1]).reshape(len(base), -1)
         self.nloc = 2 * scalar.nloc
-        self.on_sigma = np.repeat(scalar.on_sigma, 2)
         self.on_boundary = np.repeat(scalar.on_boundary, 2)
         self.on_gamma = np.repeat(scalar.on_gamma, 2)
         self.nodes = np.repeat(scalar.nodes, 2, axis=0)
@@ -289,7 +287,6 @@ class FluxSpace:
         self.region = REGION_D
         self.tris, _, eids = _region_entities(mesh, REGION_D)
         self.geom = mesh.geometry(REGION_D)
-        self.edge_ids = eids
         emap = -np.ones(len(mesh.edges), dtype=int)
         emap[eids] = np.arange(len(eids))
         self.edge_index = emap
@@ -332,8 +329,8 @@ class FluxSpace:
         if family == "rt1":
             nodes.append(self.centers)
         self.nodes = np.repeat(np.vstack(nodes), 2, axis=0)
-        self.on_sigma, self.on_boundary, self.on_gamma = _boundary_masks(
-            self.nodes, REGION_D)
+        self.on_boundary, self.on_gamma = _boundary_masks(self.nodes,
+                                                          REGION_D)
 
     def _build_local_bases(self):
         """Monomial coefficients of the basis dual to the DOFs: the inverse
@@ -458,19 +455,11 @@ class TraceSpace:
         self.lengths = sig.length
         # +1 when ascending-index orientation already gives normal (0,-1)
         self.sign = np.where(mesh.edges[self.sigma, 0] == sig.left, 1.0, -1.0)
-        self.left_x = mesh.vertices[sig.left, 0]
 
     def mass_blocks(self):
         """The (nedges, 2, 2) diagonal blocks of the trace-space mass."""
         return self.lengths[:, None, None] / 6.0 * np.array([[2.0, 1.0],
                                                              [1.0, 2.0]])
-
-    def mass_matrix(self):
-        return sp.block_diag(self.mass_blocks(), format="csr")
-
-    def integral(self, coeffs):
-        c = coeffs.reshape(-1, 2)
-        return float(np.sum(0.5 * self.lengths * (c[:, 0] + c[:, 1])))
 
 
 def sigma_flux_maps(flux, trace):

@@ -53,7 +53,6 @@ class _DarcySolves:
     def __init__(self, problem):
         self.problem = problem
         self.ni = len(problem.free_flux)
-        self.npres = problem.dpres.ndof
         self.mvec = pressure_integral(problem.dpres)
         self._mnorm2 = self.mvec @ self.mvec
         # transposes applied by every functional, built once

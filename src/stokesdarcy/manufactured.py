@@ -95,14 +95,11 @@ class DarcyFields(_Factors):
     div_u = f
 
 
-def _view(region, field):
-    return lambda self, p: getattr(getattr(self, region)(p), field)
-
-
 class ManufacturedCase:
     """Reference fields and derived data.  `stokes(X)` and `darcy(X)`
-    evaluate one region's fields at points X (..., 2); every other method
-    reads them, so a case with other fields overrides these two."""
+    evaluate one region's fields at points X (..., 2); the loads, the
+    error norms and `g_sigma` read the fields only through them, so a
+    case with other fields overrides these two."""
 
     nu = 1.0
     kappa = 1.0
@@ -110,11 +107,6 @@ class ManufacturedCase:
 
     stokes = StokesFields
     darcy = DarcyFields
-
-    u_S, grad_u_S = _view("stokes", "u"), _view("stokes", "grad_u")
-    p_S, f_S = _view("stokes", "p"), _view("stokes", "f")
-    u_D, p_D = _view("darcy", "u"), _view("darcy", "p")
-    f_D = div_u_D = _view("darcy", "f")
 
     # --- interface data, from both regions' fields at y = 1/2 ----------
     def g_sigma(self, x):
@@ -128,11 +120,6 @@ class ManufacturedCase:
         G = S.grad_u
         return np.column_stack([S.u[:, 0] - G[:, 0, 1] - G[:, 1, 0],
                                 S.p - 2 * G[:, 1, 1] - self.darcy(P).p])
-
-    def sigma_flux(self, x):
-        """Common normal trace u_S.n = u_D.n on the interface."""
-        P = np.column_stack([x, np.full(np.shape(x), 0.5)])
-        return -self.stokes(P).u[:, 1]
 
 
 def _zeros(*tail):

@@ -150,16 +150,14 @@ class CoupledMesh:
     edges : (ne, 2) int array, each row sorted ascending
     tri_edges : (nt, 3) int array, edge opposite local vertex k
     sigma_edges : (ns,) int array, interface edges ordered left to right
-    parent : (nt,) int array or None, child -> parent triangle map
     """
 
-    def __init__(self, n, vertices, triangles, tri_region, parent=None):
+    def __init__(self, n, vertices, triangles, tri_region):
         self.n = n
         self.h = 1.0 / n
         self.vertices = vertices
         self.triangles = triangles
         self.tri_region = tri_region
-        self.parent = parent
         self._build_edges()
         self._classify()
         self._geometry = {}
@@ -324,8 +322,7 @@ def refine_uniform(mesh):
     children[2::4] = np.column_stack([m1, m0, t[:, 2]])
     children[3::4] = np.column_stack([m2, m0, m1])
     region = np.repeat(mesh.tri_region, 4)
-    parent = np.repeat(np.arange(len(t)), 4)
-    return CoupledMesh(2 * mesh.n, vertices, children, region, parent=parent)
+    return CoupledMesh(2 * mesh.n, vertices, children, region)
 
 
 def mesh_hierarchy(mesh, n_coarsest):
@@ -347,15 +344,3 @@ def mesh_hierarchy(mesh, n_coarsest):
     if m != n_coarsest:
         raise ValueError("hierarchy requires n = n_coarsest * 2**k")
     return [build_unit_square(s) for s in reversed(sizes)] + [mesh]
-
-
-def interface_trace(mesh):
-    """Interface edges sorted by x, with the unit normal (0, -1).
-
-    Returns
-    -------
-    edges : (ns, 2) int array of vertex pairs, left endpoint first
-    normal : (2,) array, the same for every interface edge
-    """
-    sig = mesh.interface_edges()
-    return np.column_stack([sig.left, sig.right]), np.array([0.0, -1.0])

@@ -86,7 +86,7 @@ class Problem:
             self.M_S = drop_roundoff(E.T @ Mf @ E)
         self.A_D, self.B_D, self.D_D, self.M_D = assembly.assemble_darcy(
             self.flux, self.dpres, p)
-        self.T_SD, self.R = assembly.assemble_interface(self.vel, self.trace)
+        _, self.R = assembly.assemble_interface(self.vel, self.trace)
 
         self.free_vel = np.where(~self.vel.on_gamma)[0]
         self.free_flux = precond.interior_dofs(self.flux)
@@ -234,13 +234,6 @@ class SolveReport:
         if not self.inner_counts:
             return 0.0
         return float(np.mean(self.inner_counts))
-
-    def pressures_zero_total_mean(self):
-        """Both pressures shifted by the single constant that moves the
-        normalization from the porous half to the whole domain: minus the
-        free-flow integral, as |Omega| = 1 and p_D has zero mean."""
-        shift = -(assembly.pressure_integral(self.problem.pres) @ self.p_S)
-        return self.p_S + shift, self.p_D + shift
 
 
 def bpx_coarsest(n, enriched=False):

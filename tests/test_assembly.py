@@ -8,7 +8,7 @@ from stokesdarcy import assembly as asm
 from stokesdarcy import quadrature as quad
 from stokesdarcy.fespace import (DROP_RTOL, REGION_D, REGION_S, FluxSpace,
                                  Space, VectorSpace, ref_basis)
-from stokesdarcy.manufactured import ManufacturedCase, ZeroCase
+from stokesdarcy.manufactured import DarcyFields, ManufacturedCase, ZeroCase
 
 params = PhysicalParams()
 
@@ -84,8 +84,8 @@ def test_interface_projection_conforming(mini8, rng):
     phi = mini8.R @ u
     tr = mini8.trace
     # expected endpoint values of u.n = 1 + 2x, per edge
-    a = tr.left_x
-    b = tr.left_x + tr.lengths
+    a = mini8.mesh.vertices[mini8.mesh.interface_edges().left, 0]
+    b = a + tr.lengths
     want = np.empty(tr.ndim)
     want[0::2] = 1 + 2 * a
     want[1::2] = 1 + 2 * b
@@ -106,12 +106,13 @@ def test_interface_projection_vs_dense_least_squares(th8):
         [np.zeros(len(p)), -p[:, 0] * (1 - p[:, 0])]))
     phi = th8.R @ u
     tr = th8.trace
+    left_x = th8.mesh.vertices[th8.mesh.interface_edges().left, 0]
     from scipy.special import roots_legendre
     xg, wg = roots_legendre(12)
     xg = 0.5 * (xg + 1)
     wg = 0.5 * wg
     for k in range(tr.nedges):
-        a, L = tr.left_x[k], tr.lengths[k]
+        a, L = left_x[k], tr.lengths[k]
         x = a + L * xg
         target = x * (1 - x)
         # least squares in L2(edge) over linears: normal equations
@@ -136,8 +137,8 @@ def test_load_compatibility(mini8):
 
 def test_incompatible_source_rejected(mini8):
     class Bad(ZeroCase):
-        def f_D(self, p):
-            return np.ones(len(p))
+        class darcy(ZeroCase.darcy):
+            f = property(lambda self: np.ones(self.shape))
     with pytest.raises(InvalidCaseError):
         asm.darcy_load(mini8.dpres, Bad())
 
@@ -146,8 +147,10 @@ class ScaledSource(ManufacturedCase):
     """The manufactured case with its porous source scaled by 1e8: still
     compatible, with a quadrature total of order 1e-8."""
 
-    def f_D(self, p):
-        return 1e8 * super().f_D(p)
+    class darcy(DarcyFields):
+        @property
+        def f(self):
+            return 1e8 * super().f
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
@@ -232,8 +235,8 @@ class _InterfaceLoadOnly(ZeroCase):
 
 @pytest.mark.parametrize("pair", ["mini", "iso", "th"])
 def test_interface_terms_match_per_edge_reference(problem_cache, pair):
-    """T_SD, the friction block and the interface load against a loop
-    over the interface edges, one edge at a time."""
+    """The mixed trace matrix, the friction block and the interface load
+    against a loop over the interface edges, one edge at a time."""
     pr = problem_cache(pair, 8)
     vel, sc = pr.vel, pr.vel.scalar
     s4, w4 = quad.segment_rule(4)
@@ -253,7 +256,8 @@ def test_interface_terms_match_per_edge_reference(problem_cache, pair):
         g = case.g_sigma(phys[:, 0])
         for c in range(2):
             F[dofs + c] += length * np.einsum("q,q,lq->l", w6, g[:, c], bv)
-    assert np.abs(pr.T_SD.toarray() - T).max() <= 1e-14
+    T_SD = asm.assemble_interface(vel, pr.trace)[0]
+    assert np.abs(T_SD.toarray() - T).max() <= 1e-14
     friction = (asm.stokes_velocity_matrix(vel, PhysicalParams(kappa=2.0))
                 - asm.stokes_velocity_matrix(vel, PhysicalParams(kappa=1.0)))
     assert np.abs(friction.toarray() - K).max() <= 1e-14
@@ -434,7 +438,7 @@ def _pointwise_forms(vel, pres, flux, dpres, p1, p2, prm, case):
                                  stiffness(space), sq(space))
 
     pts, w = quad.triangle_rule(asm.LOAD_QDEG)
-    f = sc.geom.evaluate(case.f_S, pts)
+    f = sc.geom.evaluate(lambda X: case.stokes(X).f, pts)
     loc = np.einsum("q,t,tqc,lq->tlc", w, sc.geom.det, f, sc.values(pts))
     F = np.zeros(vel.ndof)
     np.add.at(F, 2 * sc.cell_dofs[:, :, None] + np.arange(2), loc)

@@ -61,6 +61,10 @@ def test_markdown_format(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("| DOF |")
     assert set(lines[1].replace("|", "")) <= {"-"}
+    # the CSV quotes of the iteration cells are not part of the table
+    cells = [c.strip() for c in lines[2].strip("|").split("|")]
+    assert cells[:2] == ["543", "1/8"]
+    assert cells[2].endswith(")") and '"' not in lines[2]
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -299,6 +303,28 @@ def test_malformed_combo_or_pair_is_usage_error(tmp_path, capsys,
         argv = ["iterations", "--config", str(cfg)]
     err = _assert_usage_error(capsys, monkeypatch, argv)
     assert repr(value) in err
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys, monkeypatch):
+    err = _assert_usage_error(capsys, monkeypatch, [
+        "iterations", "--config", str(tmp_path / "nope.cfg")])
+    assert "nope.cfg" in err
+
+
+@pytest.mark.parametrize("verb", ["converge", "iterations"])
+@pytest.mark.parametrize("where", ["out", "env"])
+def test_missing_output_directory_is_usage_error(tmp_path, capsys,
+                                                 monkeypatch, verb, where):
+    """A table whose output directory does not exist stops before any
+    solve, whether --out or STOKESDARCY_OUTDIR names it."""
+    missing = tmp_path / "missing"
+    if where == "out":
+        argv = [verb, "--out", str(missing / "x.csv")]
+    else:
+        monkeypatch.setenv("STOKESDARCY_OUTDIR", str(missing))
+        argv = [verb]
+    err = _assert_usage_error(capsys, monkeypatch, argv)
+    assert str(missing) in err
 
 
 @pytest.mark.parametrize("argv,config", [

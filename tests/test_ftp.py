@@ -60,7 +60,7 @@ def test_prescribed_trace(exact_sub, mini8, rng):
 
 
 def test_source_zero(exact_sub):
-    res = ftp.source_residual(exact_sub, np.zeros(exact_sub.npres))
+    res = ftp.source_residual(exact_sub, np.zeros(exact_sub.problem.dpres.ndof))
     assert not res.functional.any()
 
 
@@ -78,7 +78,7 @@ def test_source_discrete_equations(mini8):
 
 def test_incompatible_source_rejected(exact_sub):
     with pytest.raises(InvalidCaseError):
-        ftp.source_residual(exact_sub, np.ones(exact_sub.npres))
+        ftp.source_residual(exact_sub, np.ones(exact_sub.problem.dpres.ndof))
 
 
 def test_coupling_kills_tangential_fields(mini8, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stokesdarcy import build_unit_square, interface_trace, refine_uniform
+from stokesdarcy import build_unit_square, refine_uniform
 from stokesdarcy.mesh import REF_VERTICES, mesh_hierarchy
 
 
@@ -52,7 +52,6 @@ def test_refine_counts_and_h():
     r = refine_uniform(m)
     assert r.num_triangles == 32
     assert r.h == m.h / 2
-    assert r.parent is not None and len(r.parent) == 32
 
 
 def test_refined_mesh_invariants():
@@ -74,25 +73,26 @@ def test_twice_refined_matches_direct_build():
 
 
 def test_interface_trace():
+    """The interface edge map: left and right endpoints, lengths, edges
+    ordered left to right."""
     m = build_unit_square(8)
-    edges, normal = interface_trace(m)
-    assert len(edges) == 8
-    assert normal @ np.array([0.0, -1.0]) == 1.0
-    lengths = np.linalg.norm(m.vertices[edges[:, 1]] - m.vertices[edges[:, 0]],
+    sig = m.interface_edges()
+    assert len(sig.left) == 8
+    lengths = np.linalg.norm(m.vertices[sig.right] - m.vertices[sig.left],
                              axis=1)
     assert np.allclose(lengths, 1 / 8)
+    np.testing.assert_array_equal(sig.length, lengths)
     assert abs(lengths.sum() - 1.0) < 1e-14
     # left endpoint first, ordered left to right
-    xs = m.vertices[edges[:, 0], 0]
+    xs = m.vertices[sig.left, 0]
     assert np.all(np.diff(xs) > 0)
 
 
 def test_interface_trace_on_refined_mesh():
     r = refine_uniform(build_unit_square(4))
-    edges, normal = interface_trace(r)
-    assert len(edges) == 8
-    assert np.allclose(normal, [0, -1])
-    assert np.all(r.vertices[edges[:, 0], 0] < r.vertices[edges[:, 1], 0])
+    sig = r.interface_edges()
+    assert len(sig.left) == 8
+    assert np.all(r.vertices[sig.left, 0] < r.vertices[sig.right, 0])
 
 
 def test_euler_relation_per_subdomain():

@@ -50,10 +50,10 @@ def test_interpolated_exact_solution_errors_decrease(problem_cache):
     for n in (8, 16):
         pr = problem_cache("th", n)
         rep = solve_monolithic_oracle(pr)
-        u_I = pr.vel.interpolate(case.u_S)
-        pS_I = pr.pres.interpolate(case.p_S)
-        uD_I = pr.flux.canonical_interpolation(case.u_D)
-        pD_I = pr.dpres.interpolate(case.p_D)
+        u_I = pr.vel.interpolate(lambda X: case.stokes(X).u)
+        pS_I = pr.pres.interpolate(lambda X: case.stokes(X).p)
+        uD_I = pr.flux.canonical_interpolation(lambda X: case.darcy(X).u)
+        pD_I = pr.dpres.interpolate(lambda X: case.darcy(X).p)
         fake = type(rep)(pr, rep.config, u_I, pS_I, uD_I, pD_I, 0, [],
                          [0.0], True, 0.0)
         errs.append(compute_errors(fake))
