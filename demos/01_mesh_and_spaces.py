@@ -19,11 +19,11 @@ print("vertices:", mesh.num_vertices)
 print("triangles:", mesh.num_triangles,
       "(%d free-flow / %d porous)" % (np.sum(mesh.tri_region == 0),
                                       np.sum(mesh.tri_region == 1)))
-print("interface edges:", len(mesh.sigma_edges))
 
 # interface edges left to right; their normal (0, -1) points into the
 # porous half
 sig = mesh.interface_edges()
+print("interface edges:", len(sig.edges))
 print("interface length:", sig.length.sum(), "from x =",
       mesh.vertices[sig.left[0], 0], "to x =", mesh.vertices[sig.right[-1], 0])
 
@@ -59,7 +59,7 @@ print("\ntrace space dimension:", tr.ndim, "(two values per edge)")
 
 # the flux DOFs on the interface (on the boundary, off Gamma) are the two
 # moments of each interface edge
-sigma_dofs = 2 * bdm.edge_index[mesh.sigma_edges][:, None] + [0, 1]
+sigma_dofs = 2 * bdm.edge_index[sig.edges][:, None] + [0, 1]
 assert np.array_equal(np.flatnonzero(bdm.on_boundary & ~bdm.on_gamma),
                       np.sort(sigma_dofs.ravel()))
 print("all interface edges classified correctly")

@@ -95,10 +95,11 @@ class ExperimentSpec:
     flags).
 
     Raises UsageError for a config file it cannot read, a config key the
-    verb does not read, more than one combo where the verb solves one
-    and a table's missing output directory, and ValueError for a
-    tolerance outside (0, 1), an empty mesh-size range or a size the pair
-    cannot be built at; so a bad run stops before any solve."""
+    verb does not read, a negative seed, more than one combo where the
+    verb solves one, a table's missing output directory and an --out
+    that names a directory, and ValueError for a tolerance outside
+    (0, 1), an empty mesh-size range or a size the pair cannot be built
+    at; so a bad run stops before any solve."""
 
     def __init__(self, args):
         try:
@@ -132,6 +133,8 @@ class ExperimentSpec:
             raise UsageError("unknown format %r" % (self.format,))
         self.out = pick("out", str, None)
         self.seed = pick("seed", int, 0)
+        if self.seed < 0:
+            raise UsageError("seed must be non-negative, got %d" % self.seed)
         combos = getattr(args, "combo", None) or cfg.get("combo") \
             or [DEFAULT_COMBO]
         self.combos = [parse_combo(c) for c in combos]
@@ -149,7 +152,10 @@ class ExperimentSpec:
             if not self.sizes:
                 raise ValueError("empty mesh-size range [%d, %d]"
                                  % (self.nmin, self.nmax))
-            outdir = os.path.dirname(self.out_path("table")) or "."
+            path = self.out_path("table")
+            if self.out and os.path.isdir(path):
+                raise UsageError("output path %r is a directory" % path)
+            outdir = os.path.dirname(path) or "."
             if not os.path.isdir(outdir):
                 raise UsageError("output directory %r does not exist"
                                  % outdir)

@@ -313,8 +313,7 @@ class FluxSpace:
                                          sq).reshape(-1, 2)
         self._edge_weights = np.column_stack([wq * (1 - sq), wq * sq])
         self._flip = mesh.edge_signs()[self.tris] < 0
-        self._normals = mesh.edge_geometry(tri_eids.ravel())[2].reshape(
-            nt, 3, 2)
+        self._normals = mesh.edge_normals(tri_eids.ravel()).reshape(nt, 3, 2)
         if family == "rt1":
             tq, twq = quadrature.triangle_rule(_INTERIOR_DEGREE)
             self.dof_points = np.vstack([self.dof_points, tq])
@@ -337,7 +336,7 @@ class FluxSpace:
         of the DOF values of the monomials, triangle by triangle."""
         self.centers = self.geom.corners.mean(axis=1)
         self.hscale = np.sqrt(np.abs(0.5 * self.geom.det))
-        mono, _ = self._local_monomials(self.dof_points)
+        mono, _ = self._monomials_at(self.geom.map_points(self.dof_points))
         self.coeff = np.linalg.inv(np.swapaxes(self.local_dofs(mono), 1, 2))
 
     def local_dofs(self, fields):
@@ -379,15 +378,10 @@ class FluxSpace:
                                  local / self._owners[rows],
                                  (self.ndof, ncols))
 
-    def _local_monomials(self, ref_pts, rows=slice(None)):
-        """Monomial values (nt, nmono, np, 2) and local-coordinate
-        divergences (nt, nmono, np) at mapped reference points, on the
-        triangles of ``rows``."""
-        return self._monomials_at(self.geom.map_points(ref_pts, rows), rows)
-
     def _monomials_at(self, pts, rows=slice(None)):
-        """``_local_monomials`` at physical points pts (nt, np, 2) of the
-        triangles of ``rows``."""
+        """Monomial values (nt, nmono, np, 2) and local-coordinate
+        divergences (nt, nmono, np) at physical points pts (nt, np, 2) of
+        the triangles of ``rows``."""
         c, h = self.centers[rows, None], self.hscale[rows, None]
         X = (pts[..., 0] - c[..., 0]) / h
         Y = (pts[..., 1] - c[..., 1]) / h
@@ -398,7 +392,7 @@ class FluxSpace:
 
         Returns vals (nt, nloc, np, 2) and divs (nt, nloc, np).
         """
-        mono, mdiv = self._local_monomials(ref_pts)
+        mono, mdiv = self._monomials_at(self.geom.map_points(ref_pts))
         nt, nm = mdiv.shape[:2]
         cT = np.swapaxes(self.coeff, 1, 2)
         vals = (cT @ mono.reshape(nt, nm, -1)).reshape(nt, -1, *mono.shape[2:])
@@ -449,34 +443,34 @@ class TraceSpace:
     def __init__(self, mesh):
         sig = mesh.interface_edges()
         self.mesh = mesh
-        self.sigma = sig.edges
-        self.nedges = len(self.sigma)
-        self.ndim = 2 * self.nedges
-        self.lengths = sig.length
+        self.ndim = 2 * len(sig.edges)
         # +1 when ascending-index orientation already gives normal (0,-1)
-        self.sign = np.where(mesh.edges[self.sigma, 0] == sig.left, 1.0, -1.0)
+        self.sign = np.where(mesh.edges[sig.edges, 0] == sig.left, 1.0, -1.0)
 
     def mass_blocks(self):
-        """The (nedges, 2, 2) diagonal blocks of the trace-space mass."""
-        return self.lengths[:, None, None] / 6.0 * np.array([[2.0, 1.0],
-                                                             [1.0, 2.0]])
+        """The (ns, 2, 2) diagonal blocks of the trace-space mass."""
+        length = self.mesh.interface_edges().length
+        return length[:, None, None] / 6.0 * np.array([[2.0, 1.0],
+                                                       [1.0, 2.0]])
 
 
 def sigma_flux_maps(flux, trace):
     """Lift and trace matrices between interface values and flux DOFs.
 
-    Returns (lift, ntrace): ``lift`` (ndof x 2*nedges) sets the two moment
-    DOFs of each interface edge so the normal trace (against the fixed
-    interface normal) equals the given left/right endpoint values;
-    ``ntrace`` (2*nedges x ndof) recovers those values, ntrace @ lift = I.
+    Returns (lift, ntrace): ``lift`` (flux.ndof x trace.ndim) sets the
+    two moment DOFs of each interface edge so the normal trace (against
+    the fixed interface normal) equals the given left/right endpoint
+    values; ``ntrace`` (trace.ndim x flux.ndof) recovers those values,
+    ntrace @ lift = I.
     """
+    sigma = trace.mesh.interface_edges().edges
     sign = trace.sign[:, None, None]
-    k = 2 * np.arange(trace.nedges)[:, None]
+    k = 2 * np.arange(len(sigma))[:, None]
     # per edge: its two moment DOFs, at the lower- and the higher-index
     # endpoint, and the trace values at those same endpoints, which are
     # (left, right) where the ascending orientation runs left to right and
     # (right, left) otherwise; the flipped orientation also flips the sign
-    dofs = 2 * flux.edge_index[trace.sigma][:, None] + [0, 1]
+    dofs = 2 * flux.edge_index[sigma][:, None] + [0, 1]
     vals = np.where(sign[:, 0] > 0, k + [0, 1], k + [1, 0])
     rows = np.repeat(dofs.ravel(), 2)
     cols = np.repeat(vals, 2, axis=0).ravel()

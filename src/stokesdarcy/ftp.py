@@ -9,6 +9,8 @@ yields the nonlocal coupling block of the free-flow system, one inner
 saddle solve per application.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -30,14 +32,10 @@ class SolverFailure(RuntimeError):
         self.stats = stats
 
 
-class FtpResult:
-    """Flux-to-pressure functional plus the recovered porous fields."""
-
-    def __init__(self, functional, u, p, stats):
-        self.functional = functional
-        self.u = u
-        self.p = p
-        self.stats = stats
+# one porous solve: full flux coefficients, pressure, the inner MINRES
+# statistics (None for the factorized solve) and the flux-to-pressure
+# (or source residual) functional of the fields
+FtpResult = namedtuple("FtpResult", "u p stats functional")
 
 
 class _DarcySolves:
@@ -64,8 +62,9 @@ class _DarcySolves:
         return q - self.mvec * ((self.mvec @ q) / self._mnorm2)
 
     def solve_lifted(self, phi, rtol=None):
-        """Porous fields with normal trace phi on the interface (zero on
-        the outer boundary); returns full flux coefficients."""
+        """The FtpResult of the porous fields with normal trace phi on the
+        interface (zero on the outer boundary), solved at rtol (default:
+        the subsolver's)."""
         pr = self.problem
         ul = np.asarray(pr.lift @ phi).ravel()
         F = -(pr.A_D @ ul)[pr.free_flux]
@@ -73,7 +72,7 @@ class _DarcySolves:
         ui, p, stats = self._solve_blocks(F, G, rtol)
         u = ul
         u[pr.free_flux] += ui
-        return u, p, stats
+        return FtpResult(u, p, stats, self.functional(u, p))
 
     def functional(self, u, p):
         """Dual pairing of the fields against lifted interface test
@@ -140,13 +139,6 @@ class ExactDarcySubsolver(_DarcySolves):
         return x[:self.ni], self._project(x[self.ni:-1]), None
 
 
-def apply_ftp(subsolver, phi, rtol=None):
-    """Flux-to-pressure functional of interface data phi, solved at rtol
-    (default: the subsolver's)."""
-    u, p, stats = subsolver.solve_lifted(np.asarray(phi, dtype=float), rtol)
-    return FtpResult(subsolver.functional(u, p), u, p, stats)
-
-
 def source_residual(subsolver, G_load, rtol=None):
     """Interface pressure residual due to interior sources: the
     homogeneous-trace solve with divergence data G_load."""
@@ -155,7 +147,7 @@ def source_residual(subsolver, G_load, rtol=None):
                                            rtol)
     u = np.zeros(subsolver.problem.flux.ndof)
     u[subsolver.problem.free_flux] = ui
-    return FtpResult(subsolver.functional(u, p), u, p, stats)
+    return FtpResult(u, p, stats, subsolver.functional(u, p))
 
 
 class CouplingOperator:
@@ -175,7 +167,7 @@ class CouplingOperator:
         """The porous solve behind one apply: FtP of the interface data
         R u of free-flow velocities u, at rtol (default: the
         subsolver's)."""
-        return apply_ftp(self.subsolver, self.R @ u, rtol)
+        return self.subsolver.solve_lifted(self.R @ u, rtol)
 
     def __call__(self, u):
         return self.RT @ self.solve(u).functional

@@ -27,7 +27,6 @@ class AffineGeometry:
 
     Attributes
     ----------
-    tris : (nt,) int array of global triangle indices
     corners : (nt, 3, 2) vertex coordinates
     origin : (nt, 2) image of the reference origin (corner 0)
     J : (nt, 2, 2) Jacobians with columns p1 - p0 and p2 - p0
@@ -38,7 +37,6 @@ class AffineGeometry:
 
     def __init__(self, vertices, triangles, tris):
         p = vertices[triangles[tris]]
-        self.tris = tris
         self.corners = p
         self.origin = p[:, 0]
         J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=-1)
@@ -89,11 +87,12 @@ def segment_points(a, b, s):
 
 
 class InterfaceEdges:
-    """The interface edges ordered left to right, with their owners.
+    """The interface edges (both endpoints on y = 1/2) ordered left to
+    right by midpoint, with their owners.
 
     Attributes
     ----------
-    edges : (ns,) edge indices (``mesh.sigma_edges``)
+    edges : (ns,) edge indices
     left, right : (ns,) vertex indices of the left and right endpoint
     length : (ns,) edge lengths
     tri : (ns, 2) owning triangle in region 0 (Stokes) and in region 1
@@ -102,13 +101,15 @@ class InterfaceEdges:
     """
 
     def __init__(self, mesh):
-        e = mesh.sigma_edges
-        a, b = mesh.edges[e, 0], mesh.edges[e, 1]
-        swap = mesh.vertices[a, 0] > mesh.vertices[b, 0]
+        v, ends = mesh.vertices, mesh.edges
+        e = np.flatnonzero(np.all(np.abs(v[ends, 1] - 0.5) < 1e-12, axis=1))
+        e = e[np.argsort(0.5 * (v[ends[e, 0], 0] + v[ends[e, 1], 0]))]
+        a, b = ends[e, 0], ends[e, 1]
+        swap = v[a, 0] > v[b, 0]
         self.edges = e
         self.left = np.where(swap, b, a)
         self.right = np.where(swap, a, b)
-        self._ends = mesh.vertices[self.left], mesh.vertices[self.right]
+        self._ends = v[self.left], v[self.right]
         self.length = np.linalg.norm(self._ends[1] - self._ends[0], axis=1)
 
         position = -np.ones(len(mesh.edges), dtype=int)
@@ -138,7 +139,7 @@ class InterfaceEdges:
 
 
 class CoupledMesh:
-    """Triangulation of (0,1)^2 with its subdomain split and interface edges.
+    """Triangulation of (0,1)^2 with its subdomain split.
 
     Attributes
     ----------
@@ -149,7 +150,6 @@ class CoupledMesh:
     tri_region : (nt,) int array, 0 in the Stokes half, 1 in the Darcy half
     edges : (ne, 2) int array, each row sorted ascending
     tri_edges : (nt, 3) int array, edge opposite local vertex k
-    sigma_edges : (ns,) int array, interface edges ordered left to right
     """
 
     def __init__(self, n, vertices, triangles, tri_region):
@@ -159,7 +159,6 @@ class CoupledMesh:
         self.triangles = triangles
         self.tri_region = tri_region
         self._build_edges()
-        self._classify()
         self._geometry = {}
         self._interface = None
 
@@ -176,15 +175,6 @@ class CoupledMesh:
         self.edges = np.column_stack(np.divmod(keys, nv)).astype(
             t.dtype, copy=False)
         self.tri_edges = inv.reshape(3, -1).T
-
-    def _classify(self):
-        v = self.vertices
-        mid = 0.5 * (v[self.edges[:, 0]] + v[self.edges[:, 1]])
-        on_sigma = (np.abs(v[self.edges[:, 0], 1] - 0.5) < 1e-12) & (
-            np.abs(v[self.edges[:, 1], 1] - 0.5) < 1e-12)
-        sig = np.where(on_sigma)[0]
-        order = np.argsort(mid[sig, 0])
-        self.sigma_edges = sig[order]
 
     @property
     def num_vertices(self):
@@ -214,16 +204,13 @@ class CoupledMesh:
             self._interface = InterfaceEdges(self)
         return self._interface
 
-    def triangle_areas(self):
-        return 0.5 * self.geometry().det
-
-    def edge_geometry(self, eids):
-        """Endpoints a, b (ascending vertex index) and unit normals (the
-        ascending tangent rotated clockwise) of edges."""
+    def edge_normals(self, eids):
+        """Unit normals of edges: the ascending-index tangent rotated
+        clockwise."""
         a = self.vertices[self.edges[eids, 0]]
         b = self.vertices[self.edges[eids, 1]]
         tang = (b - a) / np.linalg.norm(b - a, axis=1)[:, None]
-        return a, b, np.column_stack([tang[:, 1], -tang[:, 0]])
+        return np.column_stack([tang[:, 1], -tang[:, 0]])
 
     def edge_signs(self):
         """Per-triangle, per-local-edge orientation signs.

@@ -64,10 +64,10 @@ class Problem:
         if pair == "p2isop1-bdm1":
             self.pres = Space(build_unit_square(n // 2), pfam, REGION_S)
             fine_p = Space(self.mesh, pfam, REGION_S)
-            self.pres_embed = nodal_prolongation(self.pres, fine_p)
+            E = nodal_prolongation(self.pres, fine_p)
         else:
             self.pres = Space(self.mesh, pfam, REGION_S)
-            self.pres_embed = None
+            E = None
         self.flux = FluxSpace(self.mesh, ffam)
         self.dpres = Space(self.mesh, qfam, REGION_D)
         self.trace = TraceSpace(self.mesh)
@@ -75,13 +75,12 @@ class Problem:
 
         p = self.params
         self.A_S = assembly.stokes_velocity_matrix(self.vel, p)
-        if self.pres_embed is None:
+        if E is None:
             self.B_S = assembly.divergence_matrix(self.vel, self.pres)
             self.M_S = assembly.scalar_mass(self.pres)
         else:
             Bf = assembly.divergence_matrix(self.vel, fine_p)
             Mf = assembly.scalar_mass(fine_p)
-            E = self.pres_embed
             self.B_S = drop_roundoff(E.T @ Bf)
             self.M_S = drop_roundoff(E.T @ Mf @ E)
         self.A_D, self.B_D, self.D_D, self.M_D = assembly.assemble_darcy(

@@ -82,11 +82,11 @@ def test_interface_projection_conforming(mini8, rng):
                                    -(1 + 2 * p[:, 0]) * np.ones(len(p))])
     u = vel.interpolate(f)
     phi = mini8.R @ u
-    tr = mini8.trace
+    sig = mini8.mesh.interface_edges()
     # expected endpoint values of u.n = 1 + 2x, per edge
-    a = mini8.mesh.vertices[mini8.mesh.interface_edges().left, 0]
-    b = a + tr.lengths
-    want = np.empty(tr.ndim)
+    a = mini8.mesh.vertices[sig.left, 0]
+    b = a + sig.length
+    want = np.empty(mini8.trace.ndim)
     want[0::2] = 1 + 2 * a
     want[1::2] = 1 + 2 * b
     assert np.abs(phi - want).max() < 1e-12
@@ -105,14 +105,14 @@ def test_interface_projection_vs_dense_least_squares(th8):
     u = th8.vel.interpolate(lambda p: np.column_stack(
         [np.zeros(len(p)), -p[:, 0] * (1 - p[:, 0])]))
     phi = th8.R @ u
-    tr = th8.trace
-    left_x = th8.mesh.vertices[th8.mesh.interface_edges().left, 0]
+    sig = th8.mesh.interface_edges()
+    left_x = th8.mesh.vertices[sig.left, 0]
     from scipy.special import roots_legendre
     xg, wg = roots_legendre(12)
     xg = 0.5 * (xg + 1)
     wg = 0.5 * wg
-    for k in range(tr.nedges):
-        a, L = left_x[k], tr.lengths[k]
+    for k in range(len(sig.edges)):
+        a, L = left_x[k], sig.length[k]
         x = a + L * xg
         target = x * (1 - x)
         # least squares in L2(edge) over linears: normal equations
@@ -209,7 +209,7 @@ def _interface_by_edge(space):
         for e in mesh.tri_edges[tg]:
             tri_of_edge.setdefault(e, tloc)
     out = []
-    for e in mesh.sigma_edges:
+    for e in mesh.interface_edges().edges:
         pa, pb = mesh.vertices[mesh.edges[e]]
         if pa[0] > pb[0]:
             pa, pb = pb, pa
@@ -418,7 +418,7 @@ def _pointwise_forms(vel, pres, flux, dpres, p1, p2, prm, case):
 
     pts, w = quad.triangle_rule(max(asm._QDEG[flux.family],
                                     asm._QDEG[dpres.family]))
-    mono, mdiv = flux._local_monomials(pts)
+    mono, mdiv = flux._monomials_at(flux.geom.map_points(pts))
     vals = np.einsum("tml,tmpc->tlpc", flux.coeff, mono)
     divs = np.einsum("tml,tmp->tlp", flux.coeff, mdiv) \
         / flux.hscale[:, None, None]

@@ -327,6 +327,44 @@ def test_missing_output_directory_is_usage_error(tmp_path, capsys,
     assert str(missing) in err
 
 
+@pytest.mark.parametrize("verb", ["converge", "iterations"])
+@pytest.mark.parametrize("where", ["out", "env"])
+def test_output_path_naming_a_directory_is_usage_error(tmp_path, capsys,
+                                                       monkeypatch, verb,
+                                                       where):
+    """A table whose --out names an existing directory, given as it is or
+    inside STOKESDARCY_OUTDIR, stops before any solve."""
+    (tmp_path / "tables").mkdir()
+    if where == "out":
+        out = str(tmp_path / "tables")
+    else:
+        monkeypatch.setenv("STOKESDARCY_OUTDIR", str(tmp_path))
+        out = "tables"
+    err = _assert_usage_error(capsys, monkeypatch, [
+        verb, "--nmin", "8", "--nmax", "8", "--out", out])
+    assert "is a directory" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, monkeypatch, source):
+    """A negative seed, from the flag or the config file, stops before
+    the check battery starts."""
+    import stokesdarcy.checks as checks
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("the check battery was started")
+
+    monkeypatch.setattr(checks, "run_all", no_check)
+    if source == "flag":
+        argv = ["check", "--seed", "-1"]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        argv = ["check", "--config", str(cfg)]
+    err = _assert_usage_error(capsys, monkeypatch, argv)
+    assert "seed must be non-negative" in err
+
+
 @pytest.mark.parametrize("argv,config", [
     pytest.param(["converge", "--seed", "3"], None, id="converge-seed"),
     pytest.param(["iterations", "--seed", "3"], None, id="iterations-seed"),

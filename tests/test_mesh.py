@@ -9,19 +9,19 @@ def test_counts_n2():
     m = build_unit_square(2)
     assert m.num_vertices == 9
     assert m.num_triangles == 8
-    assert len(m.sigma_edges) == 2
+    assert len(m.interface_edges().edges) == 2
 
 
 def test_counts_n8():
     m = build_unit_square(8)
     assert m.num_vertices == 81
     assert m.num_triangles == 128
-    assert len(m.sigma_edges) == 8
+    assert len(m.interface_edges().edges) == 8
 
 
 def test_sigma_edges_on_midline():
     m = build_unit_square(8)
-    for e in m.sigma_edges:
+    for e in m.interface_edges().edges:
         assert np.allclose(m.vertices[m.edges[e], 1], 0.5)
 
 
@@ -34,7 +34,7 @@ def test_odd_or_small_n_rejected(bad):
 def test_positive_areas_and_halves():
     for n in (2, 4, 8, 16):
         m = build_unit_square(n)
-        a = m.triangle_areas()
+        a = 0.5 * m.geometry().det
         assert np.all(a > 0)
         assert abs(a[m.tri_region == 0].sum() - 0.5) < 1e-14
         assert abs(a[m.tri_region == 1].sum() - 0.5) < 1e-14
@@ -42,7 +42,7 @@ def test_positive_areas_and_halves():
 
 def test_sigma_edge_between_both_regions():
     m = build_unit_square(8)
-    for e in m.sigma_edges:
+    for e in m.interface_edges().edges:
         owners = np.where(np.any(m.tri_edges == e, axis=1))[0]
         assert sorted(m.tri_region[owners]) == [0, 1]
 
@@ -56,11 +56,12 @@ def test_refine_counts_and_h():
 
 def test_refined_mesh_invariants():
     r = refine_uniform(build_unit_square(4))
-    a = r.triangle_areas()
+    a = 0.5 * r.geometry().det
     assert np.all(a > 0)
     assert abs(a[r.tri_region == 1].sum() - 0.5) < 1e-14
-    assert len(r.sigma_edges) == 8
-    for e in r.sigma_edges:
+    sigma = r.interface_edges().edges
+    assert len(sigma) == 8
+    for e in sigma:
         assert np.allclose(r.vertices[r.edges[e], 1], 0.5)
 
 
@@ -125,15 +126,17 @@ def test_affine_geometry(region):
     m = refine_uniform(build_unit_square(4))
     g = m.geometry(region)
     assert g is m.geometry(region)  # cached per region
-    areas = m.triangle_areas()[g.tris]
+    tris = (np.arange(m.num_triangles) if region is None
+            else m.region_triangles(region))
+    areas = 0.5 * m.geometry().det[tris]
     assert np.array_equal(g.det, 2 * areas)
     assert np.allclose(areas, 0.5 / 64, rtol=1e-14, atol=0)
-    corners = m.vertices[m.triangles[g.tris]]
+    corners = m.vertices[m.triangles[tris]]
     assert np.allclose(g.map_points(REF_VERTICES), corners, rtol=0,
                        atol=1e-15)
     assert np.allclose(np.einsum("tba,tbc->tac", g.invJT, g.J),
                        np.eye(2), rtol=0, atol=1e-14)
-    rows = np.arange(len(g.tris))
+    rows = np.arange(len(tris))
     ref = np.full((len(rows), 2), 1 / 3)
     assert np.allclose(g.pull_back(rows, corners.mean(axis=1)), ref,
                        rtol=0, atol=1e-14)
@@ -142,7 +145,9 @@ def test_affine_geometry(region):
 def test_interface_edge_map():
     m = refine_uniform(build_unit_square(4))
     sig = m.interface_edges()
-    assert np.array_equal(sig.edges, m.sigma_edges)
+    # exactly the edges with both endpoints on the midline
+    on_midline = np.all(m.vertices[m.edges, 1] == 0.5, axis=1)
+    assert np.array_equal(np.sort(sig.edges), np.flatnonzero(on_midline))
     xl, xr = m.vertices[sig.left], m.vertices[sig.right]
     assert np.all(xl[:, 0] < xr[:, 0]) and np.all(np.diff(xl[:, 0]) > 0)
     assert np.allclose(sig.length, 1 / 8)

@@ -198,7 +198,7 @@ def test_saddle_matrices_match_blocks(problem_cache, rng, pair):
 
     exact = ftp.ExactDarcySubsolver(pr)
     phi = rng.standard_normal(pr.trace.ndim)
-    res = ftp.apply_ftp(exact, phi)
+    res = exact.solve_lifted(phi)
     ul = pr.lift @ phi
     col = sp.csc_matrix(m[:, None])
     kkt = sp.bmat([[Aii, -Bi.T, None], [-Bi, None, col],
