@@ -10,15 +10,13 @@ import numpy as np
 from . import verify
 from .ftp import SolverFailure
 from .krylov import IndefinitePreconditioner
-from .solver import (DEFAULT_COMBO, INNER_KINDS, INNER_RTOL, KINDS,
-                     OUTER_KINDS, OUTER_RTOL, Problem, SolveConfig,
-                     canonical_pair, check_mesh_size, check_tolerances,
-                     combo_label, parse_combo, solve_coupled,
-                     solve_monolithic_oracle)
+from .solver import (DEFAULT_COMBO, INNER_KINDS, INNER_RTOL, OUTER_KINDS,
+                     OUTER_RTOL, Problem, SolveConfig, canonical_pair,
+                     check_mesh_size, check_tolerances, combo_label,
+                     parse_combo, solve_coupled, solve_monolithic_oracle)
 
 ENV_OUTDIR = "STOKESDARCY_OUTDIR"
 DEFAULT_NMIN, DEFAULT_NMAX = 8, 128  # default table: n = 8, 16, ..., 128
-DIRECT_CAP = 64  # memory guard for combos with direct factorizations
 
 
 def read_config(path):
@@ -123,8 +121,6 @@ class ExperimentSpec:
 
         self.pair = canonical_pair(pick("pair", str, "mini-bdm1"))
         self.nmin = pick("nmin", int, DEFAULT_NMIN)
-        self.nmax_explicit = getattr(args, "nmax", None) is not None \
-            or "nmax" in cfg
         self.nmax = pick("nmax", int, DEFAULT_NMAX)
         self.outer_rtol = pick("outer_rtol", float, OUTER_RTOL)
         self.inner_rtol = pick("inner_rtol", float, INNER_RTOL)
@@ -159,21 +155,9 @@ class ExperimentSpec:
             if not os.path.isdir(outdir):
                 raise UsageError("output directory %r does not exist"
                                  % outdir)
-        else:  # the oracle compares at nmin, at least 8
-            self.sizes = [max(self.nmin, 8)]
-            check_mesh_size(self.pair, self.sizes[0])
-
-    def n_values(self):
-        """Mesh sizes of a table, capped for direct factorizations unless
-        --nmax was given."""
-        has_direct = any(KINDS[k].direct for c in self.combos for k in c)
-        if has_direct and not self.nmax_explicit \
-                and self.sizes[-1] > DIRECT_CAP:
-            sys.stderr.write("warning: capping the mesh range at n=%d for "
-                             "combos with direct factorizations (pass --nmax "
-                             "to override)\n" % DIRECT_CAP)
-            return [n for n in self.sizes if n <= DIRECT_CAP]
-        return self.sizes
+        else:  # the oracle compares at nmin
+            self.sizes = [self.nmin]
+            check_mesh_size(self.pair, self.nmin)
 
     def out_path(self, default_name):
         outdir = os.environ.get(ENV_OUTDIR, ".")
@@ -228,7 +212,7 @@ def _run_table(spec, name, header, row):
     verb's output name and returns whether every cell converged."""
     rows = []
     ok = True
-    for n in spec.n_values():
+    for n in spec.sizes:
         problem = Problem(spec.pair, n)
         reports = [_solve_cell(problem, SolveConfig(
             spec.pair, n, outer_rtol=spec.outer_rtol,

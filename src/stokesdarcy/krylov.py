@@ -1,7 +1,5 @@
 """Preconditioned MINRES and Lanczos spectral estimation."""
 
-import time
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg.blas import daxpy, dscal
@@ -52,11 +50,10 @@ def identity_op(n):
 class SolveStats:
     """Iteration count, residual history and convergence flag of one solve."""
 
-    def __init__(self, iterations, residuals, converged, wall_time):
+    def __init__(self, iterations, residuals, converged):
         self.iterations = iterations
         self.residuals = residuals
         self.converged = converged
-        self.wall_time = wall_time
 
     def __repr__(self):
         return "SolveStats(it=%d, converged=%s, relres=%.2e)" % (
@@ -81,7 +78,6 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500):
     -------
     (x, SolveStats)
     """
-    t0 = time.perf_counter()
     A = aslinop(A)
     n = A.n
     Pinv = identity_op(n) if Pinv is None else aslinop(Pinv)
@@ -100,7 +96,7 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500):
     residuals = [gamma_new]
     tol_abs = rtol * gamma_new
     if gamma_new == 0.0:
-        return x, SolveStats(0, residuals, True, time.perf_counter() - t0)
+        return x, SolveStats(0, residuals, True)
 
     v_old, w, w_old, zhat = (np.zeros(n) for _ in range(4))
     gamma, gamma_old = gamma_new, 1.0
@@ -149,7 +145,7 @@ def minres(A, b, Pinv=None, x0=None, rtol=1e-6, maxit=500):
         if residuals[-1] <= tol_abs or gamma_new == 0.0:
             converged = True
             break
-    return x, SolveStats(it, residuals, converged, time.perf_counter() - t0)
+    return x, SolveStats(it, residuals, converged)
 
 
 def _plancos(apply_dual, start, Pinv, k):

@@ -315,19 +315,13 @@ def refine_uniform(mesh):
 def mesh_hierarchy(mesh, n_coarsest):
     """Nested meshes [coarsest ... mesh] for multilevel preconditioners.
 
-    The coarser levels are built fresh at n_coarsest, n_coarsest*2, ...,
-    mesh.n / 2 (the uniform structure makes consecutive levels nested);
-    the given mesh itself is the finest level.
+    The size halves while it is above n_coarsest and divisible by 4, so
+    every level is an even mesh: n = 12 gives [6, 12] for every
+    n_coarsest below 12, and n = 10 the mesh alone.  The coarser levels
+    are built fresh (the uniform structure makes consecutive levels
+    nested); the given mesh itself is the finest level.
     """
-    if mesh.n < n_coarsest:
-        raise ValueError("n smaller than the coarsest level")
-    sizes = []
-    m = mesh.n
-    while m > n_coarsest:
-        if m % 2 != 0:
-            raise ValueError("hierarchy requires n = n_coarsest * 2**k")
-        m //= 2
-        sizes.append(m)
-    if m != n_coarsest:
-        raise ValueError("hierarchy requires n = n_coarsest * 2**k")
-    return [build_unit_square(s) for s in reversed(sizes)] + [mesh]
+    sizes = [mesh.n]
+    while sizes[-1] > n_coarsest and sizes[-1] % 4 == 0:
+        sizes.append(sizes[-1] // 2)
+    return [build_unit_square(s) for s in reversed(sizes[1:])] + [mesh]

@@ -74,7 +74,7 @@ class Problem:
         self.lift, self.ntrace = sigma_flux_maps(self.flux, self.trace)
 
         p = self.params
-        self.A_S = assembly.stokes_velocity_matrix(self.vel, p)
+        A_S = assembly.stokes_velocity_matrix(self.vel, p)
         if E is None:
             self.B_S = assembly.divergence_matrix(self.vel, self.pres)
             self.M_S = assembly.scalar_mass(self.pres)
@@ -83,15 +83,15 @@ class Problem:
             Mf = assembly.scalar_mass(fine_p)
             self.B_S = drop_roundoff(E.T @ Bf)
             self.M_S = drop_roundoff(E.T @ Mf @ E)
-        self.A_D, self.B_D, self.D_D, self.M_D = assembly.assemble_darcy(
+        self.A_D, self.B_D, D_D, self.M_D = assembly.assemble_darcy(
             self.flux, self.dpres, p)
-        _, self.R = assembly.assemble_interface(self.vel, self.trace)
+        _, R = assembly.assemble_interface(self.vel, self.trace)
 
         self.free_vel = np.where(~self.vel.on_gamma)[0]
         self.free_flux = precond.interior_dofs(self.flux)
-        self.A_ff = self.A_S[np.ix_(self.free_vel, self.free_vel)].tocsr()
+        self.A_ff = A_S[np.ix_(self.free_vel, self.free_vel)].tocsr()
         self.B_Sf = self.B_S[:, self.free_vel].tocsr()
-        self.R_f = self.R[:, self.free_vel].tocsr()
+        self.R_f = R[:, self.free_vel].tocsr()
         # each subproblem operator is assembled once, here: the free-flow
         # and porous saddle blocks and the div-elliptic porous block, all
         # on the free DOFs
@@ -101,7 +101,7 @@ class Problem:
         B_Di = self.B_D[:, self.free_flux]
         self.K_D = sp.bmat([[self.A_D[ff], -B_Di.T], [-B_Di, None]],
                            format="csr")
-        self.Adiv_f = (self.A_D + self.D_D)[ff].tocsr()
+        self.Adiv_f = (self.A_D + D_D)[ff].tocsr()
 
         self.F_S = assembly.stokes_load(self.vel, self.case, p)
         self.G_D = assembly.darcy_load(self.dpres, self.case)
@@ -120,7 +120,7 @@ MAXIT_OUTER = 1600
 # loosest tolerance of the porous source and recovery solves
 RECOVERY_RTOL = 1e-8
 DEFAULT_COMBO = "direct:pd0"
-# coarsest mesh of every multilevel hierarchy, the coarsest production one
+# multilevel hierarchies halve while above this size (mesh_hierarchy)
 BPX_FLOOR = 8
 
 
@@ -161,21 +161,21 @@ def _dissected_inverse(M, space, free):
 
 # The preconditioner kinds of the reported tables, for the free-flow
 # velocity block (outer) and the div-elliptic porous block (inner): table
-# label, whether the finest level is factored directly, and the builder
-# problem -> block, which looks its routines up when called.
-Kind = namedtuple("Kind", "role label direct build")
+# label and the builder problem -> block, which looks its routines up
+# when called.
+Kind = namedtuple("Kind", "role label build")
 KINDS = {
-    "direct": Kind("outer", "PS_dir", True,
+    "direct": Kind("outer", "PS_dir",
                    lambda pr: _dissected_inverse(pr.A_ff, pr.vel,
                                                  pr.free_vel)),
-    "bpx": Kind("outer", "PS_bpx", False, lambda pr: stokes_velocity_bpx(pr)),
-    "pd0": Kind("inner", "PD0", True,
+    "bpx": Kind("outer", "PS_bpx", lambda pr: stokes_velocity_bpx(pr)),
+    "pd0": Kind("inner", "PD0",
                 lambda pr: _dissected_inverse(pr.Adiv_f, pr.flux,
                                               pr.free_flux)),
     # exact nodal solves are the one-level hierarchy
-    "hx": Kind("inner", "PD_hx", True,
+    "hx": Kind("inner", "PD_hx",
                lambda pr: precond.build_hx_precond(pr, pr.n)),
-    "hxbpx": Kind("inner", "PD_hxbpx", False,
+    "hxbpx": Kind("inner", "PD_hxbpx",
                   lambda pr: precond.build_hx_precond(
                       pr, min(BPX_FLOOR, pr.n))),
 }

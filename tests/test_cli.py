@@ -191,28 +191,50 @@ def _spec(argv):
 
 def test_mesh_sizes_are_doublings():
     assert _spec(["converge", "--nmin", "64",
-                  "--nmax", "256"]).n_values() == [64, 128, 256]
+                  "--nmax", "256"]).sizes == [64, 128, 256]
     assert _spec(["iterations", "--nmin", "48",
-                  "--nmax", "48"]).n_values() == [48]
+                  "--nmax", "48"]).sizes == [48]
     assert _spec(["converge", "--nmin", "12",
-                  "--nmax", "100"]).n_values() == [12, 24, 48, 96]
+                  "--nmax", "100"]).sizes == [12, 24, 48, 96]
 
 
 def test_default_mesh_sizes_and_direct_cap(capsys):
-    assert _spec(["iterations"]).n_values() == [8, 16, 32, 64]
-    assert "capping the mesh range at n=64" in capsys.readouterr().err
-    assert _spec(["iterations", "--combo",
-                  "bpx:hxbpx"]).n_values() == [8, 16, 32, 64, 128]
+    """No combo's table is capped: the default direct:pd0 runs n = 8 ...
+    128 like every other combo, and the oracle solves at --nmin."""
+    for verb in ("iterations", "converge"):
+        spec = _spec([verb])
+        assert spec.combos == [("direct", "pd0")]
+        assert spec.sizes == [8, 16, 32, 64, 128]
     assert capsys.readouterr().err == ""
+    assert _spec(["oracle", "--nmin", "4"]).sizes == [4]
 
 
-@pytest.mark.parametrize("combo", ["bpx:hx", "bpx:pd0", "direct:hxbpx"])
-def test_direct_cap_follows_the_kind_table(capsys, combo):
-    """A combo is capped when either kind factors its finest level;
-    bpx:hxbpx, which factors neither, is left uncapped (above)."""
-    assert _spec(["iterations", "--combo", combo]).n_values() \
-        == [8, 16, 32, 64]
-    assert "capping the mesh range at n=64" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [
+    ["iterations", "--pair", "mini", "--nmin", "12", "--nmax", "12",
+     "--combo", "direct:pd0", "--combo", "bpx:pd0"],
+    ["converge", "--pair", "mini", "--nmin", "12", "--nmax", "24",
+     "--combo", "bpx:hxbpx"],
+    ["iterations", "--pair", "mini", "--nmin", "10", "--nmax", "10",
+     "--combo", "bpx:pd0"],
+    ["oracle", "--pair", "mini", "--nmin", "12", "--combo", "direct:hxbpx"],
+    ["iterations", "--pair", "th", "--nmin", "6", "--nmax", "6",
+     "--combo", "bpx:pd0"],
+    ["oracle", "--nmin", "4"]],
+    ids=["mini12-table", "mini12-24-hxbpx", "mini10-bpx", "mini12-oracle",
+         "th6-bpx", "mini4-oracle"])
+def test_every_accepted_mesh_size_runs(tmp_path, capsys, argv):
+    """Each size check_mesh_size accepts solves every combo: a multilevel
+    kind gets the deepest nested hierarchy, the mesh alone where n/2 is
+    odd."""
+    out = tmp_path / "table.csv"
+    table = argv[0] != "oracle"
+    assert main(argv + ["--out", str(out)] * table) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if table:
+        assert "FAILED" not in out.read_text()
+    else:
+        assert "oracle comparison PASS" in captured.out
 
 
 def test_combo_names_are_the_kind_table():

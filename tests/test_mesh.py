@@ -115,10 +115,13 @@ def test_edge_signs_pure_function_of_indices():
 
 
 def test_hierarchy_nested_sizes():
-    hier = mesh_hierarchy(build_unit_square(16), 2)
-    assert [m.n for m in hier] == [2, 4, 8, 16]
-    with pytest.raises(ValueError):
-        mesh_hierarchy(build_unit_square(12), 2)
+    """Halving stops at n_coarsest or where the next level would be odd."""
+    for (n, n_coarsest), sizes in {
+            (16, 2): [2, 4, 8, 16], (12, 2): [6, 12],
+            (96, 8): [6, 12, 24, 48, 96], (10, 8): [10], (6, 3): [6],
+            (8, 4): [4, 8], (8, 8): [8]}.items():
+        hier = mesh_hierarchy(build_unit_square(n), n_coarsest)
+        assert [m.n for m in hier] == sizes
 
 
 @pytest.mark.parametrize("region", [None, 0, 1])

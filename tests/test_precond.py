@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from stokesdarcy import Problem, build_unit_square
+from stokesdarcy import assembly as asm
 from stokesdarcy import precond
 from stokesdarcy import quadrature as quad
 from stokesdarcy.fespace import (REGION_D, FluxSpace, Space,
@@ -454,7 +455,8 @@ def test_hx_divcurl_and_spd(problem_cache, rng, pair):
     pr = problem_cache(pair, 8)
     nodal, potential = precond.hx_spaces(pr.flux)
     C, _ = precond.build_hx_transfers(pr, nodal, potential)
-    D = pr.D_D[np.ix_(pr.free_flux, pr.free_flux)]
+    D = asm.flux_operator_matrices(pr.flux, pr.params.tau)[1][
+        np.ix_(pr.free_flux, pr.free_flux)]
     assert abs(D @ C).max() <= 1e-10
     assert precond.curl_representation_residual(
         pr.flux, potential, precond.curl_matrix(pr.flux, potential)) <= 1e-12
