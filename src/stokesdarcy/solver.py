@@ -236,9 +236,10 @@ class SolveReport:
 
 
 def bpx_coarsest(n, enriched=False):
-    """Coarsest multilevel level: the hierarchy floors at BPX_FLOOR; the
-    bubble-enriched pair counts its embedded linear level as a level of
-    its own, pure nodal pairs keep at least two nodal levels."""
+    """Floor of the multilevel hierarchy (mesh_hierarchy halves down to it
+    where nesting allows): BPX_FLOOR; the bubble-enriched pair counts its
+    embedded linear level as a level of its own, pure nodal pairs ask for
+    at least two nodal levels."""
     if n > BPX_FLOOR:
         return BPX_FLOOR
     return n if enriched else max(2, n // 2)
