@@ -189,11 +189,12 @@ class Space:
         leaves them unchanged."""
         return ref_basis(self.family, ref_pts)[0]
 
-    def gradients(self, ref_pts):
+    def gradients(self, ref_pts, rows=slice(None)):
         """Physical basis gradients (nt, nloc, np, 2) at the mapped
-        reference points."""
+        reference points, on the triangles of ``rows`` (all by
+        default)."""
         g = ref_basis(self.family, ref_pts)[1][..., None, :]
-        T = self.geom.invJT[:, None, None]
+        T = self.geom.invJT[rows, None, None]
         return T[..., 0] * g[..., 0] + T[..., 1] * g[..., 1]
 
     def interpolate(self, f):
@@ -339,23 +340,26 @@ class FluxSpace:
         mono, _ = self._monomials_at(self.geom.map_points(self.dof_points))
         self.coeff = np.linalg.inv(np.swapaxes(self.local_dofs(mono), 1, 2))
 
-    def local_dofs(self, fields):
+    def local_dofs(self, fields, rows=slice(None)):
         """Degrees of freedom, triangle by triangle, of vector fields given
-        at the images of ``dof_points``.
+        at the images of ``dof_points`` in the triangles of ``rows`` (all
+        by default).
 
-        fields : (nt, m, npts, 2), or (1, m, npts, 2) for fields whose
-            values are shared by every triangle
+        fields : (nt, m, npts, 2), nt the number of those triangles, or
+            (1, m, npts, 2) for fields whose values are shared by every
+            triangle
         Returns (nt, m, nloc), in the local order of ``cell_dofs``.
         """
-        nt, m = len(self.tris), fields.shape[1]
+        normals, flip = self._normals[rows], self._flip[rows]
+        nt, m = len(flip), fields.shape[1]
         nq = len(self._edge_weights)
         edge = fields[:, :, :3 * nq].reshape(-1, m, 3, nq, 2)
-        nrm = self._normals[:, None, :, None, :]
+        nrm = normals[:, None, :, None, :]
         un = edge[..., 0] * nrm[..., 0] + edge[..., 1] * nrm[..., 1]
         # normalized moments (1/|e|) int (u.n) q_i with q_1 at the
         # lower-index endpoint; ds = |e| d s cancels the 1/|e|
         mom = (un.reshape(-1, nq) @ self._edge_weights).reshape(nt, m, 3, 2)
-        mom = np.where(self._flip[:, None, :, None], mom[..., ::-1], mom)
+        mom = np.where(flip[:, None, :, None], mom[..., ::-1], mom)
         dofs = mom.reshape(nt, m, 6)
         if self.family == "rt1":
             inner = np.swapaxes(fields[:, :, 3 * nq:], 2, 3) \

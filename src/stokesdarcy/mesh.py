@@ -12,7 +12,8 @@ import numpy as np
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 # triangles per block of a field evaluated at many points per triangle:
-# bounds the temporaries of the evaluation
+# bounds the temporaries of the evaluation, and those of the
+# auxiliary-space transfers, which tabulate one block at a time
 EVAL_ROWS = 1024
 
 

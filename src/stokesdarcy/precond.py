@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from . import assembly, quadrature
 from .fespace import Space, VectorSpace, nodal_prolongation, vector_expand
 from .krylov import LinOp
-from .mesh import mesh_hierarchy
+from .mesh import mesh_hierarchy, row_blocks
 
 # largest graph component, in DOFs, whose Gauss-Seidel sweep or inverse
 # is assembled explicitly instead of applied by sparse triangular solves
@@ -235,6 +235,17 @@ def nodal_levels(meshes, space, top, matrix, free):
     bubble-enriched space sits on a linear level of the top mesh
     instead.  A given `top`, the caller's block on free(space), replaces
     the top level's matrix."""
+    spaces, frees = _level_spaces(meshes, space, free)
+    levels = spaces if top is None else spaces[:-1]
+    mats = [matrix(s)[np.ix_(f, f)].tocsr() for s, f in zip(levels, frees)]
+    if top is not None:
+        mats.append(top)
+    return mats, _level_prolongations(spaces, frees)
+
+
+def _level_spaces(meshes, space, free):
+    """The level spaces of nodal_levels, coarsest first, and their DOFs
+    free(level)."""
     scalar = getattr(space, "scalar", space)
     if scalar.family == "p1b":
         spaces = [Space(m, "p1", scalar.region) for m in meshes]
@@ -243,14 +254,14 @@ def nodal_levels(meshes, space, top, matrix, free):
     if space is not scalar:
         spaces = [VectorSpace(s) for s in spaces]
     spaces.append(space)
-    frees = [free(s) for s in spaces]
-    levels = spaces if top is None else spaces[:-1]
-    mats = [matrix(s)[np.ix_(f, f)].tocsr() for s, f in zip(levels, frees)]
-    if top is not None:
-        mats.append(top)
-    prolongs = [nodal_prolongation(c, f)[ff][:, fc].tocsr()
-                for c, f, fc, ff in zip(spaces, spaces[1:], frees, frees[1:])]
-    return mats, prolongs
+    return spaces, [free(s) for s in spaces]
+
+
+def _level_prolongations(spaces, frees):
+    """Prolongations between consecutive level spaces, restricted to each
+    level's DOFs in frees."""
+    return [nodal_prolongation(c, f)[ff][:, fc].tocsr()
+            for c, f, fc, ff in zip(spaces, spaces[1:], frees, frees[1:])]
 
 
 def interior_dofs(space):
@@ -258,14 +269,33 @@ def interior_dofs(space):
     return np.flatnonzero(~space.on_boundary)
 
 
+def _rotated_gradients(scalar, ref_pts, rows):
+    """Rotated gradients (d2 v, -d1 v), (nt, nloc, np, 2), of the basis of
+    a scalar space at mapped reference points of the triangles of
+    ``rows``."""
+    g = scalar.gradients(ref_pts, rows)
+    return np.stack([g[..., 1], -g[..., 0]], axis=-1)
+
+
+def _flux_transfer(flux, space, fields):
+    """Flux coefficients (nflux, space.ndof) of the canonical interpolants
+    of the basis of a space on the flux space's triangles, one block of
+    triangles at a time: fields(rows) gives the basis values
+    (nt or 1, space.nloc, npts, 2) at the images of flux.dof_points in
+    the triangles of ``rows``."""
+    nt = len(flux.tris)
+    local = np.empty((nt, space.nloc, flux.nloc))
+    for rows in row_blocks(nt):
+        local[rows] = flux.local_dofs(fields(rows), rows)
+    return flux.scatter(local, space.cell_dofs, space.ndof)
+
+
 def curl_matrix(flux, potential):
     """Flux coefficients (nflux, npotential) of the rotated gradients
     (d2 v, -d1 v) of the potential basis: their canonical interpolants,
     which represent them exactly."""
-    g = potential.gradients(flux.dof_points)
-    curl = np.stack([g[..., 1], -g[..., 0]], axis=-1)
-    return flux.scatter(flux.local_dofs(curl), potential.cell_dofs,
-                        potential.ndof)
+    return _flux_transfer(flux, potential, lambda rows: _rotated_gradients(
+        potential, flux.dof_points, rows))
 
 
 def nodal_interpolation_matrix(flux, nodal):
@@ -275,8 +305,8 @@ def nodal_interpolation_matrix(flux, nodal):
     fields = np.zeros((nodal.nloc, 2, v.shape[1], 2))
     fields[:, 0, :, 0] = fields[:, 1, :, 1] = v
     vec = VectorSpace(nodal)
-    return flux.scatter(flux.local_dofs(fields.reshape(1, vec.nloc, -1, 2)),
-                        vec.cell_dofs, vec.ndof)
+    shared = fields.reshape(1, vec.nloc, -1, 2)
+    return _flux_transfer(flux, vec, lambda rows: shared)
 
 
 def hx_spaces(flux):
@@ -316,21 +346,26 @@ def curl_representation_residual(flux, scalar, C):
     """Pointwise residual of the rotated-gradient expansion.
 
     For three random nodal fields v the rotated gradient is compared against its
-    flux expansion C v at interior quadrature points; the expansion is a
-    representation (not an approximation), so any nonzero residual beyond
-    roundoff flags a construction bug.
+    flux expansion C v at interior quadrature points, one block of
+    triangles at a time; the expansion is a representation (not an
+    approximation), so any nonzero residual beyond roundoff flags a
+    construction bug.
     """
-    pts, w = quadrature.triangle_rule(3)
-    grads = scalar.gradients(pts)
+    pts = quadrature.triangle_rule(3)[0]
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(3):
         z = rng.standard_normal(scalar.ndof)
-        g = np.einsum("tl,tlqc->tqc", z[scalar.cell_dofs], grads)
-        curl = np.stack([g[:, :, 1], -g[:, :, 0]], axis=-1)
-        expansion = flux.field(C @ z, pts)[0]
-        scale = max(np.abs(curl).max(), 1.0)
-        worst = max(worst, np.abs(curl - expansion).max() / scale)
+        coeffs = C @ z
+        err = top = 0.0
+        for rows in row_blocks(len(flux.tris)):
+            curl = np.einsum("tl,tlqc->tqc", z[scalar.cell_dofs[rows]],
+                             _rotated_gradients(scalar, pts, rows))
+            expansion = flux.field_at(
+                coeffs, flux.geom.map_points(pts, rows), rows)[0]
+            top = max(top, np.abs(curl).max())
+            err = max(err, np.abs(curl - expansion).max())
+        worst = max(worst, err / max(top, 1.0))
     return worst
 
 
@@ -355,14 +390,21 @@ def hx_nodal_hierarchy(nodal, potential, tau, n_coarsest):
     nodal hierarchies from n_coarsest up to the spaces nodal and
     potential: block_diag(kron(L_l, I_2), tau Delta_l), with
     L = K + tau M and Delta = K, and prolongations
-    block_diag(kron(P_l, I_2), P_l)."""
+    block_diag(kron(P_l, I_2), P_l).  Where the nodal space is the
+    potential space (rt1), L and Delta share its levels and stiffness."""
     meshes = mesh_hierarchy(nodal.mesh, n_coarsest)
-    Ls, Ps = nodal_levels(meshes, nodal, None,
-                          lambda s: assembly.scalar_stiffness(s)
-                          + tau * assembly.scalar_mass(s), interior_dofs)
-    Ds, Qs = nodal_levels(meshes, potential, None,
-                          assembly.scalar_stiffness, interior_dofs)
-    return ([sp.block_diag([vector_expand(L), tau * D], format="csr")
-             for L, D in zip(Ls, Ds)],
-            [sp.block_diag([vector_expand(P), Q], format="csr")
-             for P, Q in zip(Ps, Qs)])
+    pot = _level_spaces(meshes, potential, interior_dofs)
+    nod = pot if nodal is potential else _level_spaces(meshes, nodal,
+                                                       interior_dofs)
+    mats = []
+    for s, f, t, g in zip(*nod, *pot):
+        K = assembly.scalar_stiffness(s)
+        L = (K + tau * assembly.scalar_mass(s))[np.ix_(f, f)].tocsr()
+        if t is not s:
+            K = assembly.scalar_stiffness(t)
+        D = K[np.ix_(g, g)].tocsr()
+        mats.append(sp.block_diag([vector_expand(L), tau * D], format="csr"))
+    Qs = _level_prolongations(*pot)
+    Ps = Qs if nodal is potential else _level_prolongations(*nod)
+    return mats, [sp.block_diag([vector_expand(P), Q], format="csr")
+                  for P, Q in zip(Ps, Qs)]

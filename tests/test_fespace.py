@@ -355,3 +355,22 @@ def test_vector_nodes(mesh8):
     vec = VectorSpace(scalar)
     assert np.array_equal(vec.nodes[0::2], scalar.nodes)
     assert np.array_equal(vec.nodes[1::2], scalar.nodes)
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt1"])
+def test_local_dofs_of_rows_match_full_call(rng, mesh8, family):
+    """The flux functionals and the nodal gradients on a slice of the
+    triangles equal the matching slice of the full call, for fields given
+    per triangle and for fields shared by every triangle (leading axis
+    1), on an inner and on a ragged last slice."""
+    flux = FluxSpace(mesh8, family)
+    scalar = Space(mesh8, "p2", REGION_D)
+    nt, npts = len(flux.tris), len(flux.dof_points)
+    for rows in (slice(5, 29), slice(40, 40 + 1024)):
+        for lead in (nt, 1):
+            fields = rng.standard_normal((lead, 3, npts, 2))
+            part = fields[rows] if lead == nt else fields
+            assert np.array_equal(flux.local_dofs(part, rows),
+                                  flux.local_dofs(fields)[rows])
+        assert np.array_equal(scalar.gradients(flux.dof_points, rows),
+                              scalar.gradients(flux.dof_points)[rows])

@@ -140,6 +140,27 @@ def test_hx_solves_match_fresh_hierarchy(problem_cache, rng, hx_reference,
                 <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("pair,per_level", [("mini", 2), ("th", 1)])
+def test_hx_hierarchy_prolongs_each_space_once(problem_cache, monkeypatch,
+                                               pair, per_level):
+    """An hxbpx build prolongs once per pair of consecutive levels and
+    per distinct auxiliary space: twice for bdm1 (p1 nodal, p2 potential)
+    and once for rt1, whose nodal space is its potential space."""
+    pr = problem_cache(pair, 32)
+    calls = []
+    prolong = precond.nodal_prolongation
+
+    def counted(coarse, fine):
+        calls.append(fine.ndof)
+        return prolong(coarse, fine)
+
+    monkeypatch.setattr(precond, "nodal_prolongation", counted)
+    solver.KINDS["hxbpx"].build(pr)
+    levels = len(mesh_module.mesh_hierarchy(pr.mesh, solver.BPX_FLOOR))
+    assert levels == 3
+    assert len(calls) == per_level * (levels - 1)
+
+
 def test_no_hierarchy_rebuilds_the_problem_mesh(problem_cache, monkeypatch):
     pr = problem_cache("mini", 16)
     sizes = []

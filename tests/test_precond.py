@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,9 +8,10 @@ from stokesdarcy import Problem, build_unit_square
 from stokesdarcy import assembly as asm
 from stokesdarcy import precond
 from stokesdarcy import quadrature as quad
-from stokesdarcy.fespace import (REGION_D, FluxSpace, Space,
+from stokesdarcy.fespace import (REGION_D, FluxSpace, Space, VectorSpace,
                                  locate_triangles, ref_basis)
 from stokesdarcy.krylov import LinOp, spd_condition_estimate
+from stokesdarcy.mesh import EVAL_ROWS
 
 
 def test_direct_inverse_diagonal():
@@ -526,6 +529,77 @@ def test_hx_interpolation_is_canonical(rng, family, nodal_family):
     want = flux.canonical_interpolation(field)
     assert np.abs(Idiv @ z.ravel() - want).max() \
         <= 1e-12 * np.abs(want).max()
+
+
+def _one_shot_transfers(flux, nodal, potential):
+    """C, Idiv and the residual of C's rotated-gradient expansion, each
+    computed on every triangle of the flux space at once (the reference
+    for the blockwise builders)."""
+    g = potential.gradients(flux.dof_points)
+    curl = np.stack([g[..., 1], -g[..., 0]], axis=-1)
+    C = flux.scatter(flux.local_dofs(curl), potential.cell_dofs,
+                     potential.ndof)
+    v = nodal.values(flux.dof_points)
+    fields = np.zeros((nodal.nloc, 2, v.shape[1], 2))
+    fields[:, 0, :, 0] = fields[:, 1, :, 1] = v
+    vec = VectorSpace(nodal)
+    Idiv = flux.scatter(flux.local_dofs(fields.reshape(1, vec.nloc, -1, 2)),
+                        vec.cell_dofs, vec.ndof)
+    pts = quad.triangle_rule(3)[0]
+    grads = potential.gradients(pts)
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(3):
+        z = rng.standard_normal(potential.ndof)
+        g = np.einsum("tl,tlqc->tqc", z[potential.cell_dofs], grads)
+        curl = np.stack([g[:, :, 1], -g[:, :, 0]], axis=-1)
+        expansion = flux.field(C @ z, pts)[0]
+        scale = max(np.abs(curl).max(), 1.0)
+        worst = max(worst, np.abs(curl - expansion).max() / scale)
+    return C, Idiv, worst
+
+
+def _assert_identical(A, B):
+    assert A.shape == B.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A, attr), getattr(B, attr))
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt1"])
+def test_hx_transfers_blockwise_match_one_shot(family):
+    """C, Idiv and the residual check of C, built one block of triangles
+    at a time, are bitwise their one-shot values; n = 48 has 2,304 porous
+    triangles, three blocks."""
+    flux = FluxSpace(build_unit_square(48), family)
+    assert len(flux.tris) > 2 * EVAL_ROWS
+    nodal, potential = precond.hx_spaces(flux)
+    C, Idiv, resid = _one_shot_transfers(flux, nodal, potential)
+    _assert_identical(precond.curl_matrix(flux, potential), C)
+    _assert_identical(precond.nodal_interpolation_matrix(flux, nodal), Idiv)
+    assert precond.curl_representation_residual(flux, potential, C) == resid
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt1"])
+def test_hx_transfers_tabulate_one_block_at_a_time(monkeypatch, family):
+    """build_hx_transfers never tabulates basis gradients or applies the
+    flux functionals to more than EVAL_ROWS triangles at once, and the
+    functionals cover every triangle once for C and once for Idiv."""
+    flux = FluxSpace(build_unit_square(48), family)
+    nodal, potential = precond.hx_spaces(flux)
+    problem = SimpleNamespace(flux=flux,
+                              free_flux=precond.interior_dofs(flux))
+    rows = {"gradients": [], "local_dofs": []}
+    for cls, name in ((Space, "gradients"), (FluxSpace, "local_dofs")):
+        def recorded(self, *args, _original=getattr(cls, name),
+                     _seen=rows[name], **kwargs):
+            out = _original(self, *args, **kwargs)
+            _seen.append(len(out))
+            return out
+        monkeypatch.setattr(cls, name, recorded)
+    precond.build_hx_transfers(problem, nodal, potential)
+    assert rows["gradients"] and max(rows["gradients"]) <= EVAL_ROWS
+    assert max(rows["local_dofs"]) <= EVAL_ROWS
+    assert sum(rows["local_dofs"]) == 2 * len(flux.tris)
 
 
 @pytest.mark.parametrize("fam,family", [("mini", "p1"), ("th", "p2")])
