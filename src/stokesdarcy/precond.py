@@ -397,6 +397,8 @@ def hx_nodal_hierarchy(nodal, potential, tau, n_coarsest):
     nod = pot if nodal is potential else _level_spaces(meshes, nodal,
                                                        interior_dofs)
     mats = []
+    # one level at a time: s and t are the nodal and the potential space
+    # of the level, f and g their DOFs
     for s, f, t, g in zip(*nod, *pot):
         K = assembly.scalar_stiffness(s)
         L = (K + tau * assembly.scalar_mass(s))[np.ix_(f, f)].tocsr()
