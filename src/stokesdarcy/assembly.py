@@ -5,6 +5,7 @@ import scipy.sparse as sp
 
 from . import quadrature
 from .fespace import csr_from_triplets, drop_roundoff, ref_basis
+from .mesh import blockwise
 
 # quadrature degree 2*(basis degree)+2 per family
 _QDEG = {"p1": 4, "p1dc": 4, "p0dc": 2, "p2": 6, "p1b": 8, "bdm1": 4, "rt1": 6}
@@ -40,26 +41,28 @@ def _ref_gradients(family, pts):
     return np.moveaxis(ref_basis(family, pts)[1], 2, 0)
 
 
-def _push_forward(geom, ref, order):
+def _push_forward(geom, ref, order, rows):
     """det times invJT applied to each of the first ``order`` (1 or 2)
     reference-gradient axes of ``ref``: the per-triangle values
-    (nt,) + ref.shape of the form on physical triangles, with physical
-    axes in place of the reference ones.  Affine maps make every local
-    matrix this one product."""
-    G = geom.det[:, None, None] * geom.invJT
+    (nt,) + ref.shape of the form on the physical triangles of ``rows``,
+    with physical axes in place of the reference ones.  Affine maps make
+    every local matrix this one product."""
+    invJT = geom.invJT[rows]
+    G = geom.det[rows, None, None] * invJT
     if order == 2:
-        G = G[:, :, None, :, None] * geom.invJT[:, None, :, None, :]
+        G = G[:, :, None, :, None] * invJT[:, None, :, None, :]
     m = 2 ** order
     return (G.reshape(-1, m) @ ref.reshape(m, -1)).reshape((-1,) + ref.shape)
 
 
-def _gradient_products(space):
-    """(nt, 2, 2, nloc, nloc): det (d_a phi_l, d_b phi_m) per triangle."""
+def _gradient_products(space, rows):
+    """(nt, 2, 2, nloc, nloc): det (d_a phi_l, d_b phi_m) per triangle of
+    ``rows``."""
     pts, w = quadrature.triangle_rule(_QDEG[space.family])
     g = _ref_gradients(space.family, pts)
     # K[i, j, l, m] = sum_q w_q d_i phi_l d_j phi_m on the reference triangle
     ref = (g * w)[:, None] @ np.swapaxes(g, 1, 2)[None]
-    return _push_forward(space.geom, ref, 2)
+    return _push_forward(space.geom, ref, 2, rows)
 
 
 def scalar_mass(space):
@@ -71,8 +74,11 @@ def scalar_mass(space):
 
 
 def scalar_stiffness(space):
-    cross = _gradient_products(space)
-    loc = cross[:, 0, 0] + cross[:, 1, 1]
+    def block(rows):
+        cross = _gradient_products(space, rows)
+        return cross[:, 0, 0] + cross[:, 1, 1],
+
+    loc, = blockwise(len(space.tris), block)
     return _scatter(space.cell_dofs, space.cell_dofs, loc,
                     (space.ndof, space.ndof))
 
@@ -107,15 +113,18 @@ def stokes_velocity_matrix(vel, params):
     """Velocity form 2 nu (eps(u), eps(v)) plus the interface friction
     term kappa <u_x, v_x> on y = 1/2, over all (unconstrained) DOFs."""
     sc = vel.scalar
-    cross = _gradient_products(sc)
-    nt, nloc = cross.shape[0], cross.shape[-1]
-    kgrad = cross[:, 0, 0] + cross[:, 1, 1]
-    # entry (2l+a, 2m+b) of the viscous block:
-    #   nu * [ delta_ab (grad phi_l, grad phi_m) + (d_b phi_l, d_a phi_m) ]
-    locA = params.nu * cross.transpose(0, 3, 2, 4, 1) + params.nu \
-        * kgrad[:, :, None, :, None] * np.eye(2)[:, None, :]
-    A = _scatter(vel.cell_dofs, vel.cell_dofs,
-                 locA.reshape(nt, 2 * nloc, 2 * nloc), (vel.ndof, vel.ndof))
+
+    def block(rows):
+        cross = _gradient_products(sc, rows)
+        kgrad = cross[:, 0, 0] + cross[:, 1, 1]
+        # entry (2l+a, 2m+b) of the viscous block:
+        #   nu * [ delta_ab (grad phi_l, grad phi_m) + (d_b phi_l, d_a phi_m) ]
+        loc = params.nu * cross.transpose(0, 3, 2, 4, 1) + params.nu \
+            * kgrad[:, :, None, :, None] * np.eye(2)[:, None, :]
+        return loc.reshape(len(loc), vel.nloc, vel.nloc),
+
+    locA, = blockwise(len(sc.tris), block)
+    A = _scatter(vel.cell_dofs, vel.cell_dofs, locA, (vel.ndof, vel.ndof))
 
     # interface friction: the tangential trace is just the x component here
     sig, rows, _, sw, bv = _interface_values(sc, 4)
@@ -133,46 +142,58 @@ def divergence_matrix(vel, pres):
     # D[i, j, m] = sum_q w_q psi_j d_i phi_m on the reference triangle
     ref = (pres.values(pts) * w) @ np.swapaxes(
         _ref_gradients(sc.family, pts), 1, 2)
-    # entry (j, 2m+b): (d_b phi_m, psi_j)
-    locB = _push_forward(sc.geom, ref, 1).transpose(0, 2, 3, 1)
-    return _scatter(pres.cell_dofs, vel.cell_dofs,
-                    locB.reshape(len(sc.tris), ref.shape[1], vel.nloc),
+
+    def block(rows):
+        # entry (j, 2m+b): (d_b phi_m, psi_j)
+        loc = _push_forward(sc.geom, ref, 1, rows).transpose(0, 2, 3, 1)
+        return loc.reshape(len(loc), pres.nloc, vel.nloc),
+
+    locB, = blockwise(len(sc.tris), block)
+    return _scatter(pres.cell_dofs, vel.cell_dofs, locB,
                     (pres.ndof, vel.ndof))
 
 
-def _flux_blocks(flux, tau, w, vals, divs):
-    """Flux mass and div-div blocks by batched products over triangles:
-    the flux basis is built on each physical triangle, so there is no
-    reference tensor."""
-    det = flux.geom.det[:, None, None]
-    nt, nloc = divs.shape[:2]
-    v = vals.reshape(nt, nloc, -1)
-    wv = (vals * w[:, None]).reshape(nt, nloc, -1)
-    locA = tau * det * (wv @ np.swapaxes(v, 1, 2))
-    locD = det * ((divs * w) @ np.swapaxes(divs, 1, 2))
-    A = _scatter(flux.cell_dofs, flux.cell_dofs, locA, (flux.ndof, flux.ndof))
-    D = _scatter(flux.cell_dofs, flux.cell_dofs, locD, (flux.ndof, flux.ndof))
-    return A, D
+def _flux_forms(flux, tau, qdeg, pres=None):
+    """Flux mass tau (u, v) and div-div (div u, div v) blocks, and with a
+    pressure space the divergence coupling (div u, q), by batched products
+    over the triangles of one block at a time: the flux basis is built on
+    each physical triangle, so there is no reference tensor."""
+    pts, w = quadrature.triangle_rule(qdeg)
+    if pres is not None:
+        pw = pres.values(pts) * w
+
+    def block(rows):
+        vals, divs = flux.tabulate(pts, rows)
+        det = flux.geom.det[rows, None, None]
+        nt = len(divs)
+        v = vals.reshape(nt, flux.nloc, -1)
+        wv = (vals * w[:, None]).reshape(nt, flux.nloc, -1)
+        dt = np.swapaxes(divs, 1, 2)
+        loc = (tau * det * (wv @ np.swapaxes(v, 1, 2)),
+               det * ((divs * w) @ dt))
+        return loc if pres is None else loc + (det * (pw @ dt),)
+
+    loc = blockwise(len(flux.tris), block)
+    square = (flux.ndof, flux.ndof)
+    forms = [_scatter(flux.cell_dofs, flux.cell_dofs, a, square)
+             for a in loc[:2]]
+    if pres is not None:
+        forms.append(_scatter(pres.cell_dofs, flux.cell_dofs, loc[2],
+                              (pres.ndof, flux.ndof)))
+    return tuple(forms)
 
 
 def flux_operator_matrices(flux, tau):
     """Weighted flux mass tau (u, v) and the div-div form (div u, div v)."""
-    pts, w = quadrature.triangle_rule(_QDEG[flux.family])
-    return _flux_blocks(flux, tau, w, *flux.tabulate(pts))
+    return _flux_forms(flux, tau, _QDEG[flux.family])
 
 
 def assemble_darcy(flux, dpres, params):
     """Darcy blocks: weighted flux mass, divergence coupling, div-div form,
     and the pressure mass matrix."""
-    pts, w = quadrature.triangle_rule(max(_QDEG[flux.family],
-                                          _QDEG[dpres.family]))
-    vals, divs = flux.tabulate(pts)
-    A, D = _flux_blocks(flux, params.tau, w, vals, divs)
-    locB = flux.geom.det[:, None, None] \
-        * ((dpres.values(pts) * w) @ np.swapaxes(divs, 1, 2))
-    B = _scatter(dpres.cell_dofs, flux.cell_dofs, locB, (dpres.ndof, flux.ndof))
-    M = scalar_mass(dpres)
-    return A, B, D, M
+    A, D, B = _flux_forms(flux, params.tau,
+                          max(_QDEG[flux.family], _QDEG[dpres.family]), dpres)
+    return A, B, D, scalar_mass(dpres)
 
 
 def assemble_interface(vel, trace):
@@ -203,8 +224,14 @@ def stokes_load(vel, case, params):
         raise InvalidCaseError("manufactured data assumes unit parameters")
     sc = vel.scalar
     pts, w = quadrature.triangle_rule(LOAD_QDEG)
-    f = sc.geom.evaluate(lambda X: case.stokes(X).f, pts)
-    loc = sc.geom.det[:, None, None] * ((sc.values(pts) * w) @ f)
+    vw = sc.values(pts) * w
+
+    def block(rows):
+        f = case.stokes(sc.geom.map_points(pts, rows).reshape(-1, 2)).f
+        return sc.geom.det[rows, None, None] \
+            * (vw @ f.reshape(-1, len(pts), 2)),
+
+    loc, = blockwise(len(sc.tris), block)
     F = np.zeros(vel.ndof)
     np.add.at(F, 2 * sc.cell_dofs[:, :, None] + np.arange(2), loc)
 
@@ -219,11 +246,15 @@ def stokes_load(vel, case, params):
 def darcy_load(dpres, case):
     """Source load (f_D, q); rejects incompatible sources."""
     pts, w = quadrature.triangle_rule(LOAD_QDEG)
-    fdet = dpres.geom.det[:, None] * dpres.geom.evaluate(
-        lambda X: case.darcy(X).f, pts)
+    geom, vwT = dpres.geom, (dpres.values(pts) * w).T
+
+    def block(rows):
+        f = case.darcy(geom.map_points(pts, rows).reshape(-1, 2)).f
+        return (geom.det[rows, None] * f.reshape(-1, len(pts))) @ vwT,
+
+    loc, = blockwise(len(dpres.tris), block)
     G = np.zeros(dpres.ndof)
-    np.add.at(G, dpres.cell_dofs,
-              fdet @ (dpres.values(pts) * w).T)
+    np.add.at(G, dpres.cell_dofs, loc)
     check_compatible(G)
     return G
 

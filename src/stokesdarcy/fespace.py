@@ -13,9 +13,10 @@ triangle area, so degree-of-freedom values scale like field values.
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import get_index_dtype
 
 from . import quadrature
-from .mesh import REF_VERTICES, row_blocks, segment_points
+from .mesh import REF_VERTICES, blockwise, segment_points
 
 REGION_S = 0
 REGION_D = 1
@@ -30,9 +31,14 @@ DROP_RTOL = 2.0 ** -40
 def csr_from_triplets(rows, cols, vals, shape):
     """CSR sum of the triplets (rows, cols, vals), broadcast against each
     other, duplicates added, without the entries that DROP_RTOL marks as
-    roundoff.  Every kept entry is bitwise the plain coo -> csr sum."""
-    rows, cols, vals = (a.ravel() for a in np.broadcast_arrays(rows, cols,
-                                                               vals))
+    roundoff.  Every kept entry is bitwise the plain coo -> csr sum.  The
+    indices are broadcast straight into arrays of the smallest index type
+    that fits the shape, which the coo matrix keeps without a copy."""
+    full = np.broadcast_shapes(np.shape(rows), np.shape(cols), np.shape(vals))
+    idx = get_index_dtype(maxval=max(shape))
+    rows, cols = (np.broadcast_to(a, full).astype(idx, order="C").ravel()
+                  for a in (rows, cols))
+    vals = np.broadcast_to(vals, full).ravel()
     return drop_roundoff(sp.coo_matrix((vals, (rows, cols)), shape=shape))
 
 
@@ -320,7 +326,10 @@ class FluxSpace:
             self.dof_points = np.vstack([self.dof_points, tq])
             # (1/|T|) int over T; weights of the reference rule sum to 1/2
             self._interior_weights = 2 * twq
-        self._build_local_bases()
+        self.centers = self.geom.corners.mean(axis=1)
+        self.hscale = np.sqrt(np.abs(0.5 * self.geom.det))
+        self.coeff, = blockwise(nt, lambda rows: (
+            self._build_local_bases(rows),))
 
         # a point per DOF, like Space.nodes: edge midpoints, then (rt1)
         # triangle centroids, each twice
@@ -332,13 +341,13 @@ class FluxSpace:
         self.on_boundary, self.on_gamma = _boundary_masks(self.nodes,
                                                           REGION_D)
 
-    def _build_local_bases(self):
-        """Monomial coefficients of the basis dual to the DOFs: the inverse
-        of the DOF values of the monomials, triangle by triangle."""
-        self.centers = self.geom.corners.mean(axis=1)
-        self.hscale = np.sqrt(np.abs(0.5 * self.geom.det))
-        mono, _ = self._monomials_at(self.geom.map_points(self.dof_points))
-        self.coeff = np.linalg.inv(np.swapaxes(self.local_dofs(mono), 1, 2))
+    def _build_local_bases(self, rows):
+        """Monomial coefficients (nt, nmono, nloc) of the basis dual to the
+        DOFs on the triangles of ``rows``: the inverse of the DOF values
+        of the monomials, triangle by triangle."""
+        mono, _ = self._monomials_at(
+            self.geom.map_points(self.dof_points, rows), rows)
+        return np.linalg.inv(np.swapaxes(self.local_dofs(mono, rows), 1, 2))
 
     def local_dofs(self, fields, rows=slice(None)):
         """Degrees of freedom, triangle by triangle, of vector fields given
@@ -391,16 +400,18 @@ class FluxSpace:
         Y = (pts[..., 1] - c[..., 1]) / h
         return _monomials(self.family, X, Y)
 
-    def tabulate(self, ref_pts):
-        """Physical basis values and divergences at mapped points.
+    def tabulate(self, ref_pts, rows=slice(None)):
+        """Physical basis values and divergences at mapped points of the
+        triangles of ``rows`` (all by default).
 
         Returns vals (nt, nloc, np, 2) and divs (nt, nloc, np).
         """
-        mono, mdiv = self._monomials_at(self.geom.map_points(ref_pts))
+        mono, mdiv = self._monomials_at(self.geom.map_points(ref_pts, rows),
+                                        rows)
         nt, nm = mdiv.shape[:2]
-        cT = np.swapaxes(self.coeff, 1, 2)
+        cT = np.swapaxes(self.coeff[rows], 1, 2)
         vals = (cT @ mono.reshape(nt, nm, -1)).reshape(nt, -1, *mono.shape[2:])
-        divs = (cT @ mdiv) / self.hscale[:, None, None]
+        divs = (cT @ mdiv) / self.hscale[rows, None, None]
         return vals, divs
 
     def field_at(self, coeffs, pts, rows=slice(None)):
@@ -419,12 +430,8 @@ class FluxSpace:
         """Values (nt, np, 2) and divergences (nt, np) of the field with
         coefficients coeffs at mapped reference points, one block of
         triangles at a time."""
-        nt, npts = len(self.tris), len(ref_pts)
-        vals, divs = np.empty((nt, npts, 2)), np.empty((nt, npts))
-        for rows in row_blocks(nt):
-            vals[rows], divs[rows] = self.field_at(
-                coeffs, self.geom.map_points(ref_pts, rows), rows)
-        return vals, divs
+        return blockwise(len(self.tris), lambda rows: self.field_at(
+            coeffs, self.geom.map_points(ref_pts, rows), rows))
 
     def canonical_interpolation(self, f):
         """Coefficients of the canonical interpolant of a smooth field

@@ -11,15 +11,35 @@ import numpy as np
 
 REF_VERTICES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
-# triangles per block of a field evaluated at many points per triangle:
-# bounds the temporaries of the evaluation, and those of the
-# auxiliary-space transfers, which tabulate one block at a time
-EVAL_ROWS = 1024
+# triangles per block of every per-triangle computation (assembled forms
+# and loads, local flux bases, auxiliary-space transfers, field
+# evaluation and error norms): bounds the temporaries of each block.
+# With blocks of 1024 each compute_errors call after a blocked Problem
+# build took thousands of minor page faults; with 512 it takes none.  A
+# multiple of four: the BLAS product of a porous load block then takes
+# its rows four at a time, as the product over a whole region of an even
+# mesh does, and gives the same bits
+EVAL_ROWS = 512
 
 
 def row_blocks(nt):
     """Slices of consecutive triangles, EVAL_ROWS at a time."""
     return (slice(a, a + EVAL_ROWS) for a in range(0, nt, EVAL_ROWS))
+
+
+def blockwise(nt, block):
+    """Per-triangle arrays of nt triangles, computed one block of
+    row_blocks at a time: block(rows) returns a tuple of arrays whose
+    first axis runs over the triangles of ``rows``, and each is stored
+    into one (nt, ...) array; returns the tuple of those."""
+    out = None
+    for rows in row_blocks(nt):
+        got = block(rows)
+        if out is None:
+            out = tuple(np.empty((nt,) + a.shape[1:]) for a in got)
+        for o, a in zip(out, got):
+            o[rows] = a
+    return out
 
 
 class AffineGeometry:
@@ -66,14 +86,11 @@ class AffineGeometry:
         """A pointwise function f((N, 2) points) at the images of reference
         points, as an (nt, np, ...) array.  f sees one block of triangles
         at a time."""
-        nt, npts = len(self.det), len(ref_pts)
-        out = None
-        for rows in row_blocks(nt):
+        def block(rows):
             got = f(self.map_points(ref_pts, rows).reshape(-1, 2))
-            if out is None:
-                out = np.empty((nt, npts) + np.shape(got)[1:])
-            out[rows] = np.reshape(got, out[rows].shape)
-        return out
+            return np.reshape(got, (-1, len(ref_pts)) + np.shape(got)[1:]),
+
+        return blockwise(len(self.det), block)[0]
 
     def pull_back(self, rows, phys_pts):
         """Reference coordinates of physical points (np, 2), point i taken

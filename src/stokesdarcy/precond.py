@@ -10,7 +10,7 @@ from scipy.sparse.csgraph import connected_components
 from . import assembly, quadrature
 from .fespace import Space, VectorSpace, nodal_prolongation, vector_expand
 from .krylov import LinOp
-from .mesh import mesh_hierarchy, row_blocks
+from .mesh import blockwise, mesh_hierarchy, row_blocks
 
 # largest graph component, in DOFs, whose Gauss-Seidel sweep or inverse
 # is assembled explicitly instead of applied by sparse triangular solves
@@ -283,10 +283,8 @@ def _flux_transfer(flux, space, fields):
     triangles at a time: fields(rows) gives the basis values
     (nt or 1, space.nloc, npts, 2) at the images of flux.dof_points in
     the triangles of ``rows``."""
-    nt = len(flux.tris)
-    local = np.empty((nt, space.nloc, flux.nloc))
-    for rows in row_blocks(nt):
-        local[rows] = flux.local_dofs(fields(rows), rows)
+    local, = blockwise(len(flux.tris), lambda rows: (
+        flux.local_dofs(fields(rows), rows),))
     return flux.scatter(local, space.cell_dofs, space.ndof)
 
 

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import stokesdarcy.mesh as mesh_module
 from stokesdarcy import (PAIRS, CoupledMesh, InvalidCaseError, PhysicalParams,
                          Problem, build_unit_square, canonical_pair, ftp,
                          precond, solve_coupled)
@@ -490,3 +493,177 @@ def test_forms_match_pointwise_quadrature(pair):
         assert np.array_equal(A.indices, W.indices), name
         assert np.abs(A.data - W.data).max() <= 1e-14 * np.abs(W.data).max(), \
             name
+
+
+def _one_shot(pr, prm):
+    """The forms (parameters prm), the loads and the local flux bases and
+    table of a Problem's spaces, each computed on every triangle of its
+    region at once: the formulas that the assembly applies one block of
+    triangles at a time (the reference for the blockwise assembly).  The
+    free-flow pressure is taken on the velocity mesh, where the iso pair
+    assembles its divergence."""
+    vel, sc, flux, dpres, case = pr.vel, pr.vel.scalar, pr.flux, pr.dpres, \
+        pr.case
+    pres = Space(pr.mesh, pr.pres.family, REGION_S)
+    nt, nf = len(sc.tris), len(flux.tris)
+
+    def push_forward(geom, ref, order):
+        G = geom.det[:, None, None] * geom.invJT
+        if order == 2:
+            G = G[:, :, None, :, None] * geom.invJT[:, None, :, None, :]
+        m = 2 ** order
+        return (G.reshape(-1, m) @ ref.reshape(m, -1)).reshape(
+            (-1,) + ref.shape)
+
+    def ref_gradients(family, pts):
+        return np.moveaxis(ref_basis(family, pts)[1], 2, 0)
+
+    def square(space, loc):
+        return asm._scatter(space.cell_dofs, space.cell_dofs, loc,
+                            (space.ndof, space.ndof))
+
+    out = {}
+    pts, w = quad.triangle_rule(asm._QDEG[sc.family])
+    g = ref_gradients(sc.family, pts)
+    ref = (g * w)[:, None] @ np.swapaxes(g, 1, 2)[None]
+    cross = push_forward(sc.geom, ref, 2)
+    kgrad = cross[:, 0, 0] + cross[:, 1, 1]
+    out["K"] = square(sc, kgrad)
+    locA = prm.nu * cross.transpose(0, 3, 2, 4, 1) + prm.nu \
+        * kgrad[:, :, None, :, None] * np.eye(2)[:, None, :]
+    sig, rows, _, sw, bv = asm._interface_values(sc, 4)
+    friction = (prm.kappa * sig.length)[:, None, None] \
+        * ((bv * sw) @ np.swapaxes(bv, 1, 2))
+    dofs = 2 * sc.cell_dofs[rows]
+    out["A_S"] = square(vel, locA.reshape(nt, vel.nloc, vel.nloc)) \
+        + asm._scatter(dofs, dofs, friction, (vel.ndof, vel.ndof))
+
+    pts, w = quad.triangle_rule(max(asm._QDEG[sc.family],
+                                    asm._QDEG[pres.family]))
+    ref = (pres.values(pts) * w) @ np.swapaxes(ref_gradients(sc.family, pts),
+                                               1, 2)
+    locB = push_forward(sc.geom, ref, 1).transpose(0, 2, 3, 1)
+    out["B_S"] = asm._scatter(pres.cell_dofs, vel.cell_dofs,
+                              locB.reshape(nt, pres.nloc, vel.nloc),
+                              (pres.ndof, vel.ndof))
+
+    mono, _ = flux._monomials_at(flux.geom.map_points(flux.dof_points))
+    out["coeff"] = np.linalg.inv(np.swapaxes(flux.local_dofs(mono), 1, 2))
+    pts, w = quad.triangle_rule(max(asm._QDEG[flux.family],
+                                    asm._QDEG[dpres.family]))
+    mono, mdiv = flux._monomials_at(flux.geom.map_points(pts))
+    cT = np.swapaxes(out["coeff"], 1, 2)
+    vals = (cT @ mono.reshape(nf, flux.nloc, -1)).reshape(mono.shape)
+    divs = (cT @ mdiv) / flux.hscale[:, None, None]
+    out["vals"], out["divs"] = vals, divs
+    det = flux.geom.det[:, None, None]
+    v = vals.reshape(nf, flux.nloc, -1)
+    wv = (vals * w[:, None]).reshape(nf, flux.nloc, -1)
+    out["A_D"] = square(flux, prm.tau * det * (wv @ np.swapaxes(v, 1, 2)))
+    out["D_D"] = square(flux, det * ((divs * w) @ np.swapaxes(divs, 1, 2)))
+    out["B_D"] = asm._scatter(
+        dpres.cell_dofs, flux.cell_dofs,
+        det * ((dpres.values(pts) * w) @ np.swapaxes(divs, 1, 2)),
+        (dpres.ndof, flux.ndof))
+
+    pts, w = quad.triangle_rule(asm.LOAD_QDEG)
+    f = sc.geom.evaluate(lambda X: case.stokes(X).f, pts)
+    F = np.zeros(vel.ndof)
+    np.add.at(F, 2 * sc.cell_dofs[:, :, None] + np.arange(2),
+              sc.geom.det[:, None, None] * ((sc.values(pts) * w) @ f))
+    sig, rows, s, sw, bv = asm._interface_values(sc, 6)
+    x = sig.points(s)[..., 0]
+    gs = case.g_sigma(x.ravel()).reshape(x.shape + (2,))
+    np.add.at(F, 2 * sc.cell_dofs[rows][:, :, None] + np.arange(2),
+              sig.length[:, None, None] * ((bv * sw) @ gs))
+    out["F_S"] = F
+    fdet = dpres.geom.det[:, None] * dpres.geom.evaluate(
+        lambda X: case.darcy(X).f, pts)
+    G = np.zeros(dpres.ndof)
+    np.add.at(G, dpres.cell_dofs, fdet @ (dpres.values(pts) * w).T)
+    out["G_D"] = G
+    return out
+
+
+def _blockwise(pr, prm):
+    """The items of _one_shot from the library, built one block of
+    EVAL_ROWS triangles at a time, with the flux forms of both assembly
+    routes."""
+    flux = FluxSpace(pr.mesh, pr.flux.family)
+    pres = Space(pr.mesh, pr.pres.family, REGION_S)
+    pts = quad.triangle_rule(max(asm._QDEG[flux.family],
+                                 asm._QDEG[pr.dpres.family]))[0]
+    got = {"K": asm.scalar_stiffness(pr.vel.scalar),
+           "A_S": asm.stokes_velocity_matrix(pr.vel, prm),
+           "B_S": asm.divergence_matrix(pr.vel, pres),
+           "coeff": flux.coeff,
+           "F_S": asm.stokes_load(pr.vel, pr.case, pr.params),
+           "G_D": asm.darcy_load(pr.dpres, pr.case)}
+    got["vals"], got["divs"] = flux.tabulate(pts)
+    got["A_D"], got["B_D"], got["D_D"], _ = asm.assemble_darcy(
+        flux, pr.dpres, prm)
+    got["A_D op"], got["D_D op"] = asm.flux_operator_matrices(flux, prm.tau)
+    return got
+
+
+@pytest.mark.parametrize("pair", ["mini", "iso", "th"])
+def test_blockwise_assembly_matches_one_shot(problem_cache, monkeypatch,
+                                             pair):
+    """Every form, both loads and the local flux bases and table, built
+    over ragged blocks of 7 and of 12 triangles, are bitwise the one-shot
+    formulas over whole regions (n = 8: 64 triangles per region).  The
+    one exception is the porous load over blocks of 7: its product per
+    block runs through a BLAS kernel that takes rows four at a time and
+    the rest otherwise, so its last bits follow the block sizes.  Over
+    blocks of 12, multiples of four as every block of EVAL_ROWS on an
+    even mesh is, it is bitwise too."""
+    pr = problem_cache(pair, 8)
+    prm = PhysicalParams(nu=0.7, kappa=1.3, tau=2.5)
+    want = _one_shot(pr, prm)
+    want["A_D op"], want["D_D op"] = want["A_D"], want["D_D"]
+    for rows in (7, 12):
+        monkeypatch.setattr(mesh_module, "EVAL_ROWS", rows)
+        got = _blockwise(pr, prm)
+        assert got.keys() == want.keys()
+        for name, W in want.items():
+            V = got[name]
+            if name == "G_D" and rows % 4:
+                assert np.abs(V - W).max() <= 1e-15 * np.abs(W).max()
+            elif isinstance(W, np.ndarray):
+                assert np.array_equal(V, W), (rows, name)
+            else:
+                V, W = V.tocsr(), W.tocsr()
+                assert V.shape == W.shape, (rows, name)
+                for attr in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(V, attr),
+                                          getattr(W, attr)), (rows, name)
+
+
+@pytest.mark.parametrize("family", ["bdm1", "rt1"])
+def test_tabulate_rows_slice_the_full_table(family):
+    """FluxSpace.tabulate on the triangles of a slice is that slice of the
+    table on every triangle."""
+    flux = FluxSpace(build_unit_square(8), family)
+    pts = quad.triangle_rule(4)[0]
+    full = flux.tabulate(pts)
+    for rows in (slice(0, 7), slice(20, 41), slice(57, None)):
+        for part, whole in zip(flux.tabulate(pts, rows), full):
+            assert np.array_equal(part, whole[rows])
+
+
+def test_velocity_form_temporaries_stay_blockwise():
+    """Assembling the mini velocity form at n = 64 (4,096 free-flow
+    triangles) allocates at most 15 MiB traced above the matrix it keeps:
+    its local tables span blocks of EVAL_ROWS triangles and its triplet
+    indices are int32 (whole-region tables with int64 triplets took
+    18.4 MiB, the blockwise build 11.9 MiB)."""
+    vel = VectorSpace(Space(build_unit_square(64), "p1b", REGION_S))
+    asm.stokes_velocity_matrix(vel, params)  # caches outside the trace
+    tracemalloc.start()
+    try:
+        A = asm.stokes_velocity_matrix(vel, params)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept >= A.data.nbytes
+    assert peak - kept <= 15 * 2 ** 20

@@ -569,7 +569,7 @@ def _assert_identical(A, B):
 def test_hx_transfers_blockwise_match_one_shot(family):
     """C, Idiv and the residual check of C, built one block of triangles
     at a time, are bitwise their one-shot values; n = 48 has 2,304 porous
-    triangles, three blocks."""
+    triangles, five blocks."""
     flux = FluxSpace(build_unit_square(48), family)
     assert len(flux.tris) > 2 * EVAL_ROWS
     nodal, potential = precond.hx_spaces(flux)
