@@ -53,9 +53,10 @@ class _DarcySolves:
         self.ni = len(problem.free_flux)
         self.mvec = pressure_integral(problem.dpres)
         self._mnorm2 = self.mvec @ self.mvec
-        # transposes applied by every functional, built once
-        self._B_DT = problem.B_D.T.tocsr()
-        self._liftT = problem.lift.T.tocsr()
+        # transposes applied by every functional, built once on the
+        # interface flux DOFs sigma
+        self._B_DT = problem.B_D_s.T.tocsr()
+        self._liftT = problem.lift[problem.sigma].T.tocsr()
         self.iteration_log = []
 
     def _project(self, q):
@@ -67,8 +68,10 @@ class _DarcySolves:
         the subsolver's)."""
         pr = self.problem
         ul = np.asarray(pr.lift @ phi).ravel()
-        F = -(pr.A_D @ ul)[pr.free_flux]
-        G = -(pr.B_D @ ul)
+        # ul vanishes off sigma: only the interface columns meet it
+        us = ul[pr.sigma]
+        F = -(pr.A_D_fs @ us)
+        G = -(pr.B_D_s @ us)
         ui, p, stats = self._solve_blocks(F, G, rtol)
         u = ul
         u[pr.free_flux] += ui
@@ -76,8 +79,9 @@ class _DarcySolves:
 
     def functional(self, u, p):
         """Dual pairing of the fields against lifted interface test
-        functions: the flux-to-pressure (or source residual) values."""
-        return np.asarray(self._liftT @ (self.problem.A_D @ u
+        functions: the flux-to-pressure (or source residual) values,
+        which read the dual residual on the interface flux DOFs only."""
+        return np.asarray(self._liftT @ (self.problem.A_D_s @ u
                                          - self._B_DT @ p)).ravel()
 
 

@@ -76,36 +76,51 @@ class Problem:
         p = self.params
         A_S = assembly.stokes_velocity_matrix(self.vel, p)
         if E is None:
-            self.B_S = assembly.divergence_matrix(self.vel, self.pres)
+            B_S = assembly.divergence_matrix(self.vel, self.pres)
             self.M_S = assembly.scalar_mass(self.pres)
         else:
-            Bf = assembly.divergence_matrix(self.vel, fine_p)
-            Mf = assembly.scalar_mass(fine_p)
-            self.B_S = drop_roundoff(E.T @ Bf)
-            self.M_S = drop_roundoff(E.T @ Mf @ E)
-        self.A_D, self.B_D, D_D, self.M_D = assembly.assemble_darcy(
-            self.flux, self.dpres, p)
+            B_S = drop_roundoff(
+                E.T @ assembly.divergence_matrix(self.vel, fine_p))
+            self.M_S = drop_roundoff(E.T @ assembly.scalar_mass(fine_p) @ E)
         _, R = assembly.assemble_interface(self.vel, self.trace)
 
+        # each operator is kept once: the free-flow and porous saddle
+        # blocks and the div-elliptic porous block on the free DOFs, and
+        # the porous blocks the lifted interface data meets, on the
+        # interface flux DOFs sigma (the rows of lift that hold entries).
+        # The full-size forms go as soon as their blocks are built, so
+        # the build never holds the free-flow and the porous ones at once.
         self.free_vel = np.where(~self.vel.on_gamma)[0]
-        self.free_flux = precond.interior_dofs(self.flux)
-        self.A_ff = A_S[np.ix_(self.free_vel, self.free_vel)].tocsr()
-        self.B_Sf = self.B_S[:, self.free_vel].tocsr()
+        A_ff = A_S[np.ix_(self.free_vel, self.free_vel)].tocsr()
+        B_Sf = B_S[:, self.free_vel].tocsr()
         self.R_f = R[:, self.free_vel].tocsr()
-        # each subproblem operator is assembled once, here: the free-flow
-        # and porous saddle blocks and the div-elliptic porous block, all
-        # on the free DOFs
-        self.K_S = sp.bmat([[self.A_ff, -self.B_Sf.T], [-self.B_Sf, None]],
-                           format="csr")
+        self.K_S = sp.bmat([[A_ff, -B_Sf.T], [-B_Sf, None]], format="csr")
+        del A_S, B_S, R, A_ff, B_Sf
+
+        A_D, B_D, D_D, self.M_D = assembly.assemble_darcy(
+            self.flux, self.dpres, p)
+        self.free_flux = precond.interior_dofs(self.flux)
         ff = np.ix_(self.free_flux, self.free_flux)
-        B_Di = self.B_D[:, self.free_flux]
-        self.K_D = sp.bmat([[self.A_D[ff], -B_Di.T], [-B_Di, None]],
+        B_Di = B_D[:, self.free_flux]
+        self.K_D = sp.bmat([[A_D[ff], -B_Di.T], [-B_Di, None]],
                            format="csr")
-        self.Adiv_f = (self.A_D + D_D)[ff].tocsr()
+        self.Adiv_f = (A_D + D_D)[ff].tocsr()
+        self.sigma = np.flatnonzero(np.diff(self.lift.indptr))
+        self.A_D_fs = A_D[np.ix_(self.free_flux, self.sigma)].tocsr()
+        self.A_D_s = A_D[self.sigma].tocsr()
+        self.B_D_s = B_D[:, self.sigma].tocsr()
+        del A_D, B_D, D_D, B_Di
 
         self.F_S = assembly.stokes_load(self.vel, self.case, p)
         self.G_D = assembly.darcy_load(self.dpres, self.case)
         self.mvec = assembly.pressure_integral(self.dpres)
+
+    @property
+    def A_ff(self):
+        """The free-flow velocity block, K_S's leading block (a copy of
+        its rows, sliced on each read)."""
+        nf = len(self.free_vel)
+        return self.K_S[:nf, :nf]
 
     @property
     def dof_total(self):
@@ -334,15 +349,18 @@ def solve_monolithic_oracle(problem):
     the free velocity and interior flux DOFs and both pressures, bordered
     by the mean of p_D.  S maps the velocity unknowns onto the free
     velocity DOFs, the glue Z onto all flux DOFs (the interface ones
-    through the trace projection, lift @ R_f)."""
+    through the trace projection, lift @ R_f).  The full porous forms
+    are assembled here, for this solve only."""
     t0 = time.perf_counter()
     nf, ni = len(problem.free_vel), len(problem.free_flux)
     nps = problem.pres.ndof
+    A_D, B_D = assembly.assemble_darcy(problem.flux, problem.dpres,
+                                       problem.params)[:2]
     S = sp.eye(nf, nf + ni, format="csr")
     I_i = sp.eye(problem.flux.ndof, format="csr")[:, problem.free_flux]
     Z = sp.hstack([problem.lift @ problem.R_f, I_i], format="csr")
-    A = S.T @ problem.A_ff @ S + Z.T @ problem.A_D @ Z
-    B = sp.vstack([problem.B_Sf @ S, problem.B_D @ Z])
+    A = S.T @ problem.A_ff @ S + Z.T @ A_D @ Z
+    B = sp.vstack([-problem.K_S[nf:, :nf] @ S, B_D @ Z])
     m = sp.csc_matrix(np.concatenate([np.zeros(nps), problem.mvec])[:, None])
     K = sp.bmat([[A, -B.T, None], [-B, None, m], [None, m.T, None]],
                 format="csc")
@@ -377,15 +395,17 @@ def _infsup_from_matrices(B, X, M, mvec):
     return float(np.sqrt(pos[0])) if len(pos) else 0.0
 
 
-def _infsup_stokes(vel, pres, B, M):
-    """Stokes inf-sup constant from the divergence block B and pressure
-    mass M over all velocity DOFs; the interface is held fixed too."""
+def _infsup_stokes(vel, pres, B, M, dofs=None):
+    """Stokes inf-sup constant from the divergence block B, whose columns
+    are the velocity DOFs `dofs` (sorted; default all), and the pressure
+    mass M; the velocity vanishes on the whole boundary, interface too."""
     free = precond.interior_dofs(vel)
+    cols = free if dofs is None else np.searchsorted(dofs, free)
     sc = vel.scalar
     X = vector_expand(assembly.scalar_stiffness(sc)
                       + assembly.scalar_mass(sc))[np.ix_(free, free)]
     mvec = assembly.pressure_integral(pres)
-    return _infsup_from_matrices(B[:, free], X, M, mvec)
+    return _infsup_from_matrices(B[:, cols], X, M, mvec)
 
 
 def infsup_stokes(mesh, vfam, pfam):
@@ -404,13 +424,17 @@ def infsup_darcy(problem):
     A1, D1 = assembly.flux_operator_matrices(problem.flux, 1.0)
     free = problem.free_flux
     X = (A1 + D1)[np.ix_(free, free)]
-    return _infsup_from_matrices(problem.B_D[:, free], X, problem.M_D,
-                                 problem.mvec)
+    # B_D on the interior flux DOFs is -K_D's lower-left block
+    B_Di = -problem.K_D[len(free):, :len(free)]
+    return _infsup_from_matrices(B_Di, X, problem.M_D, problem.mvec)
 
 
 def estimate_infsup(pair, n):
     """Inf-sup constants of both half-problems of one element pair, on
     the spaces and blocks of Problem(pair, n)."""
     pr = Problem(pair, n)
-    return {"beta_S": _infsup_stokes(pr.vel, pr.pres, pr.B_S, pr.M_S),
+    # B_S on the free velocity DOFs is -K_S's lower-left block
+    nf = len(pr.free_vel)
+    return {"beta_S": _infsup_stokes(pr.vel, pr.pres, -pr.K_S[nf:, :nf],
+                                     pr.M_S, pr.free_vel),
             "beta_D": infsup_darcy(pr)}

@@ -1,5 +1,6 @@
 import contextlib
 import os
+from types import SimpleNamespace
 
 # one BLAS thread, as the benchmark runs; an explicit setting still wins
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -11,7 +12,7 @@ import pytest  # noqa: E402
 from stokesdarcy import (PhysicalParams, Problem, ZeroCase,  # noqa: E402
                          assembly, build_unit_square, fespace, precond,
                          solver)
-from stokesdarcy.fespace import (REGION_D, Space,  # noqa: E402
+from stokesdarcy.fespace import (REGION_D, REGION_S, Space,  # noqa: E402
                                  nodal_prolongation)
 
 
@@ -62,6 +63,29 @@ def th8(problem_cache):
 @pytest.fixture(scope="session")
 def iso8(problem_cache):
     return problem_cache("iso", 8)
+
+
+@pytest.fixture(scope="session")
+def full_forms():
+    """Function problem -> the full-size forms a Problem keeps only as
+    blocks, assembled afresh the way its constructor assembles them (so
+    bitwise equal to them): the porous flux mass A_D and divergence B_D,
+    the free-flow divergence B_S over all velocity DOFs (for the iso pair
+    restricted from the fine pressure mesh) and its free columns B_Sf."""
+    def forms(problem):
+        A_D, B_D = assembly.assemble_darcy(problem.flux, problem.dpres,
+                                           problem.params)[:2]
+        vel, pres = problem.vel, problem.pres
+        if problem.pair == "p2isop1-bdm1":
+            fine_p = Space(problem.mesh, pres.family, REGION_S)
+            E = nodal_prolongation(pres, fine_p)
+            B_S = fespace.drop_roundoff(
+                E.T @ assembly.divergence_matrix(vel, fine_p))
+        else:
+            B_S = assembly.divergence_matrix(vel, pres)
+        return SimpleNamespace(A_D=A_D, B_D=B_D, B_S=B_S,
+                               B_Sf=B_S[:, problem.free_vel].tocsr())
+    return forms
 
 
 @pytest.fixture

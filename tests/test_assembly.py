@@ -64,20 +64,20 @@ def test_divdiv_annihilates_rotated_gradients(th8, rng):
     assert np.abs(D_D @ c).max() <= 1e-12
 
 
-def test_constant_field_energy(mini8):
+def test_constant_field_energy(mini8, full_forms):
     c = mini8.flux.canonical_interpolation(
         lambda p: np.tile([0.0, 1.0], (len(p), 1)))
-    assert c @ (mini8.A_D @ c) == pytest.approx(0.5, abs=1e-12)
+    assert c @ (full_forms(mini8).A_D @ c) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_divergence_theorem_on_constrained_flux(mini8, rng):
+def test_divergence_theorem_on_constrained_flux(mini8, full_forms, rng):
     """Fields with vanishing normal trace on the whole porous boundary have
     zero total divergence."""
     ones = np.ones(mini8.dpres.ndof)  # the constant function
     free = np.where(~mini8.flux.on_boundary)[0]
     u = np.zeros(mini8.flux.ndof)
     u[free] = rng.standard_normal(len(free))
-    assert abs(ones @ (mini8.B_D @ u)) <= 1e-12
+    assert abs(ones @ (full_forms(mini8).B_D @ u)) <= 1e-12
 
 
 def test_interface_projection_conforming(mini8, rng):
@@ -300,7 +300,7 @@ def _roundoff_scale(A):
                       colmax[A.indices])
 
 
-def _forms(pair):
+def _forms(pair, full_forms):
     """The assembled forms of a pair at n = 16, the auxiliary-space
     transfers, and the nodal blocks read from the stacked auxiliary-space
     hierarchy over n = 8, 16: L and Delta of the finest level and Delta of
@@ -311,7 +311,9 @@ def _forms(pair):
     mats, _ = precond.hx_nodal_hierarchy(nodal, potential, pr.params.tau, 8)
     coarse = Space(build_unit_square(8), nodal.family, REGION_D)
     nvec, cvec = Idiv.shape[1], 2 * int(np.sum(~coarse.on_boundary))
-    forms = {k: getattr(pr, k) for k in ("B_S", "M_S", "A_D", "B_D", "M_D")}
+    full = full_forms(pr)
+    forms = {k: getattr(pr, k) for k in ("M_S", "M_D")}
+    forms.update(B_S=full.B_S, A_D=full.A_D, B_D=full.B_D)
     forms.update(A_S=asm.stokes_velocity_matrix(pr.vel, pr.params),
                  D_D=asm.flux_operator_matrices(pr.flux, pr.params.tau)[1],
                  R=asm.assemble_interface(pr.vel, pr.trace)[1],
@@ -322,7 +324,7 @@ def _forms(pair):
 
 
 @pytest.mark.parametrize("pair", ["mini", "iso", "th"])
-def test_assembled_forms_store_no_roundoff(pair, undropped):
+def test_assembled_forms_store_no_roundoff(pair, undropped, full_forms):
     """No assembled matrix stores an entry at or below DROP_RTOL of its
     row/column scale; every kept entry of a scattered form is bitwise the
     plain coo -> csr sum of the same triplets, and every entry left out
@@ -332,9 +334,9 @@ def test_assembled_forms_store_no_roundoff(pair, undropped):
     M_S (products with the pressure embedding) are combinations of such
     forms: their kept entries match the plain combination to within the
     dropped roundoff."""
-    forms = _forms(pair)
+    forms = _forms(pair, full_forms)
     with undropped():
-        plain = _forms(pair)
+        plain = _forms(pair, full_forms)
     combined = {"L"} | ({"B_S", "M_S"} if pair == "iso" else set())
     dropped = 0
     for name, A in forms.items():

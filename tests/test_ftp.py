@@ -35,11 +35,11 @@ def test_nonnegativity(exact_sub, rng):
         assert phi @ exact_sub.solve_lifted(phi).functional >= -1e-12
 
 
-def test_energy_identity(exact_sub, mini8, rng):
+def test_energy_identity(exact_sub, mini8, full_forms, rng):
     """<F(phi), phi> equals the weighted mass energy of the lifted field."""
     phi = rng.standard_normal(16)
     res = exact_sub.solve_lifted(phi)
-    energy = res.u @ (mini8.A_D @ res.u)
+    energy = res.u @ (full_forms(mini8).A_D @ res.u)
     assert phi @ res.functional == pytest.approx(energy, rel=1e-10)
 
 
@@ -64,13 +64,13 @@ def test_source_zero(exact_sub):
     assert not res.functional.any()
 
 
-def test_source_discrete_equations(mini8):
+def test_source_discrete_equations(mini8, full_forms):
     """The source solve satisfies its divergence constraint: (div u, q)
     equals (f, q) for every zero-mean pressure test function."""
     sub = ftp.ExactDarcySubsolver(mini8)
     G = asm.darcy_load(mini8.dpres, ManufacturedCase())
     res = ftp.source_residual(sub, G)
-    resid = mini8.B_D @ res.u - G
+    resid = full_forms(mini8).B_D @ res.u - G
     m = mini8.mvec
     resid = resid - m * (m @ resid) / (m @ m)
     assert np.abs(resid).max() <= 1e-10 * np.abs(G).max()
@@ -169,3 +169,49 @@ def test_solve_lifted_returns_the_result_record(mini8, exact):
     src = ftp.source_residual(sub, mini8.G_D)
     assert type(src) is ftp.FtpResult
     assert np.array_equal(src.functional, sub.functional(src.u, src.p))
+
+
+def _bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["minres", "exact"])
+@pytest.mark.parametrize("n", [8, 16, "tau4"])
+@pytest.mark.parametrize("pair", ["mini", "iso", "th"])
+def test_interface_sized_products_match_full_size(problem_cache, tau4_problem,
+                                                  full_forms, rng, pair, n,
+                                                  exact):
+    """The data of a lifted solve and the functionals, formed from the
+    porous blocks on the interface flux DOFs, are bitwise the full-size
+    products: the lifted field vanishes off those DOFs and the lift
+    reads only them, so the dropped terms are exact zero products."""
+    pr = tau4_problem(pair) if n == "tau4" else problem_cache(pair, n)
+    forms = full_forms(pr)
+    sub = (ftp.ExactDarcySubsolver(pr) if exact else
+           ftp.DarcySubsolver(pr, precond.direct_inverse(pr.Adiv_f)))
+    data = []
+    solve_blocks = sub._solve_blocks
+
+    def recording(F, G, rtol=None):
+        data.append((F, G))
+        return solve_blocks(F, G, rtol)
+
+    sub._solve_blocks = recording
+
+    def full_functional(res):
+        return pr.lift.T @ (forms.A_D @ res.u - forms.B_D.T @ res.p)
+
+    phi = rng.standard_normal(pr.trace.ndim)
+    ul = pr.lift @ phi
+    res = sub.solve_lifted(phi)
+    F, G = data[0]
+    assert _bitwise(F, -(forms.A_D @ ul)[pr.free_flux])
+    assert _bitwise(G, -(forms.B_D @ ul))
+    assert _bitwise(res.functional, full_functional(res))
+
+    G_load = rng.standard_normal(pr.dpres.ndof)
+    src = ftp.source_residual(sub, G_load - G_load.mean())
+    assert src.functional.any()
+    assert _bitwise(src.functional, full_functional(src))
